@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geoflora.cli import run
+from geoflora import pipeline
 from geoflora.ingest import Dataset, DatasetKind, SpeciesCatalog, parse_occurrences, write_dataset
 
 SEED = 20250810
@@ -31,7 +31,7 @@ OOD_REGION = [(49.0, 24.0), (47.2, 26.5), (50.5, 22.0)]
 N_SPECIES = 80  # dense 0..59 reachable from PA, 60..79 only in PO
 RAW_OFFSET, RAW_STEP = 1001, 13
 
-GOLDEN_FILES = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json")
+GOLDEN_FILES = (*pipeline.OUTPUTS, "manifest.json")
 
 
 def zipfish(rng: np.random.Generator, pool: np.ndarray, size: int) -> list[int]:
@@ -117,17 +117,7 @@ def main() -> int:
     golden = FIXTURES / "golden"
     golden.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as outdir:
-        status = run(
-            [
-                "pipeline",
-                "--pa", str(pa_path),
-                "--po", str(po_path),
-                "--test", str(test_path),
-                "--outdir", outdir,
-            ]
-        )
-        if status != 0:
-            return status
+        pipeline.run(pa_path, po_path, test_path, outdir)
         for name in GOLDEN_FILES:
             shutil.copyfile(Path(outdir) / name, golden / name)
     print(f"fixture written under {FIXTURES}")

@@ -1,146 +1,136 @@
-"""Command-line orchestration of the survey pipeline.
+"""Command-line front end of the survey pipeline.
 
 Subcommands: ingest, stats, merge, gate, predict, postprocess, evaluate,
-pipeline, fusion-check. Configuration precedence is flags > config file
-(JSON, keys = long option names with underscores) > built-in defaults; the
-pipeline dumps its effective configuration and input/output digests into a
-manifest so a run can be reproduced byte for byte. The numpy and Python
-versions differ between environments, so they go into a separate run record
-(``run.json``) and the manifest stays byte-identical everywhere.
+pipeline, fusion-check. ``pipeline`` runs ``geoflora.pipeline.run``, which
+writes the routed submission plus a manifest of the effective configuration
+and the input/output digests, so a run can be reproduced byte for byte; the
+numpy and Python versions go into a separate run record (``run.json``), so
+the manifest stays byte-identical everywhere.
+
+The options of ``merge`` and ``pipeline`` are generated from the fields of
+``MergeConfig`` and ``PipelineConfig`` (``--box-half-km`` sets
+``box_half_km``). Precedence is flags > config file (a JSON object keyed by
+field name) > field defaults, and every value is checked against its field's
+type. Failures print one ``error:`` line to stderr and exit with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import enum
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .fusion import FusionWeights, ModalityTriple, init_weights, stack_forward, tri_serial_forward
-from .gate import Side, assign, moe_merge, write_assignments
+from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, write_assignments
 from .ingest import (
-    Dataset,
     DatasetKind,
     OccurrenceFormat,
     ParseError,
-    SpeciesCatalog,
     decode_species,
     parse_occurrences,
-    reindex_dataset,
+    preview_ids,
     write_dataset,
 )
 from .losses import samples_f1
+from .pipeline import PipelineConfig, write_json
+from .pipeline import run as run_pipeline
 from .postprocess import (
     DEFAULT_GRID_KCAPS,
     DEFAULT_GRID_THRESHOLDS,
+    IN_DIST_TOP_K,
+    IN_DIST_VOTE,
     TopKConfig,
     VoteConfig,
-    apply_top_k,
-    finalize,
     grid_search_top_k,
-    neighbor_vote_many,
     read_submission,
+    side_predictions,
     write_submission,
 )
-from .predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, save_scores
-from .pseudolabel import (
-    DEFAULT_RADIUS_KM,
-    MergeConfig,
-    MergeMode,
-    merge_points,
-    merge_stats,
-    merged_to_dataset,
-)
+from .predictor import DEFAULT_K, load_scores, neighbor_frequency_predict, save_scores
+from .pseudolabel import MergeConfig, merge_points, merge_stats, merged_to_dataset
 from .stats import bbox_summary, occurrences_per_species_hist, species_per_survey_hist
 
 _KIND = {"pa": DatasetKind.PA_TRAIN, "po": DatasetKind.PO_TRAIN, "test": DatasetKind.TEST}
 
-MERGE_DEFAULTS = {
-    "mode": "balanced",
-    "radius_threshold_km": DEFAULT_RADIUS_KM,
-    "box_half_km": 0.32,
-    "lat_km_per_deg": 111.4,
-    "lon_km_per_deg_at_equator": 111.32,
-    "rare_count_threshold": 100,
-}
-
-PIPELINE_DEFAULTS = {
-    "merge_mode": "strict",
-    "radius_threshold_km": DEFAULT_RADIUS_KM,
-    "box_half_km": 0.32,
-    "lat_km_per_deg": 111.4,
-    "lon_km_per_deg_at_equator": 111.32,
-    "rare_count_threshold": 100,
-    "gate_radius_km": 10.0,
-    "predict_k": 10,
-    "in_threshold": 0.5,
-    "in_k_cap": 25,
-    "ood_threshold": 0.475,
-    "ood_k_cap": 25,
-    "in_vote_neighbors": 5,
-    "in_vote_min_freq": 0.8,
-    "ood_vote_neighbors": 6,
-    "ood_vote_min_freq": 0.5,
-    "vote_inclusive": False,
-    "fallback_top1": False,
-    "seed": 0,
-}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number"}
 
 
-def _sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _typed(value, typ):
+    """``value`` as an instance of the field type ``typ``; None when it is not one.
+
+    A float field also takes an integer (stored as a float); a bool is never a number.
+    """
+    if issubclass(typ, enum.Enum):
+        return {m.value: m for m in typ}.get(value) if isinstance(value, str) else None
+    if typ is bool:
+        return value if isinstance(value, bool) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if typ is int:
+        return value if isinstance(value, int) else None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _effective_config(args: argparse.Namespace, cls):
+    """An instance of the config dataclass ``cls``: flags > config file > field defaults.
 
-
-def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults, restricted to known keys."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as f:
-            loaded = json.load(f)
-        unknown = sorted(set(loaded) - set(defaults))
+    Each given value, from a flag or the config file, must be of its field's type.
+    """
+    types = get_type_hints(cls)
+    given = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as f:
+            try:
+                loaded = json.load(f)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"{args.config}: not a JSON file: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of config keys, got {json.dumps(loaded)[:40]}")
+        unknown = set(loaded) - set(types)
         if unknown:
-            raise ValueError(f"unknown config keys {unknown}; known: {sorted(defaults)}")
-        merged.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+            raise ValueError(f"{args.config}: unknown config keys {preview_ids(unknown)}; known: {sorted(types)}")
+        given = {name: (value, args.config) for name, value in loaded.items()}
+    for name in types:
+        if getattr(args, name) is not None:
+            given[name] = (getattr(args, name), "--" + name.replace("_", "-"))
+    values = {}
+    for name, (value, origin) in given.items():
+        values[name] = _typed(value, types[name])
+        if values[name] is None:
+            typ = types[name]
+            expected = _TYPE_NAMES.get(typ) or f"one of {[m.value for m in typ]}"
+            raise ValueError(f"{origin}: {name} must be {expected}, got {json.dumps(value)[:40]}")
+    return cls(**values)
 
 
-def _merge_config(cfg: dict) -> MergeConfig:
-    return MergeConfig(
-        mode=MergeMode(cfg["mode"] if "mode" in cfg else cfg["merge_mode"]),
-        radius_threshold_km=float(cfg["radius_threshold_km"]),
-        box_half_km=float(cfg["box_half_km"]),
-        lat_km_per_deg=float(cfg["lat_km_per_deg"]),
-        lon_km_per_deg_at_equator=float(cfg["lon_km_per_deg_at_equator"]),
-        rare_count_threshold=int(cfg["rare_count_threshold"]),
-    )
+def _add_config_options(p: argparse.ArgumentParser, cls) -> None:
+    """``--config`` plus one option per field of ``cls``, named after the field."""
+    p.add_argument("--config", default=None, help="JSON config file; keys are the option names with underscores")
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        flag, typ, help_text = "--" + f.name.replace("_", "-"), types[f.name], f.metadata.get("help")
+        if typ is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=help_text)
+        elif issubclass(typ, enum.Enum):
+            p.add_argument(flag, choices=[m.value for m in typ], default=None, help=help_text)
+        else:
+            p.add_argument(flag, type=typ, default=None, help=help_text)
 
 
-def _parse_file(path: str, fmt: str = "auto", kind: str | None = None, catalog: SpeciesCatalog | None = None):
-    return parse_occurrences(
-        path,
-        OccurrenceFormat(fmt),
-        kind=_KIND[kind] if kind else None,
-        catalog=catalog,
-    )
+def _parse_file(path: str, fmt: str = "auto", kind: str | None = None):
+    return parse_occurrences(path, OccurrenceFormat(fmt), kind=_KIND[kind] if kind else None)
 
 
 def _cmd_ingest(args) -> int:
@@ -187,7 +177,7 @@ def _cmd_stats(args) -> int:
         "fractionSpeciesUnder50": per_species.fraction_under_50,
         "singletonSpecies": per_species.singleton_species,
     }
-    _write_json(outdir / "summary.json", summary)
+    write_json(outdir / "summary.json", summary)
     print(
         f"{len(dataset)} surveys; species-per-survey mode {per_survey.mode}; "
         f"{per_species.fraction_under_50:.1%} of species under 50 occurrences; "
@@ -198,8 +188,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    cfg = _effective_config(args, MERGE_DEFAULTS)
-    merge_cfg = _merge_config(cfg)
+    merge_cfg = _effective_config(args, MergeConfig)
     dataset, catalog = _parse_file(args.input, args.format)
     merged = merge_points(dataset, merge_cfg)
     write_dataset(merged_to_dataset(merged), args.output, catalog)
@@ -210,9 +199,7 @@ def _cmd_merge(args) -> int:
         f"mean species/survey {report.mean_species_in:.3f} -> {report.mean_species_out:.3f}"
     )
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as f:
-            json.dump(report.__dict__, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(Path(args.report_out), report.__dict__)
     print(f"wrote {args.output}")
     return 0
 
@@ -263,9 +250,9 @@ def _cmd_postprocess(args) -> int:
         print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
 
     vote_cfg = VoteConfig(args.vote_neighbors, args.vote_min_freq, not args.vote_inclusive)
-    predictions = apply_top_k(matrix, top_cfg)
-    votes = dict(zip(test.ids.tolist(), neighbor_vote_many(test.lats, test.lons, reference, vote_cfg)))
-    final = finalize(predictions, votes)
+    final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
+    if len(matrix) < len(test):
+        print(f"{args.scores}: {len(test) - len(matrix)} of {len(test)} test surveys have no score row", file=sys.stderr)
     write_submission(final, args.output, catalog)
     print(f"wrote {args.output} ({len(final)} surveys)")
     return 0
@@ -279,108 +266,8 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _subset(dataset: Dataset, mask: np.ndarray, kind: DatasetKind | None) -> Dataset:
-    keep = np.flatnonzero(mask)
-    return Dataset(
-        dataset.ids[keep],
-        dataset.lats[keep],
-        dataset.lons[keep],
-        [dataset.species[i] for i in keep],
-        kind=kind,
-    )
-
-
-def _expert_predictions(
-    train: Dataset,
-    vote_reference: Dataset,
-    test_side: Dataset,
-    catalog: SpeciesCatalog,
-    k: int,
-    top_cfg: TopKConfig,
-    vote_cfg: VoteConfig,
-    side_name: str,
-) -> tuple[dict[int, frozenset[int]], ScoreMatrix]:
-    if len(test_side) == 0:
-        return {}, ScoreMatrix(len(catalog))
-    if len(train) == 0:
-        raise ValueError(f"no training data for the {side_name} expert")
-    matrix = neighbor_frequency_predict(train, test_side, k, num_species=len(catalog))
-    predictions = apply_top_k(matrix, top_cfg)
-    votes = dict(zip(test_side.ids.tolist(), neighbor_vote_many(test_side.lats, test_side.lons, vote_reference, vote_cfg)))
-    return finalize(predictions, votes), matrix
-
-
 def _cmd_pipeline(args) -> int:
-    cfg = _effective_config(args, PIPELINE_DEFAULTS)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    pa, pa_catalog = _parse_file(args.pa, kind="pa")
-    po, po_catalog = _parse_file(args.po, kind="po")
-    test, _ = _parse_file(args.test, kind="test")
-    catalog = SpeciesCatalog.union([pa_catalog, po_catalog])
-    pa = reindex_dataset(pa, pa_catalog, catalog)
-    po = reindex_dataset(po, po_catalog, catalog)
-
-    merge_cfg = _merge_config(cfg)
-    merged_records = merge_points(po, merge_cfg)
-    merged_po = merged_to_dataset(merged_records)
-    write_dataset(merged_po, outdir / "merged_po.csv", catalog)
-    report = merge_stats(po, merged_records)
-    print(
-        f"merge[{merge_cfg.mode.value}]: {report.surveys_in} -> {report.surveys_out} surveys, "
-        f"mean species/survey {report.mean_species_in:.3f} -> {report.mean_species_out:.3f}"
-    )
-
-    assignments = assign(test, pa, float(cfg["gate_radius_km"]))
-    write_assignments(assignments, str(outdir / "gate.csv"))
-    in_mask = np.array([a.side is Side.IN_DISTRIBUTION for a in assignments], dtype=bool)
-    test_in = _subset(test, in_mask, DatasetKind.TEST)
-    test_ood = _subset(test, ~in_mask, DatasetKind.TEST)
-    print(f"gate: {len(test_in)} in-distribution, {len(test_ood)} out-of-distribution")
-
-    strictly_greater = not bool(cfg["vote_inclusive"])
-    preds_in, scores_in = _expert_predictions(
-        pa,
-        pa,
-        test_in,
-        catalog,
-        int(cfg["predict_k"]),
-        TopKConfig(float(cfg["in_threshold"]), int(cfg["in_k_cap"]), bool(cfg["fallback_top1"])),
-        VoteConfig(int(cfg["in_vote_neighbors"]), float(cfg["in_vote_min_freq"]), strictly_greater),
-        "in-distribution",
-    )
-    preds_ood, scores_ood = _expert_predictions(
-        merged_po,
-        merged_po,
-        test_ood,
-        catalog,
-        int(cfg["predict_k"]),
-        TopKConfig(float(cfg["ood_threshold"]), int(cfg["ood_k_cap"]), bool(cfg["fallback_top1"])),
-        VoteConfig(int(cfg["ood_vote_neighbors"]), float(cfg["ood_vote_min_freq"]), strictly_greater),
-        "out-of-distribution",
-    )
-    save_scores(scores_in, str(outdir / "scores_in.csv"), catalog)
-    save_scores(scores_ood, str(outdir / "scores_ood.csv"), catalog)
-
-    final = moe_merge(assignments, preds_in, preds_ood)
-    submission_path = outdir / "submission.csv"
-    write_submission(final, str(submission_path), catalog)
-    print(f"wrote {submission_path} ({len(final)} surveys)")
-
-    outputs = ["merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv"]
-    manifest = {
-        "package": "geoflora",
-        "version": __version__,
-        "command": "pipeline",
-        "config": cfg,
-        "inputs": {name: _sha256(getattr(args, name)) for name in ("pa", "po", "test")},
-        "outputs": {name: _sha256(outdir / name) for name in outputs},
-    }
-    _write_json(outdir / "manifest.json", manifest)
-    print(f"wrote {outdir / 'manifest.json'}")
-    # environment record: kept out of the manifest, it differs between environments
-    _write_json(outdir / "run.json", {"versions": {"numpy": np.__version__, "python": sys.version.split()[0]}})
+    run_pipeline(args.pa, args.po, args.test, args.outdir, _effective_config(args, PipelineConfig))
     return 0
 
 
@@ -456,27 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
-    p.add_argument("--config", default=None, help="JSON config file; keys mirror the merge parameters")
-    p.add_argument("--mode", choices=["loose", "balanced", "strict"], default=None)
-    p.add_argument("--radius-threshold-km", type=float, default=None)
-    p.add_argument("--box-half-km", type=float, default=None)
-    p.add_argument("--lat-km-per-deg", type=float, default=None)
-    p.add_argument("--lon-km-per-deg-at-equator", type=float, default=None)
-    p.add_argument("--rare-count-threshold", type=int, default=None)
+    _add_config_options(p, MergeConfig)
     p.add_argument("--report-out", default=None, help="optional JSON merge report")
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("gate", help="route test surveys by proximity to PA training surveys")
     p.add_argument("--test", required=True)
     p.add_argument("--pa", required=True)
-    p.add_argument("--gate-radius-km", type=float, default=10.0)
+    p.add_argument("--gate-radius-km", type=float, default=DEFAULT_GATE_RADIUS_KM)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_gate)
 
     p = sub.add_parser("predict", help="neighbour-frequency baseline scores")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -484,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--test", required=True, help="test survey coordinates")
     p.add_argument("--reference", required=True, help="dataset voted over; also defines the species universe")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--k-cap", type=int, default=25)
+    p.add_argument("--threshold", type=float, default=IN_DIST_TOP_K.threshold)
+    p.add_argument("--k-cap", type=int, default=IN_DIST_TOP_K.k_cap)
     p.add_argument("--fallback-top1", action="store_true")
-    p.add_argument("--vote-neighbors", type=int, default=5)
-    p.add_argument("--vote-min-freq", type=float, default=0.8)
+    p.add_argument("--vote-neighbors", type=int, default=IN_DIST_VOTE.neighbor_count)
+    p.add_argument("--vote-min-freq", type=float, default=IN_DIST_VOTE.min_frequency)
     p.add_argument("--vote-inclusive", action="store_true", help="vote in species at exactly the minimum frequency")
     p.add_argument("--tune-truth", default=None, help="held-out truth file enabling threshold/k grid search")
     p.add_argument("--grid-thresholds", type=float, nargs="*", default=None)
@@ -506,26 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--po", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--config", default=None, help="JSON config file; keys mirror the pipeline options")
-    p.add_argument("--merge-mode", choices=["loose", "balanced", "strict"], default=None)
-    p.add_argument("--radius-threshold-km", type=float, default=None)
-    p.add_argument("--box-half-km", type=float, default=None)
-    p.add_argument("--lat-km-per-deg", type=float, default=None)
-    p.add_argument("--lon-km-per-deg-at-equator", type=float, default=None)
-    p.add_argument("--rare-count-threshold", type=int, default=None)
-    p.add_argument("--gate-radius-km", type=float, default=None)
-    p.add_argument("--predict-k", type=int, default=None)
-    p.add_argument("--in-threshold", type=float, default=None)
-    p.add_argument("--in-k-cap", type=int, default=None)
-    p.add_argument("--ood-threshold", type=float, default=None)
-    p.add_argument("--ood-k-cap", type=int, default=None)
-    p.add_argument("--in-vote-neighbors", type=int, default=None)
-    p.add_argument("--in-vote-min-freq", type=float, default=None)
-    p.add_argument("--ood-vote-neighbors", type=int, default=None)
-    p.add_argument("--ood-vote-min-freq", type=float, default=None)
-    p.add_argument("--vote-inclusive", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--fallback-top1", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--seed", type=int, default=None, help="seed recorded for reproducibility")
+    _add_config_options(p, PipelineConfig)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("fusion-check", help="run the fusion block's invariant battery")

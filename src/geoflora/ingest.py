@@ -28,9 +28,28 @@ import numpy as np
 # jitter in source exports.
 COORD_CONFLICT_TOLERANCE_DEG = 1e-6
 
+# Error messages list at most this many ids, then the total count.
+MAX_IDS_IN_MESSAGE = 10
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 class ParseError(ValueError):
     """Raised for malformed or inconsistent survey files."""
+
+
+def check_ids(path: str, line: int, *ids: int) -> None:
+    """Reject ids of one row that do not fit in int64, the type of the id columns."""
+    if not (_INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX):
+        raise ParseError(f"{path}:{line}: survey or species id outside the 64-bit integer range")
+
+
+def preview_ids(ids: Iterable) -> str:
+    """Sorted ids for an error message, capped at ``MAX_IDS_IN_MESSAGE`` plus the total count."""
+    ids = sorted(ids)
+    if len(ids) <= MAX_IDS_IN_MESSAGE:
+        return str(ids)
+    return f"[{', '.join(map(str, ids[:MAX_IDS_IN_MESSAGE]))}, ...] ({len(ids)} in total)"
 
 
 class DatasetKind(enum.Enum):
@@ -243,6 +262,7 @@ def parse_occurrences(
                     raw_species = [int(tok) for tok in row[3].split()]
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed species field: {exc}") from None
+            check_ids(path, line, survey_id, *raw_species)
 
             grp = groups.get(survey_id)
             if grp is None:

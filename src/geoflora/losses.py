@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import preview_ids
+
 PROB_EPS = 1e-7
 
 
@@ -133,8 +135,8 @@ def samples_f1(truth, predicted) -> float:
     truth_ids = set(truth)
     pred_ids = set(predicted)
     if truth_ids != pred_ids:
-        missing = sorted(truth_ids - pred_ids)
-        extra = sorted(pred_ids - truth_ids)
+        missing = preview_ids(truth_ids - pred_ids)
+        extra = preview_ids(pred_ids - truth_ids)
         raise ValueError(f"survey id mismatch: missing from predictions {missing}, unexpected {extra}")
     if not truth_ids:
         raise ValueError("no surveys to score")

@@ -11,6 +11,7 @@ deduplicated union of both.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .geo import GeoIndex
-from .ingest import Dataset, SpeciesCatalog, SurveyRecord
+from .ingest import Dataset, ParseError, SpeciesCatalog, SurveyRecord, check_ids, preview_ids
 from .losses import samples_f1
 from .predictor import ScoreMatrix
 
@@ -56,6 +57,8 @@ class VoteConfig:
 
 
 # Defaults for the two expert sides.
+IN_DIST_TOP_K = TopKConfig(threshold=0.5, k_cap=25)
+OOD_TOP_K = TopKConfig(threshold=0.475, k_cap=25)
 IN_DIST_VOTE = VoteConfig(neighbor_count=5, min_frequency=0.8)
 OOD_VOTE = VoteConfig(neighbor_count=6, min_frequency=0.5)
 
@@ -140,6 +143,26 @@ def apply_top_k(matrix: ScoreMatrix, cfg: TopKConfig) -> dict[int, frozenset[int
     return {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
 
 
+def side_predictions(
+    matrix: ScoreMatrix,
+    test: Dataset,
+    reference: Dataset,
+    top_k: TopKConfig,
+    vote: VoteConfig,
+) -> dict[int, frozenset[int]]:
+    """Threshold Top-K over the scores united with neighbour votes over ``reference``.
+
+    The result holds exactly the surveys of ``test``. Score rows for other
+    surveys are an error; a test survey without a score row gets its votes only.
+    """
+    ids = test.ids.tolist()
+    extra = set(matrix.survey_ids()).difference(ids)
+    if extra:
+        raise ValueError(f"scores for surveys absent from the test set: {preview_ids(extra)}")
+    votes = neighbor_vote_many(test.lats, test.lons, reference, vote)
+    return finalize(apply_top_k(matrix, top_k), dict(zip(ids, votes)))
+
+
 def grid_search_top_k(
     matrix: ScoreMatrix,
     truth: Mapping[int, frozenset[int]],
@@ -177,21 +200,24 @@ def write_submission(predictions: Mapping[int, Iterable[int]], path: str, catalo
 
 def read_submission(path: str) -> dict[int, frozenset[int]]:
     """Read a submission file into per-survey raw-id sets."""
-    import csv
-
     out: dict[int, frozenset[int]] = {}
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["surveyId", "predictions"]:
-            raise ValueError(f"{path}:1: expected header surveyId,predictions, got {header!r}")
+            raise ParseError(f"{path}:1: expected header surveyId,predictions, got {header!r}")
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise ValueError(f"{path}:{line}: expected 2 fields, got {len(row)}")
-            sid = int(row[0])
+                raise ParseError(f"{path}:{line}: expected 2 fields, got {len(row)}")
+            try:
+                sid = int(row[0])
+                species = [int(tok) for tok in row[1].split()]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+            check_ids(path, line, sid, *species)
             if sid in out:
-                raise ValueError(f"{path}:{line}: duplicate survey id {sid}")
-            out[sid] = frozenset(int(tok) for tok in row[1].split())
+                raise ParseError(f"{path}:{line}: duplicate survey id {sid}")
+            out[sid] = frozenset(species)
     return out

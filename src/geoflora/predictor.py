@@ -16,7 +16,10 @@ from typing import Mapping
 import numpy as np
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, SpeciesCatalog
+from .ingest import Dataset, ParseError, SpeciesCatalog, check_ids
+
+# Neighbours per test survey in the baseline.
+DEFAULT_K = 10
 
 
 class ScoreMatrix:
@@ -126,6 +129,7 @@ def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
                 val = float(row[2])
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+            check_ids(path, line, sid, raw)
             if raw not in catalog.raw_to_dense:
                 raise ParseError(f"{path}:{line}: unknown species id {raw}")
             if not 0.0 <= val <= 1.0:

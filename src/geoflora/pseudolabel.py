@@ -57,7 +57,7 @@ class MergeConfig:
     configured radius is a floor, never a cap on correctness.
     """
 
-    mode: MergeMode
+    mode: MergeMode = MergeMode.BALANCED
     radius_threshold_km: float = DEFAULT_RADIUS_KM
     box_half_km: float = DEFAULT_BOX_HALF_KM
     lat_km_per_deg: float = 111.4
@@ -102,13 +102,6 @@ def _wrapped_dlon_deg(lon_a, lon_b) -> np.ndarray:
     return np.minimum(d, 360.0 - d)
 
 
-def _box_mask(cfg: MergeConfig, lat0: float, lon0: float, lats, lons) -> np.ndarray:
-    """Inclusive patch-box membership around the anchor (all in degrees)."""
-    dlat_km = np.abs(np.asarray(lats, dtype=np.float64) - lat0) * cfg.lat_km_per_deg
-    dlon_km = _wrapped_dlon_deg(lons, lon0) * (cfg.lon_km_per_deg_at_equator * math.cos(math.radians(lat0)))
-    return (dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km)
-
-
 def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
     """Haversine radius guaranteed to contain the whole patch box per latitude.
 
@@ -127,19 +120,21 @@ def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def _patch_members(dataset: Dataset, cfg: MergeConfig, index: GeoIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Box-filtered constituent positions for every survey, CSR (offsets, flat)."""
-    n = len(dataset)
-    pre_radius = np.maximum(cfg.radius_threshold_km, _covering_radius_km(cfg, dataset.lats))
+def _patch_members(
+    dataset: Dataset, cfg: MergeConfig, index: GeoIndex, lats: np.ndarray, lons: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Box-filtered dataset positions around every query point (degrees), CSR (offsets, flat)."""
+    n = len(lats)
+    pre_radius = np.maximum(cfg.radius_threshold_km, _covering_radius_km(cfg, lats))
     if float(pre_radius.max()) <= cfg.radius_threshold_km:
         pre_radius = cfg.radius_threshold_km
-    offsets, flat = index.radius_candidates_many(index.lat_rad, index.lon_rad, pre_radius)
+    offsets, flat = index.radius_candidates_many(np.radians(lats), np.radians(lons), pre_radius)
     if flat.size == 0:
         return offsets, flat
     src = np.repeat(np.arange(n), np.diff(offsets))
-    dlat_km = np.abs(dataset.lats[flat] - dataset.lats[src]) * cfg.lat_km_per_deg
-    dlon_km = _wrapped_dlon_deg(dataset.lons[flat], dataset.lons[src]) * (
-        cfg.lon_km_per_deg_at_equator * np.cos(np.radians(dataset.lats[src]))
+    dlat_km = np.abs(dataset.lats[flat] - lats[src]) * cfg.lat_km_per_deg
+    dlon_km = _wrapped_dlon_deg(dataset.lons[flat], lons[src]) * (
+        cfg.lon_km_per_deg_at_equator * np.cos(np.radians(lats[src]))
     )
     keep = (dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km)
     new_offsets = np.zeros(n + 1, dtype=np.int64)
@@ -161,17 +156,8 @@ def neighbors_in_patch(
     """
     if index is None:
         index = GeoIndex.from_dataset(dataset)
-    pre_radius = max(
-        cfg.radius_threshold_km,
-        float(_covering_radius_km(cfg, np.array([primary.lat]))[0]),
-    )
-    center_lat = math.radians(primary.lat)
-    center_lon = math.radians(primary.lon)
-    offsets, flat = index.radius_candidates_many([center_lat], [center_lon], pre_radius)
-    cand = flat[offsets[0] : offsets[1]]
-    mask = _box_mask(cfg, primary.lat, primary.lon, dataset.lats[cand], dataset.lons[cand])
-    members = sorted(int(p) for p in cand[mask])
-    return [dataset.record(p) for p in members]
+    _, members = _patch_members(dataset, cfg, index, np.array([primary.lat]), np.array([primary.lon]))
+    return [dataset.record(p) for p in np.sort(members)]
 
 
 def merge_points(
@@ -192,7 +178,7 @@ def merge_points(
     if n == 0:
         return []
     index = GeoIndex.from_dataset(dataset)
-    offsets, flat = _patch_members(dataset, cfg, index)
+    offsets, flat = _patch_members(dataset, cfg, index, dataset.lats, dataset.lons)
 
     sp_sizes = np.fromiter((len(s) for s in dataset.species), dtype=np.int64, count=n)
     order = np.lexsort((dataset.ids, -sp_sizes))

@@ -1,14 +1,17 @@
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from geoflora.cli import run
+from geoflora import pipeline
+from geoflora.cli import build_parser, run
 from geoflora.ingest import parse_occurrences
 from geoflora.postprocess import read_submission
+from geoflora.pseudolabel import MergeConfig
 
 PAIR_WIDE = "surveyId,lat,lon,speciesIds\n1,45.0000000,5.0000000,101 102\n2,45.0005000,5.0000000,103\n"
 
@@ -161,6 +164,41 @@ class TestErrors:
         assert ":2" in capsys.readouterr().err
 
 
+GOLDEN_FILES = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json")
+
+# The option and config-key sets of the two configurable commands, as they
+# were when the options were still written by hand.
+MERGE_KEYS = {"mode", "radius_threshold_km", "box_half_km", "lat_km_per_deg", "lon_km_per_deg_at_equator", "rare_count_threshold"}
+PIPELINE_KEYS = {
+    "merge_mode", "radius_threshold_km", "box_half_km", "lat_km_per_deg", "lon_km_per_deg_at_equator",
+    "rare_count_threshold", "gate_radius_km", "predict_k", "in_threshold", "in_k_cap", "ood_threshold",
+    "ood_k_cap", "in_vote_neighbors", "in_vote_min_freq", "ood_vote_neighbors", "ood_vote_min_freq",
+    "vote_inclusive", "fallback_top1", "seed",
+}
+MERGE_FLAGS = {
+    "-h", "--help", "--input", "--output", "--format", "--config", "--report-out", "--mode", "--radius-threshold-km",
+    "--box-half-km", "--lat-km-per-deg", "--lon-km-per-deg-at-equator", "--rare-count-threshold",
+}
+PIPELINE_FLAGS = {
+    "-h", "--help", "--pa", "--po", "--test", "--outdir", "--config", "--merge-mode", "--radius-threshold-km",
+    "--box-half-km", "--lat-km-per-deg", "--lon-km-per-deg-at-equator", "--rare-count-threshold",
+    "--gate-radius-km", "--predict-k", "--in-threshold", "--in-k-cap", "--ood-threshold", "--ood-k-cap",
+    "--in-vote-neighbors", "--in-vote-min-freq", "--ood-vote-neighbors", "--ood-vote-min-freq",
+    "--vote-inclusive", "--no-vote-inclusive", "--fallback-top1", "--no-fallback-top1", "--seed",
+}
+
+
+def pipeline_argv(outdir, *extra):
+    return [
+        "pipeline",
+        "--pa", f"{FIXTURES}/pa_train.csv",
+        "--po", f"{FIXTURES}/po_train.csv",
+        "--test", f"{FIXTURES}/test.csv",
+        "--outdir", str(outdir),
+        *extra,
+    ]
+
+
 class TestPipeline:
     def test_reproduces_committed_golden(self, tmp_path):
         outdir = tmp_path / "run"
@@ -201,3 +239,115 @@ class TestPipeline:
         assert "versions" not in manifest
         record = json.loads((outdir / "run.json").read_text())
         assert record["versions"] == {"numpy": np.__version__, "python": sys.version.split()[0]}
+
+    def test_library_run_reproduces_golden_and_cli_output(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        manifest = pipeline.run(
+            f"{FIXTURES}/pa_train.csv", f"{FIXTURES}/po_train.csv", f"{FIXTURES}/test.csv", outdir, pipeline.PipelineConfig()
+        )
+        library_out = capsys.readouterr().out
+        for name in GOLDEN_FILES:
+            assert (outdir / name).read_bytes() == (Path(FIXTURES) / "golden" / name).read_bytes(), name
+        assert manifest == json.loads((outdir / "manifest.json").read_text())
+        assert run(pipeline_argv(outdir)) == 0
+        assert capsys.readouterr().out == library_out
+        assert len(library_out.splitlines()) == 4
+
+
+def command_options(name):
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return {opt for action in subparsers[name]._actions for opt in action.option_strings}
+
+
+class TestConfig:
+    def test_options_and_keys_match_the_config_fields(self):
+        assert command_options("merge") == MERGE_FLAGS
+        assert command_options("pipeline") == PIPELINE_FLAGS
+        assert {f.name for f in fields(MergeConfig)} == MERGE_KEYS
+        assert {f.name for f in fields(pipeline.PipelineConfig)} == PIPELINE_KEYS
+        golden = json.loads((Path(FIXTURES) / "golden" / "manifest.json").read_text())
+        assert set(golden["config"]) == PIPELINE_KEYS
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"predict_k": [1]}', "predict_k must be an integer, got [1]"),
+            ("null", "expected a JSON object of config keys, got null"),
+            ('{"vote_inclusive": "false"}', 'vote_inclusive must be true or false, got "false"'),
+            ('{"in_threshold": true}', "in_threshold must be a finite number, got true"),
+            ('{"gate_radius_km": NaN}', "gate_radius_km must be a finite number, got NaN"),
+            ('{"merge_mode": "tight"}', "merge_mode must be one of ['loose', 'balanced', 'strict']"),
+            ('{"predict_k": 1', "not a JSON file"),
+        ],
+    )
+    def test_bad_config_value_is_one_error_line_naming_the_file(self, tmp_path, capsys, text, reason):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run(pipeline_argv(tmp_path / "run", "--config", str(config))) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {config}: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_flag_value_is_rejected(self, tmp_path, capsys):
+        assert run(pipeline_argv(tmp_path / "run", "--box-half-km", "inf")) == 1
+        assert capsys.readouterr().err == "error: --box-half-km: box_half_km must be a finite number, got Infinity\n"
+
+    def test_int_for_float_field_gives_the_default_manifest(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"gate_radius_km": 10}')
+        outdir = tmp_path / "run"
+        assert run(pipeline_argv(outdir, "--config", str(config))) == 0
+        assert (outdir / "manifest.json").read_bytes() == (Path(FIXTURES) / "golden" / "manifest.json").read_bytes()
+
+    def test_merge_builds_its_config_from_the_same_fields(self, pair_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"rare_count_threshold": 1.5}')
+        status = run(["merge", "--input", pair_file, "--output", str(tmp_path / "m.csv"), "--config", str(config)])
+        assert status == 1
+        assert "rare_count_threshold must be an integer, got 1.5" in capsys.readouterr().err
+
+
+def fixture_lines(name):
+    return (Path(FIXTURES) / name).read_text().splitlines()
+
+
+class TestPostprocessKeying:
+    @pytest.fixture
+    def five_test_surveys(self, tmp_path):
+        test = tmp_path / "test5.csv"
+        test.write_text("\n".join(fixture_lines("test.csv")[:6]) + "\n")
+        return test
+
+    @pytest.fixture
+    def fixture_scores(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        argv = ["predict", "--train", f"{FIXTURES}/pa_train.csv", "--test", f"{FIXTURES}/test.csv", "--out", str(scores)]
+        assert run(argv) == 0
+        return scores
+
+    def postprocess(self, scores, test, output):
+        argv = ["postprocess", "--scores", str(scores), "--test", str(test), "--reference", f"{FIXTURES}/pa_train.csv"]
+        return run([*argv, "--output", str(output)])
+
+    def test_rejects_scores_for_surveys_outside_the_test_file(self, tmp_path, capsys, five_test_surveys, fixture_scores):
+        species = fixture_lines("pa_train.csv")[1].split(",")[3].split()[0]
+        with open(fixture_scores, "a") as f:
+            f.write(f"999999,{species},0.5\n")
+        capsys.readouterr()
+        output = tmp_path / "sub.csv"
+        assert self.postprocess(fixture_scores, five_test_surveys, output) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scores for surveys absent from the test set: [") and err.count("\n") == 1
+        assert err.endswith(", ...] (116 in total)\n")
+        assert not output.exists()
+
+    def test_submission_covers_exactly_the_test_surveys(self, tmp_path, capsys, five_test_surveys, fixture_scores):
+        test_ids = [int(line.split(",")[0]) for line in fixture_lines("test.csv")[1:6]]
+        kept = [line for line in fixture_scores.read_text().splitlines()[1:] if int(line.split(",")[0]) in test_ids[:3]]
+        fixture_scores.write_text("surveyId,speciesId,score\n" + "".join(f"{line}\n" for line in kept))
+        capsys.readouterr()
+        output = tmp_path / "sub.csv"
+        assert self.postprocess(fixture_scores, five_test_surveys, output) == 0
+        assert capsys.readouterr().err == f"{fixture_scores}: 2 of 5 test surveys have no score row\n"
+        assert sorted(read_submission(str(output))) == sorted(test_ids)

@@ -63,6 +63,21 @@ class TestParsing:
         with pytest.raises(ParseError, match=":3"):
             parse_occurrences(path)
 
+    def test_survey_id_beyond_int64_reports_line(self, tmp_path):
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,45.0,5.0,1", "99999999999999999999,45.0,5.0,1"])
+        with pytest.raises(ParseError, match=r"a\.csv:3: survey or species id outside the 64-bit"):
+            parse_occurrences(path)
+
+    def test_species_id_beyond_int64_reports_line(self, tmp_path):
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "1,45.0,5.0,3 -9223372036854775809"])
+        with pytest.raises(ParseError, match=r"a\.csv:2: survey or species id outside the 64-bit"):
+            parse_occurrences(path)
+
+    def test_int64_extremes_are_accepted(self, tmp_path):
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "9223372036854775807,45.0,5.0,-9223372036854775808"])
+        ds, catalog = parse_occurrences(path)
+        assert int(ds.ids[0]) == 2**63 - 1 and catalog.to_raw(0) == -(2**63)
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,45.0,5.0"])
         with pytest.raises(ParseError, match=":2"):

@@ -138,6 +138,13 @@ class TestSamplesF1:
         with pytest.raises(ValueError, match=r"missing from predictions \[2\]"):
             samples_f1({1: set(), 2: set()}, {1: set(), 3: set()})
 
+    def test_id_mismatch_message_is_bounded(self):
+        with pytest.raises(ValueError) as exc:
+            samples_f1({i: set() for i in range(100)}, {i: set() for i in range(75, 200)})
+        message = str(exc.value)
+        assert "missing from predictions [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...] (75 in total)" in message
+        assert "unexpected [100, 101, 102, 103, 104, 105, 106, 107, 108, 109, ...] (100 in total)" in message
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no surveys"):
             samples_f1({}, {})

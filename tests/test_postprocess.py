@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from geoflora.ingest import SpeciesCatalog
+from geoflora.ingest import ParseError, SpeciesCatalog
 from geoflora.postprocess import (
     IN_DIST_VOTE,
     OOD_VOTE,
@@ -171,4 +171,19 @@ class TestSubmissionIO:
         path = tmp_path / "sub.csv"
         path.write_text("surveyId,predictions\n1,5\n1,6\n")
         with pytest.raises(ValueError, match="duplicate"):
+            read_submission(str(path))
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("abc,5", "malformed row"),
+            ("99999999999999999999,5", "survey or species id outside the 64-bit"),
+            ("2,5 x", "malformed row"),
+            ("2,5 9223372036854775808", "survey or species id outside the 64-bit"),
+        ],
+    )
+    def test_read_rejects_bad_ids_with_line(self, tmp_path, row, reason):
+        path = tmp_path / "sub.csv"
+        path.write_text(f"surveyId,predictions\n1,5\n{row}\n")
+        with pytest.raises(ParseError, match=rf"sub\.csv:3: {reason}"):
             read_submission(str(path))

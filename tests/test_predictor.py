@@ -115,6 +115,13 @@ class TestScoreMatrix:
         with pytest.raises(ParseError, match=":2.*1.2"):
             load_scores(str(path), catalog)
 
+    def test_load_rejects_survey_id_beyond_int64(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_text("surveyId,speciesId,score\n1,7,0.5\n99999999999999999999,7,0.5\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: survey or species id outside the 64-bit"):
+            load_scores(str(path), catalog)
+
     def test_load_rejects_unknown_species(self, tmp_path):
         catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
         path = tmp_path / "scores.csv"
