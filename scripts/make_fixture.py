@@ -55,7 +55,7 @@ def build_pa(rng) -> Dataset:
     lats, lons = scatter(rng, PA_REGION, n, sigma_km=6.0)
     pool = np.arange(60)
     species = [frozenset(zipfish(rng, pool, 1 + rng.poisson(7))) for _ in range(n)]
-    return Dataset(np.arange(1, n + 1, dtype=np.int64), lats, lons, species, kind=DatasetKind.PA_TRAIN)
+    return Dataset(np.arange(1, n + 1, dtype=np.int64), lats, lons, species)
 
 
 def build_po(rng) -> Dataset:
@@ -74,7 +74,7 @@ def build_po(rng) -> Dataset:
     pool = np.arange(N_SPECIES)
     species = [frozenset(zipfish(rng, pool, 1 + rng.poisson(0.4))) for _ in range(n)]
     ids = np.arange(10_001, 10_001 + n, dtype=np.int64)
-    return Dataset(ids, lats, lons, species, kind=DatasetKind.PO_TRAIN)
+    return Dataset(ids, lats, lons, species)
 
 
 def build_test(rng) -> Dataset:
@@ -84,7 +84,7 @@ def build_test(rng) -> Dataset:
     lats = np.concatenate([lats_in, lats_ood])
     lons = np.concatenate([lons_in, lons_ood])
     ids = np.arange(90_001, 90_001 + n_in + n_ood, dtype=np.int64)
-    return Dataset(ids, lats, lons, [frozenset()] * (n_in + n_ood), kind=DatasetKind.TEST)
+    return Dataset(ids, lats, lons, [frozenset()] * (n_in + n_ood))
 
 
 def write_long(dataset: Dataset, path: Path, catalog: SpeciesCatalog) -> None:

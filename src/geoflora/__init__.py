@@ -7,7 +7,6 @@ from .geo import EARTH_RADIUS_KM, GeoIndex, GeoPoint, haversine_km
 from .ingest import (
     Dataset,
     DatasetKind,
-    OccurrenceFormat,
     ParseError,
     SpeciesCatalog,
     SurveyRecord,
@@ -38,7 +37,6 @@ __all__ = [
     "MergeConfig",
     "MergeMode",
     "MergedRecord",
-    "OccurrenceFormat",
     "ParseError",
     "ScoreMatrix",
     "Side",

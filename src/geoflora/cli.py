@@ -7,11 +7,13 @@ and the input/output digests, so a run can be reproduced byte for byte; the
 numpy and Python versions go into a separate run record (``run.json``), so
 the manifest stays byte-identical everywhere.
 
-The options of ``merge`` and ``pipeline`` are generated from the fields of
-``MergeConfig`` and ``PipelineConfig`` (``--box-half-km`` sets
+Survey files are read in the long or the wide format, whichever their header
+names. The options of ``merge`` and ``pipeline`` are generated from the
+fields of ``MergeConfig`` and ``PipelineConfig`` (``--box-half-km`` sets
 ``box_half_km``). Precedence is flags > config file (a JSON object keyed by
-field name) > field defaults, and every value is checked against its field's
-type. Failures print one ``error:`` line to stderr and exit with status 1.
+field name) > field defaults. Every value is checked against its field's
+type, and its range is checked when the config is built, before any input is
+read. Failures print one ``error:`` line to stderr and exit with status 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .fusion import FusionWeights, ModalityTriple, init_weights, stack_forward, 
 from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, write_assignments
 from .ingest import (
     DatasetKind,
-    OccurrenceFormat,
     ParseError,
     decode_species,
     parse_occurrences,
@@ -120,21 +121,21 @@ def _add_config_options(p: argparse.ArgumentParser, cls) -> None:
     p.add_argument("--config", default=None, help="JSON config file; keys are the option names with underscores")
     types = get_type_hints(cls)
     for f in fields(cls):
-        flag, typ, help_text = "--" + f.name.replace("_", "-"), types[f.name], f.metadata.get("help")
+        flag, typ = "--" + f.name.replace("_", "-"), types[f.name]
         if typ is bool:
-            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=help_text)
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         elif issubclass(typ, enum.Enum):
-            p.add_argument(flag, choices=[m.value for m in typ], default=None, help=help_text)
+            p.add_argument(flag, choices=[m.value for m in typ], default=None)
         else:
-            p.add_argument(flag, type=typ, default=None, help=help_text)
+            p.add_argument(flag, type=typ, default=None)
 
 
-def _parse_file(path: str, fmt: str = "auto", kind: str | None = None):
-    return parse_occurrences(path, OccurrenceFormat(fmt), kind=_KIND[kind] if kind else None)
+def _parse_file(path: str, kind: str | None = None):
+    return parse_occurrences(path, kind=_KIND[kind] if kind else None)
 
 
 def _cmd_ingest(args) -> int:
-    dataset, catalog = _parse_file(args.input, args.format, args.kind)
+    dataset, catalog = _parse_file(args.input, args.kind)
     write_dataset(dataset, args.output, catalog)
     pairs = int(catalog.occurrence_count.sum())
     print(f"{args.input}: {len(dataset)} surveys, {len(catalog)} species, {pairs} (survey, species) pairs")
@@ -143,7 +144,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset, catalog = _parse_file(args.input, args.format, args.kind)
+    dataset, catalog = _parse_file(args.input, args.kind)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -189,7 +190,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_merge(args) -> int:
     merge_cfg = _effective_config(args, MergeConfig)
-    dataset, catalog = _parse_file(args.input, args.format)
+    dataset, catalog = _parse_file(args.input)
     merged = merge_points(dataset, merge_cfg)
     write_dataset(merged_to_dataset(merged), args.output, catalog)
     report = merge_stats(dataset, merged)
@@ -232,18 +233,8 @@ def _cmd_postprocess(args) -> int:
 
     top_cfg = TopKConfig(args.threshold, args.k_cap, bool(args.fallback_top1))
     if args.tune_truth:
-        truth_ds, truth_catalog = _parse_file(args.tune_truth)
-        try:
-            truth = {
-                int(truth_ds.ids[i]): frozenset(
-                    catalog.to_dense(truth_catalog.to_raw(d)) for d in truth_ds.species[i]
-                )
-                for i in range(len(truth_ds))
-            }
-        except KeyError as exc:
-            raise ValueError(
-                f"tuning truth references species {exc.args[0]} absent from the reference dataset"
-            ) from None
+        truth_ds, _ = parse_occurrences(args.tune_truth, catalog=catalog)
+        truth = dict(zip(truth_ds.ids.tolist(), truth_ds.species))
         thresholds = args.grid_thresholds or DEFAULT_GRID_THRESHOLDS
         k_caps = args.grid_kcaps or DEFAULT_GRID_KCAPS
         top_cfg, best = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=bool(args.fallback_top1))
@@ -328,21 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate a survey file and write its normalised wide form")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     p.add_argument("--kind", choices=["pa", "po", "test"], default=None)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("stats", help="write distribution histograms and extent summaries")
     p.add_argument("--input", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     p.add_argument("--kind", choices=["pa", "po", "test"], default=None)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("merge", help="aggregate presence-only surveys by patch coverage")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     _add_config_options(p, MergeConfig)
     p.add_argument("--report-out", default=None, help="optional JSON merge report")
     p.set_defaults(func=_cmd_merge)

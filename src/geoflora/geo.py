@@ -52,13 +52,28 @@ class GeoPoint:
 
 
 def haversine_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Vectorised haversine distance in km; all inputs in radians."""
+    """Vectorised haversine distance in km; all inputs in radians.
+
+    arcsin(sqrt(h)) loses precision as h approaches 1, so pairs more than a
+    quarter circumference apart (h > 0.5) are measured as half the
+    circumference minus the distance to the antipode of the second point.
+    """
     lat1 = np.asarray(lat1, dtype=np.float64)
     lat2 = np.asarray(lat2, dtype=np.float64)
+    half_dlon = (np.asarray(lon2, dtype=np.float64) - np.asarray(lon1, dtype=np.float64)) * 0.5
     s_lat = np.sin((lat2 - lat1) * 0.5)
-    s_lon = np.sin((np.asarray(lon2, dtype=np.float64) - np.asarray(lon1, dtype=np.float64)) * 0.5)
-    h = s_lat * s_lat + np.cos(lat1) * np.cos(lat2) * s_lon * s_lon
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    s_lon = np.sin(half_dlon)
+    cos_cos = np.cos(lat1) * np.cos(lat2)
+    h = s_lat * s_lat + cos_cos * s_lon * s_lon
+    # minimum/maximum: the same values as np.clip at a lower per-call cost
+    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(np.maximum(h, 0.0), 1.0)))
+    if h.max(initial=0.0) > 0.5:
+        s_sum = np.sin((lat1 + lat2) * 0.5)
+        c_lon = np.cos(half_dlon)
+        h_antipode = s_sum * s_sum + cos_cos * c_lon * c_lon
+        d_far = EARTH_RADIUS_KM * (np.pi - 2.0 * np.arcsin(np.sqrt(np.minimum(np.maximum(h_antipode, 0.0), 1.0))))
+        d = np.where(h > 0.5, d_far, d)
+    return d
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -106,10 +121,6 @@ class GeoIndex:
         self._tree = cKDTree(_embed(self.lat_rad, self.lon_rad)) if ids.size else None
 
     @classmethod
-    def build(cls, survey_ids, lats_deg, lons_deg) -> "GeoIndex":
-        return cls(survey_ids, lats_deg, lons_deg)
-
-    @classmethod
     def from_dataset(cls, dataset) -> "GeoIndex":
         return cls(dataset.ids, dataset.lats, dataset.lons)
 
@@ -125,17 +136,9 @@ class GeoIndex:
         """
         if radius_km < 0:
             raise ValueError("radius_km must be >= 0")
-        if self._tree is None:
-            return []
-        q = _embed(center.lat_rad, center.lon_rad)[0]
-        cand = np.asarray(self._tree.query_ball_point(q, float(_chord_radius(radius_km))), dtype=np.intp)
-        if cand.size == 0:
-            return []
-        d = haversine_km_arrays(center.lat_rad, center.lon_rad, self.lat_rad[cand], self.lon_rad[cand])
-        keep = d <= radius_km
-        cand, d = cand[keep], d[keep]
-        order = np.lexsort((self.survey_ids[cand], d))
-        return [(int(i), float(x)) for i, x in zip(self.survey_ids[cand[order]], d[order])]
+        _, pos, d = self.radius_query_many(center.lat_rad, center.lon_rad, radius_km)
+        order = np.lexsort((self.survey_ids[pos], d))
+        return [(int(i), float(x)) for i, x in zip(self.survey_ids[pos[order]], d[order])]
 
     def knn_query(self, center: GeoPoint, k: int) -> list[tuple[int, float]]:
         """The min(k, n) nearest points as (survey_id, distance_km) pairs."""

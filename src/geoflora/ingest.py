@@ -38,8 +38,14 @@ class ParseError(ValueError):
     """Raised for malformed or inconsistent survey files."""
 
 
-def check_ids(path: str, line: int, *ids: int) -> None:
-    """Reject ids of one row that do not fit in int64, the type of the id columns."""
+def check_ids(path: str, line: int, text: str, *ids: int) -> None:
+    """Reject the ids of one row unless written in ASCII digits and within int64, the id columns' type.
+
+    ``text`` is the row's id fields, concatenated. ``int()`` also reads ``_``
+    separators, a ``+`` sign and non-ASCII digits; ids written so are malformed.
+    """
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ParseError(f"{path}:{line}: malformed row: ids must be ASCII digits with an optional minus sign")
     if not (_INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX):
         raise ParseError(f"{path}:{line}: survey or species id outside the 64-bit integer range")
 
@@ -56,12 +62,6 @@ class DatasetKind(enum.Enum):
     PA_TRAIN = "pa"
     PO_TRAIN = "po"
     TEST = "test"
-
-
-class OccurrenceFormat(enum.Enum):
-    AUTO = "auto"
-    LONG = "long"
-    WIDE = "wide"
 
 
 _LONG_HEADER = ["surveyId", "lat", "lon", "speciesId"]
@@ -149,7 +149,6 @@ class Dataset:
     lats: np.ndarray
     lons: np.ndarray
     species: list[frozenset[int]]
-    kind: DatasetKind | None = None
 
     def __post_init__(self) -> None:
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -205,25 +204,17 @@ def _check_coords(lat: float, lon: float, line: int, path: str) -> None:
         raise ParseError(f"{path}:{line}: coordinate out of range ({lat}, {lon})")
 
 
-def _detect_format(header: list[str], path: str) -> OccurrenceFormat:
-    if header == _LONG_HEADER:
-        return OccurrenceFormat.LONG
-    if header == _WIDE_HEADER:
-        return OccurrenceFormat.WIDE
-    raise ParseError(f"{path}:1: unrecognised header {header!r}; expected {_LONG_HEADER} or {_WIDE_HEADER}")
-
-
 def parse_occurrences(
     path: str,
-    fmt: OccurrenceFormat = OccurrenceFormat.AUTO,
     *,
     kind: DatasetKind | None = None,
     catalog: SpeciesCatalog | None = None,
 ) -> tuple[Dataset, SpeciesCatalog]:
     """Parse a survey CSV into a dataset plus its species catalog.
 
-    Rows sharing a survey id are grouped into one record (union of species);
-    they must agree on coordinates to within 1e-6 degrees. Output is sorted
+    The header decides whether the file is long or wide. Rows sharing a
+    survey id are grouped into one record (union of species); they must
+    agree on coordinates to within 1e-6 degrees. Output is sorted
     by survey id, so row order never affects the result. If ``catalog`` is
     given its mapping is reused (every species in the file must be present in
     it and its counts are left untouched); otherwise a fresh catalog is built
@@ -239,9 +230,9 @@ def parse_occurrences(
         if header is None:
             raise ParseError(f"{path}:1: empty file, header row required")
         header = [h.strip() for h in header]
-        detected = _detect_format(header, path)
-        if fmt is not OccurrenceFormat.AUTO and fmt is not detected:
-            raise ParseError(f"{path}:1: header is {detected.value} format but {fmt.value} was requested")
+        if header not in (_LONG_HEADER, _WIDE_HEADER):
+            raise ParseError(f"{path}:1: unrecognised header {header!r}; expected {_LONG_HEADER} or {_WIDE_HEADER}")
+        long_format = header == _LONG_HEADER
 
         for line, row in enumerate(reader, start=2):
             if not row:
@@ -256,13 +247,13 @@ def parse_occurrences(
                 raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
             _check_coords(lat, lon, line, path)
             try:
-                if detected is OccurrenceFormat.LONG:
+                if long_format:
                     raw_species = [int(row[3])]
                 else:
                     raw_species = [int(tok) for tok in row[3].split()]
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed species field: {exc}") from None
-            check_ids(path, line, survey_id, *raw_species)
+            check_ids(path, line, row[0] + row[3], survey_id, *raw_species)
 
             grp = groups.get(survey_id)
             if grp is None:
@@ -302,7 +293,7 @@ def parse_occurrences(
             if not s:
                 raise ParseError(f"{path}: {kind.value} survey {i} carries no species")
 
-    return Dataset(ids, lats, lons, species, kind=kind), catalog
+    return Dataset(ids, lats, lons, species), catalog
 
 
 def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
@@ -325,7 +316,7 @@ def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) 
     """Re-encode a dataset's dense species indices from one catalog to another."""
     remap = {d: new.to_dense(old.to_raw(d)) for d in range(len(old))}
     species = [frozenset(remap[d] for d in s) for s in dataset.species]
-    return Dataset(dataset.ids, dataset.lats, dataset.lons, species, kind=dataset.kind)
+    return Dataset(dataset.ids, dataset.lats, dataset.lons, species)
 
 
 def decode_species(dataset: Dataset, catalog: SpeciesCatalog) -> dict[int, frozenset[int]]:

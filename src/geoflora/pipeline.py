@@ -17,7 +17,7 @@ import enum
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +37,7 @@ class PipelineConfig:
     """Every setting of the chain; field names are config-file keys and option names."""
 
     merge_mode: MergeMode = MergeMode.STRICT
-    radius_threshold_km: float = MergeConfig.radius_threshold_km
     box_half_km: float = MergeConfig.box_half_km
-    lat_km_per_deg: float = MergeConfig.lat_km_per_deg
-    lon_km_per_deg_at_equator: float = MergeConfig.lon_km_per_deg_at_equator
     rare_count_threshold: int = MergeConfig.rare_count_threshold
     gate_radius_km: float = DEFAULT_GATE_RADIUS_KM
     predict_k: int = DEFAULT_K
@@ -54,7 +51,16 @@ class PipelineConfig:
     ood_vote_min_freq: float = OOD_VOTE.min_frequency
     vote_inclusive: bool = False
     fallback_top1: bool = False
-    seed: int = field(default=0, metadata={"help": "seed recorded for reproducibility"})
+
+    def __post_init__(self) -> None:
+        """Check every value up front, so a bad one fails before any file is read or written."""
+        if self.predict_k < 1:
+            raise ValueError("predict_k must be >= 1")
+        if self.gate_radius_km < 0:
+            raise ValueError("gate_radius_km must be >= 0")
+        self.merge_config()
+        for side in Side:
+            self.side_configs(side)
 
     def merge_config(self) -> MergeConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(MergeConfig) if f.name != "mode"}
@@ -96,7 +102,7 @@ def _sha256(path: str | Path) -> str:
 def _subset(dataset: Dataset, mask: np.ndarray) -> Dataset:
     keep = np.flatnonzero(mask)
     species = [dataset.species[i] for i in keep]
-    return Dataset(dataset.ids[keep], dataset.lats[keep], dataset.lons[keep], species, kind=dataset.kind)
+    return Dataset(dataset.ids[keep], dataset.lats[keep], dataset.lons[keep], species)
 
 
 def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, config: PipelineConfig = PipelineConfig()) -> dict:

@@ -78,13 +78,7 @@ def threshold_top_k(scores: Mapping[int, float], cfg: TopKConfig) -> frozenset[i
     return frozenset(sp for sp, _ in ranked[: cfg.k_cap])
 
 
-def neighbor_vote(
-    survey: SurveyRecord,
-    reference: Dataset,
-    cfg: VoteConfig,
-    *,
-    index: GeoIndex | None = None,
-) -> frozenset[int]:
+def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> frozenset[int]:
     """Species frequent among the nearest reference surveys of one test point.
 
     A species is voted in when its frequency among the ``neighbor_count``
@@ -92,28 +86,16 @@ def neighbor_vote(
     ``strictly_greater`` is off). A reference smaller than the neighbour
     count uses every survey it has, shrinking the denominator.
     """
-    votes = neighbor_vote_many(
-        np.array([survey.lat]), np.array([survey.lon]), reference, cfg, index=index
-    )
-    return votes[0]
+    return neighbor_vote_many(np.array([survey.lat]), np.array([survey.lon]), reference, cfg)[0]
 
 
-def neighbor_vote_many(
-    lats_deg,
-    lons_deg,
-    reference: Dataset,
-    cfg: VoteConfig,
-    *,
-    index: GeoIndex | None = None,
-) -> list[frozenset[int]]:
+def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig) -> list[frozenset[int]]:
     """Vectorised ``neighbor_vote`` over many query coordinates."""
     lats_deg = np.atleast_1d(np.asarray(lats_deg, dtype=np.float64))
     lons_deg = np.atleast_1d(np.asarray(lons_deg, dtype=np.float64))
     if len(reference) == 0:
         return [frozenset()] * lats_deg.size
-    if index is None:
-        index = GeoIndex.from_dataset(reference)
-    pos, _ = index.knn_query_many(np.radians(lats_deg), np.radians(lons_deg), cfg.neighbor_count)
+    pos, _ = GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats_deg), np.radians(lons_deg), cfg.neighbor_count)
     denom = pos.shape[1]
     out: list[frozenset[int]] = []
     for i in range(lats_deg.size):
@@ -216,7 +198,7 @@ def read_submission(path: str) -> dict[int, frozenset[int]]:
                 species = [int(tok) for tok in row[1].split()]
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-            check_ids(path, line, sid, *species)
+            check_ids(path, line, row[0] + row[1], sid, *species)
             if sid in out:
                 raise ParseError(f"{path}:{line}: duplicate survey id {sid}")
             out[sid] = frozenset(species)

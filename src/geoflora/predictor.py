@@ -129,7 +129,7 @@ def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
                 val = float(row[2])
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-            check_ids(path, line, sid, raw)
+            check_ids(path, line, row[0] + row[1], sid, raw)
             if raw not in catalog.raw_to_dense:
                 raise ParseError(f"{path}:{line}: unknown species id {raw}")
             if not 0.0 <= val <= 1.0:

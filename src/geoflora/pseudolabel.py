@@ -8,9 +8,10 @@ constituent lies inside the anchor's patch, the union introduces no positive
 label noise.
 
 The patch box is evaluated in locally scaled degree space: latitude
-differences at 111.4 km/degree, longitude differences at 111.32 km/degree
-scaled by cos(anchor latitude), both compared inclusively against the
-half-side. Longitude differences wrap at the antimeridian.
+differences at ``LAT_KM_PER_DEG`` (111.4 km/degree), longitude differences
+at ``LON_KM_PER_DEG_AT_EQUATOR`` (111.32 km/degree) scaled by cos(anchor
+latitude), both compared inclusively against the half-side. Longitude
+differences wrap at the antimeridian.
 
 Anchor eligibility is mode dependent:
   loose     every survey anchors a merged record;
@@ -33,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import EARTH_RADIUS_KM, GeoIndex
-from .ingest import Dataset, DatasetKind, SurveyRecord
+from .ingest import Dataset, SurveyRecord
 
 DEFAULT_BOX_HALF_KM = 0.32
-# Smallest circle circumscribing the square patch box.
-DEFAULT_RADIUS_KM = DEFAULT_BOX_HALF_KM * math.sqrt(2.0)
+# Degree-to-km scales of the patch box.
+LAT_KM_PER_DEG = 111.4
+LON_KM_PER_DEG_AT_EQUATOR = 111.32
 
 
 class MergeMode(enum.Enum):
@@ -48,31 +50,17 @@ class MergeMode(enum.Enum):
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Aggregation parameters.
-
-    ``radius_threshold_km`` is the spatial pre-query radius feeding the box
-    refinement; it must cover the box corners (>= box_half_km * sqrt(2)).
-    At extreme latitudes the scaled-degree box can poke outside any fixed
-    haversine circle, so the pre-query widens automatically there; the
-    configured radius is a floor, never a cap on correctness.
-    """
+    """Aggregation parameters."""
 
     mode: MergeMode = MergeMode.BALANCED
-    radius_threshold_km: float = DEFAULT_RADIUS_KM
     box_half_km: float = DEFAULT_BOX_HALF_KM
-    lat_km_per_deg: float = 111.4
-    lon_km_per_deg_at_equator: float = 111.32
     rare_count_threshold: int = 100
 
     def __post_init__(self) -> None:
         if self.box_half_km <= 0:
             raise ValueError("box_half_km must be positive")
-        if self.radius_threshold_km < self.box_half_km * math.sqrt(2.0) * (1.0 - 1e-12):
-            raise ValueError("radius_threshold_km must cover the box corners (>= box_half_km * sqrt(2))")
         if self.rare_count_threshold < 1:
             raise ValueError("rare_count_threshold must be >= 1")
-        if self.lat_km_per_deg <= 0 or self.lon_km_per_deg_at_equator <= 0:
-            raise ValueError("degree-to-km scales must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,12 +96,13 @@ def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
     Bounds the great-circle distance to any point satisfying the box
     predicate: latitude offsets up to a1, longitude offsets up to a2(lat),
     with the partner's cosine bounded by the nearest-to-equator latitude the
-    box can reach.
+    box can reach. Both offsets are capped at pi, where the haversine terms
+    stop growing.
     """
-    a1 = math.radians(cfg.box_half_km / cfg.lat_km_per_deg)
+    a1 = min(math.radians(cfg.box_half_km / LAT_KM_PER_DEG), math.pi)
     phi = np.radians(np.abs(np.asarray(lats_deg, dtype=np.float64)))
     cosphi = np.cos(phi)
-    a2 = np.radians(cfg.box_half_km / (cfg.lon_km_per_deg_at_equator * np.maximum(cosphi, 1e-300)))
+    a2 = np.radians(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.maximum(cosphi, 1e-300)))
     a2 = np.minimum(a2, math.pi)
     cos_far = np.cos(np.maximum(phi - a1, 0.0))
     h = np.sin(a1 / 2.0) ** 2 + cosphi * cos_far * np.sin(a2 / 2.0) ** 2
@@ -125,16 +114,13 @@ def _patch_members(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Box-filtered dataset positions around every query point (degrees), CSR (offsets, flat)."""
     n = len(lats)
-    pre_radius = np.maximum(cfg.radius_threshold_km, _covering_radius_km(cfg, lats))
-    if float(pre_radius.max()) <= cfg.radius_threshold_km:
-        pre_radius = cfg.radius_threshold_km
-    offsets, flat = index.radius_candidates_many(np.radians(lats), np.radians(lons), pre_radius)
+    offsets, flat = index.radius_candidates_many(np.radians(lats), np.radians(lons), _covering_radius_km(cfg, lats))
     if flat.size == 0:
         return offsets, flat
     src = np.repeat(np.arange(n), np.diff(offsets))
-    dlat_km = np.abs(dataset.lats[flat] - lats[src]) * cfg.lat_km_per_deg
+    dlat_km = np.abs(dataset.lats[flat] - lats[src]) * LAT_KM_PER_DEG
     dlon_km = _wrapped_dlon_deg(dataset.lons[flat], lons[src]) * (
-        cfg.lon_km_per_deg_at_equator * np.cos(np.radians(lats[src]))
+        LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats[src]))
     )
     keep = (dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km)
     new_offsets = np.zeros(n + 1, dtype=np.int64)
@@ -160,19 +146,13 @@ def neighbors_in_patch(
     return [dataset.record(p) for p in np.sort(members)]
 
 
-def merge_points(
-    dataset: Dataset,
-    cfg: MergeConfig,
-    *,
-    occurrence_counts: np.ndarray | None = None,
-) -> list[MergedRecord]:
+def merge_points(dataset: Dataset, cfg: MergeConfig) -> list[MergedRecord]:
     """Aggregate a presence-only dataset into merged records, one per anchor.
 
     Anchors are processed in descending species-count order, ties broken by
     ascending survey id; output order is processing order. Rarity for the
-    balanced mode is judged against ``occurrence_counts`` (dense index ->
-    number of surveys containing the species), computed from ``dataset``
-    itself when not supplied.
+    balanced mode is judged against the number of surveys of ``dataset``
+    containing each species.
     """
     n = len(dataset)
     if n == 0:
@@ -185,9 +165,7 @@ def merge_points(
 
     mode = cfg.mode
     if mode is MergeMode.BALANCED:
-        if occurrence_counts is None:
-            occurrence_counts = dataset.species_counts()
-        counts = occurrence_counts
+        counts = dataset.species_counts()
         thr = cfg.rare_count_threshold
         has_rare = np.fromiter(
             (any(counts[d] < thr for d in s) for s in dataset.species), dtype=bool, count=n
@@ -223,7 +201,7 @@ def merge_points(
     return out
 
 
-def merged_to_dataset(records: list[MergedRecord], kind: DatasetKind | None = DatasetKind.PO_TRAIN) -> Dataset:
+def merged_to_dataset(records: list[MergedRecord]) -> Dataset:
     """Repackage merged records as a dataset (sorted by survey id)."""
     recs = sorted(records, key=lambda r: r.survey_id)
     return Dataset(
@@ -231,7 +209,6 @@ def merged_to_dataset(records: list[MergedRecord], kind: DatasetKind | None = Da
         np.array([r.lat for r in recs], dtype=np.float64),
         np.array([r.lon for r in recs], dtype=np.float64),
         [r.species for r in recs],
-        kind=kind,
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import Dataset, DatasetKind, SpeciesCatalog
+from .ingest import Dataset, SpeciesCatalog
 
 EUROPE_BBOX = (36.0, 60.0, -10.0, 30.0)  # lat_min, lat_max, lon_min, lon_max
 KM_PER_DEG_LAT = 111.195  # pi * 6371 / 180, used only to spread synthetic clusters
@@ -23,7 +23,6 @@ def uniform_surveys(
     bbox: tuple[float, float, float, float] = EUROPE_BBOX,
     mean_extra_species: float = 0.3,
     id_start: int = 1,
-    kind: DatasetKind | None = DatasetKind.PO_TRAIN,
 ) -> Dataset:
     """Surveys spread uniformly over a lat/lon box."""
     lat_min, lat_max, lon_min, lon_max = bbox
@@ -32,7 +31,6 @@ def uniform_surveys(
         rng.uniform(lat_min, lat_max, n),
         rng.uniform(lon_min, lon_max, n),
         _species_sets(rng, n, num_species, mean_extra_species),
-        kind=kind,
     )
 
 
@@ -46,7 +44,6 @@ def clustered_surveys(
     bbox: tuple[float, float, float, float] = EUROPE_BBOX,
     mean_extra_species: float = 0.1,
     id_start: int = 1,
-    kind: DatasetKind | None = DatasetKind.PO_TRAIN,
 ) -> Dataset:
     """Gaussian clusters of surveys, mostly one species each.
 
@@ -67,7 +64,6 @@ def clustered_surveys(
         lats,
         lons,
         _species_sets(rng, n, num_species, mean_extra_species),
-        kind=kind,
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from geoflora.ingest import Dataset, DatasetKind
+from geoflora.ingest import Dataset
 
 settings.register_profile(
     "geoflora",
@@ -16,7 +16,7 @@ settings.load_profile("geoflora")
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
 
-def make_dataset(rows, kind: DatasetKind | None = None) -> Dataset:
+def make_dataset(rows) -> Dataset:
     """Dataset from (survey_id, lat, lon, species-iterable) tuples."""
     rows = sorted(rows, key=lambda r: r[0])
     return Dataset(
@@ -24,7 +24,6 @@ def make_dataset(rows, kind: DatasetKind | None = None) -> Dataset:
         np.array([r[1] for r in rows], dtype=np.float64),
         np.array([r[2] for r in rows], dtype=np.float64),
         [frozenset(r[3]) for r in rows],
-        kind=kind,
     )
 
 

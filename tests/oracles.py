@@ -15,7 +15,7 @@ import numpy as np
 
 from geoflora.geo import GeoPoint, haversine_km_arrays
 from geoflora.ingest import Dataset
-from geoflora.pseudolabel import MergeConfig, MergeMode
+from geoflora.pseudolabel import LAT_KM_PER_DEG, LON_KM_PER_DEG_AT_EQUATOR, MergeConfig, MergeMode
 
 
 def reference_haversine_km(lat1_deg: float, lon1_deg: float, lat2_deg: float, lon2_deg: float) -> float:
@@ -50,10 +50,10 @@ def box_members_oracle(dataset: Dataset, i: int, cfg: MergeConfig) -> np.ndarray
     """Positions of every survey inside survey i's patch box (pairwise test)."""
     lat0 = dataset.lats[i]
     lon0 = dataset.lons[i]
-    dlat_km = np.abs(dataset.lats - lat0) * cfg.lat_km_per_deg
+    dlat_km = np.abs(dataset.lats - lat0) * LAT_KM_PER_DEG
     dl = np.abs(dataset.lons - lon0)
     dl = np.minimum(dl, 360.0 - dl)
-    dlon_km = dl * (cfg.lon_km_per_deg_at_equator * np.cos(np.radians(lat0)))
+    dlon_km = dl * (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lat0)))
     return np.flatnonzero((dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km))
 
 

@@ -37,7 +37,7 @@ def test_c01_spatial_exactness():
     for _ in range(200):
         n = int(rng.integers(1, 5001))
         ids, lats, lons = random_points(rng, n)
-        index = GeoIndex.build(ids, lats, lons)
+        index = GeoIndex(ids, lats, lons)
         for _ in range(2):
             center = GeoPoint.from_degrees(rng.uniform(-89, 89), rng.uniform(-180, 180))
             radius = float(rng.uniform(0, 2000))

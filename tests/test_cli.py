@@ -136,6 +136,20 @@ class TestBasicCommands:
         assert "F1=1.00000" in capsys.readouterr().out
         assert read_submission(str(sub)) == {50: frozenset({101})}
 
+        truth.write_text("surveyId,lat,lon,speciesIds\n50,45.0000000,5.0000000,101 999\n")
+        sub.unlink()
+        status = run(
+            [
+                "postprocess", "--scores", str(scores), "--test", str(test),
+                "--reference", str(train), "--tune-truth", str(truth), "--output", str(sub),
+            ]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}: ") and err.count("\n") == 1
+        assert "species 999" in err
+        assert not sub.exists()
+
     def test_fusion_check_passes(self, capsys):
         assert run(["fusion-check", "--seed", "3"]) == 0
         assert "fusion-check: OK" in capsys.readouterr().out
@@ -163,28 +177,34 @@ class TestErrors:
         assert run(["ingest", "--input", str(bad), "--output", str(tmp_path / "o.csv")]) == 1
         assert ":2" in capsys.readouterr().err
 
+    def test_ids_beyond_ascii_digits_are_a_malformed_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("surveyId,lat,lon,speciesId\n1_000,45.0,5.0,\u0663\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert run(["ingest", "--input", str(bad), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: malformed row") and err.count("\n") == 1
+        assert not out.exists()
+
 
 GOLDEN_FILES = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json")
 
-# The option and config-key sets of the two configurable commands, as they
-# were when the options were still written by hand.
-MERGE_KEYS = {"mode", "radius_threshold_km", "box_half_km", "lat_km_per_deg", "lon_km_per_deg_at_equator", "rare_count_threshold"}
+# The option and config-key sets of the two configurable commands; the patch
+# box's degree-to-km scales and the merge pre-query radius are not settings.
+MERGE_KEYS = {"mode", "box_half_km", "rare_count_threshold"}
 PIPELINE_KEYS = {
-    "merge_mode", "radius_threshold_km", "box_half_km", "lat_km_per_deg", "lon_km_per_deg_at_equator",
-    "rare_count_threshold", "gate_radius_km", "predict_k", "in_threshold", "in_k_cap", "ood_threshold",
-    "ood_k_cap", "in_vote_neighbors", "in_vote_min_freq", "ood_vote_neighbors", "ood_vote_min_freq",
-    "vote_inclusive", "fallback_top1", "seed",
+    "merge_mode", "box_half_km", "rare_count_threshold", "gate_radius_km", "predict_k", "in_threshold",
+    "in_k_cap", "ood_threshold", "ood_k_cap", "in_vote_neighbors", "in_vote_min_freq", "ood_vote_neighbors",
+    "ood_vote_min_freq", "vote_inclusive", "fallback_top1",
 }
 MERGE_FLAGS = {
-    "-h", "--help", "--input", "--output", "--format", "--config", "--report-out", "--mode", "--radius-threshold-km",
-    "--box-half-km", "--lat-km-per-deg", "--lon-km-per-deg-at-equator", "--rare-count-threshold",
+    "-h", "--help", "--input", "--output", "--config", "--report-out", "--mode", "--box-half-km", "--rare-count-threshold",
 }
 PIPELINE_FLAGS = {
-    "-h", "--help", "--pa", "--po", "--test", "--outdir", "--config", "--merge-mode", "--radius-threshold-km",
-    "--box-half-km", "--lat-km-per-deg", "--lon-km-per-deg-at-equator", "--rare-count-threshold",
-    "--gate-radius-km", "--predict-k", "--in-threshold", "--in-k-cap", "--ood-threshold", "--ood-k-cap",
-    "--in-vote-neighbors", "--in-vote-min-freq", "--ood-vote-neighbors", "--ood-vote-min-freq",
-    "--vote-inclusive", "--no-vote-inclusive", "--fallback-top1", "--no-fallback-top1", "--seed",
+    "-h", "--help", "--pa", "--po", "--test", "--outdir", "--config", "--merge-mode", "--box-half-km",
+    "--rare-count-threshold", "--gate-radius-km", "--predict-k", "--in-threshold", "--in-k-cap",
+    "--ood-threshold", "--ood-k-cap", "--in-vote-neighbors", "--in-vote-min-freq", "--ood-vote-neighbors", "--ood-vote-min-freq",
+    "--vote-inclusive", "--no-vote-inclusive", "--fallback-top1", "--no-fallback-top1",
 }
 
 
@@ -278,6 +298,8 @@ class TestConfig:
             ('{"gate_radius_km": NaN}', "gate_radius_km must be a finite number, got NaN"),
             ('{"merge_mode": "tight"}', "merge_mode must be one of ['loose', 'balanced', 'strict']"),
             ('{"predict_k": 1', "not a JSON file"),
+            ('{"seed": 0}', "unknown config keys ['seed']"),
+            ('{"radius_threshold_km": 0.5}', "unknown config keys ['radius_threshold_km']"),
         ],
     )
     def test_bad_config_value_is_one_error_line_naming_the_file(self, tmp_path, capsys, text, reason):
@@ -288,6 +310,23 @@ class TestConfig:
         assert captured.err.startswith(f"error: {config}: ") and captured.err.count("\n") == 1
         assert reason in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"predict_k": 0}', "predict_k must be >= 1"),
+            ('{"gate_radius_km": -1}', "gate_radius_km must be >= 0"),
+            ('{"in_threshold": 1.5}', "threshold must be in [0, 1]"),
+        ],
+    )
+    def test_out_of_range_value_fails_before_any_output(self, tmp_path, capsys, text, reason):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        outdir = tmp_path / "run"
+        assert run(pipeline_argv(outdir, "--config", str(config))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n" and captured.out == ""
+        assert not any((outdir / name).exists() for name in pipeline.OUTPUTS)
 
     def test_non_finite_flag_value_is_rejected(self, tmp_path, capsys):
         assert run(pipeline_argv(tmp_path / "run", "--box-half-km", "inf")) == 1

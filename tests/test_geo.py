@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import random_points
@@ -42,6 +42,7 @@ class TestHaversine:
         assert d1 >= 0.0
 
     @given(LAT, LON, LAT, LON, LAT, LON)
+    @example(0.015625, 180.0, 1.0, 0.0, 0.0, 0.0)  # a and c nearly antipodal
     def test_triangle_inequality(self, lat1, lon1, lat2, lon2, lat3, lon3):
         a, b, c = P(lat1, lon1), P(lat2, lon2), P(lat3, lon3)
         assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-9
@@ -55,24 +56,24 @@ class TestHaversine:
 
 class TestGeoIndex:
     def test_empty_index(self):
-        idx = GeoIndex.build(np.array([], dtype=np.int64), np.array([]), np.array([]))
+        idx = GeoIndex(np.array([], dtype=np.int64), np.array([]), np.array([]))
         assert len(idx) == 0
         assert idx.radius_query(P(0, 0), 100.0) == []
         assert idx.knn_query(P(0, 0), 3) == []
 
     def test_radius_zero_hits_colocated_points(self):
-        idx = GeoIndex.build(np.array([5, 3, 9]), np.array([48.0, 48.0, 50.0]), np.array([2.0, 2.0, 2.0]))
+        idx = GeoIndex(np.array([5, 3, 9]), np.array([48.0, 48.0, 50.0]), np.array([2.0, 2.0, 2.0]))
         assert idx.radius_query(P(48.0, 2.0), 0.0) == [(3, 0.0), (5, 0.0)]
 
     def test_radius_boundary_inclusive(self):
-        idx = GeoIndex.build(np.array([1, 2]), np.array([48.0, 48.05]), np.array([2.0, 2.0]))
+        idx = GeoIndex(np.array([1, 2]), np.array([48.0, 48.05]), np.array([2.0, 2.0]))
         d = haversine_km(P(48.0, 2.0), P(48.05, 2.0))
         hits = idx.radius_query(P(48.0, 2.0), d)
         assert [h[0] for h in hits] == [1, 2]
 
     def test_radius_examples_near_10km(self):
         # ~5.56 km away is inside a 10 km ball, ~14.9 km is not
-        idx = GeoIndex.build(np.array([1, 2]), np.array([48.05, 48.0]), np.array([2.0, 2.2]))
+        idx = GeoIndex(np.array([1, 2]), np.array([48.05, 48.0]), np.array([2.0, 2.2]))
         hits = idx.radius_query(P(48.0, 2.0), 10.0)
         assert [h[0] for h in hits] == [1]
         assert hits[0][1] == pytest.approx(5.5597, abs=1e-3)
@@ -80,33 +81,33 @@ class TestGeoIndex:
 
     def test_knn_k_at_least_n_returns_all_sorted(self):
         ids, lats, lons = np.array([7, 1, 4]), np.array([10.0, 11.0, 12.0]), np.array([0.0, 0.0, 0.0])
-        idx = GeoIndex.build(ids, lats, lons)
+        idx = GeoIndex(ids, lats, lons)
         got = idx.knn_query(P(10.0, 0.0), 10)
         assert [g[0] for g in got] == [7, 1, 4]
         assert got[0][1] == 0.0
 
     def test_knn_tie_breaks_by_survey_id(self):
         # two points symmetric about the query latitude: identical distance
-        idx = GeoIndex.build(np.array([42, 7]), np.array([47.9, 48.1]), np.array([2.0, 2.0]))
+        idx = GeoIndex(np.array([42, 7]), np.array([47.9, 48.1]), np.array([2.0, 2.0]))
         got = idx.knn_query(P(48.0, 2.0), 1)
         assert got[0][0] == 7
 
     def test_knn_single_point(self):
-        idx = GeoIndex.build(np.array([3]), np.array([0.0]), np.array([0.0]))
+        idx = GeoIndex(np.array([3]), np.array([0.0]), np.array([0.0]))
         assert idx.knn_query(P(1.0, 0.0), 1)[0][0] == 3
 
     def test_validation(self):
-        idx = GeoIndex.build(np.array([1]), np.array([0.0]), np.array([0.0]))
+        idx = GeoIndex(np.array([1]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             idx.knn_query(P(0, 0), 0)
         with pytest.raises(ValueError):
             idx.radius_query(P(0, 0), -1.0)
         with pytest.raises(ValueError):
-            GeoIndex.build(np.array([1]), np.array([99.0]), np.array([0.0]))
+            GeoIndex(np.array([1]), np.array([99.0]), np.array([0.0]))
 
     def test_queries_are_pure(self, rng):
         ids, lats, lons = random_points(rng, 200)
-        idx = GeoIndex.build(ids, lats, lons)
+        idx = GeoIndex(ids, lats, lons)
         center = P(10.0, 10.0)
         assert idx.radius_query(center, 500.0) == idx.radius_query(center, 500.0)
         assert idx.knn_query(center, 7) == idx.knn_query(center, 7)
@@ -115,7 +116,7 @@ class TestGeoIndex:
         for _ in range(30):
             n = int(rng.integers(1, 400))
             ids, lats, lons = random_points(rng, n)
-            idx = GeoIndex.build(ids, lats, lons)
+            idx = GeoIndex(ids, lats, lons)
             for _ in range(4):
                 center = P(rng.uniform(-89, 89), rng.uniform(-180, 180))
                 radius = float(rng.uniform(0, 3000))
@@ -125,7 +126,7 @@ class TestGeoIndex:
 
     def test_bulk_radius_matches_single(self, rng):
         ids, lats, lons = random_points(rng, 300)
-        idx = GeoIndex.build(ids, lats, lons)
+        idx = GeoIndex(ids, lats, lons)
         q_lat = rng.uniform(-80, 80, 20)
         q_lon = rng.uniform(-180, 180, 20)
         offsets, pos, dist = idx.radius_query_many(np.radians(q_lat), np.radians(q_lon), 750.0)
@@ -139,7 +140,7 @@ class TestGeoIndex:
 
     def test_bulk_knn_matches_single(self, rng):
         ids, lats, lons = random_points(rng, 300)
-        idx = GeoIndex.build(ids, lats, lons)
+        idx = GeoIndex(ids, lats, lons)
         q_lat = rng.uniform(-80, 80, 15)
         q_lon = rng.uniform(-180, 180, 15)
         pos, dist = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), 5)

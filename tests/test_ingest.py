@@ -7,7 +7,6 @@ from conftest import make_dataset
 from geoflora.ingest import (
     Dataset,
     DatasetKind,
-    OccurrenceFormat,
     ParseError,
     SpeciesCatalog,
     decode_species,
@@ -48,10 +47,8 @@ class TestParsing:
 
     def test_format_autodetl_and_mismatch(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "1,0.0,0.0,4 4 5"])
-        ds, _ = parse_occurrences(path, OccurrenceFormat.WIDE)
+        ds, _ = parse_occurrences(path)
         assert len(ds.record(0).species) == 2  # duplicate species collapse
-        with pytest.raises(ParseError, match="wide format"):
-            parse_occurrences(path, OccurrenceFormat.LONG)
 
     def test_unrecognised_header(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["id,latitude,longitude,species", "1,0,0,2"])
@@ -71,6 +68,20 @@ class TestParsing:
     def test_species_id_beyond_int64_reports_line(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "1,45.0,5.0,3 -9223372036854775809"])
         with pytest.raises(ParseError, match=r"a\.csv:2: survey or species id outside the 64-bit"):
+            parse_occurrences(path)
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("surveyId,lat,lon,speciesId", "1_000,45.0,5.0,7"),
+            ("surveyId,lat,lon,speciesId", "1,45.0,5.0,٣"),
+            ("surveyId,lat,lon,speciesIds", "1,45.0,5.0,3 +4"),
+            ("surveyId,lat,lon,speciesIds", "1,45.0,5.0,3 4_0"),
+        ],
+    )
+    def test_ids_other_than_ascii_digits_are_malformed(self, tmp_path, header, row):
+        path = write_lines(tmp_path, "a.csv", [header, "2,45.0,5.0,7", row])
+        with pytest.raises(ParseError, match=r"a\.csv:3: malformed row"):
             parse_occurrences(path)
 
     def test_int64_extremes_are_accepted(self, tmp_path):

@@ -180,10 +180,12 @@ class TestSubmissionIO:
             ("99999999999999999999,5", "survey or species id outside the 64-bit"),
             ("2,5 x", "malformed row"),
             ("2,5 9223372036854775808", "survey or species id outside the 64-bit"),
+            ("1_000,5", "malformed row"),
+            ("2,5 ٣", "malformed row"),
         ],
     )
     def test_read_rejects_bad_ids_with_line(self, tmp_path, row, reason):
         path = tmp_path / "sub.csv"
-        path.write_text(f"surveyId,predictions\n1,5\n{row}\n")
+        path.write_text(f"surveyId,predictions\n1,5\n{row}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=rf"sub\.csv:3: {reason}"):
             read_submission(str(path))

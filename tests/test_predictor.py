@@ -122,6 +122,14 @@ class TestScoreMatrix:
         with pytest.raises(ParseError, match=r"scores\.csv:3: survey or species id outside the 64-bit"):
             load_scores(str(path), catalog)
 
+    @pytest.mark.parametrize("row", ["1_000,7,0.5", "1,٧,0.5", "+1,7,0.5"])
+    def test_load_rejects_ids_other_than_ascii_digits(self, tmp_path, row):
+        catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_text(f"surveyId,speciesId,score\n1,7,0.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: malformed row"):
+            load_scores(str(path), catalog)
+
     def test_load_rejects_unknown_species(self, tmp_path):
         catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
         path = tmp_path / "scores.csv"

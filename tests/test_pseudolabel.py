@@ -3,7 +3,6 @@ import pytest
 
 from conftest import make_dataset
 from geoflora.pseudolabel import (
-    DEFAULT_RADIUS_KM,
     MergeConfig,
     MergeMode,
     merge_points,
@@ -27,11 +26,6 @@ PAIR = [(1, 45.0, 5.0, {1, 2}), (2, 45.0005, 5.0, {3})]  # ~55.7 m apart in lati
 
 
 class TestConfig:
-    def test_radius_must_cover_box_corners(self):
-        with pytest.raises(ValueError, match="cover the box"):
-            MergeConfig(mode=MergeMode.LOOSE, radius_threshold_km=0.32)
-        MergeConfig(mode=MergeMode.LOOSE, radius_threshold_km=DEFAULT_RADIUS_KM)  # boundary ok
-
     def test_other_validation(self):
         with pytest.raises(ValueError):
             MergeConfig(mode=MergeMode.LOOSE, box_half_km=0.0)
@@ -72,6 +66,17 @@ class TestNeighborsInPatch:
             got = [r.survey_id for r in neighbors_in_patch(ds, ds.record(i), c)]
             expected = sorted(int(ds.ids[j]) for j in box_members_oracle(ds, i, c))
             assert got == expected
+
+    @pytest.mark.parametrize("box_half_km", [5000.0, 40000.0])
+    def test_matches_pairwise_oracle_for_continental_boxes(self, rng, box_half_km):
+        # offsets of a box this wide pass half the globe in latitude or longitude
+        lats = rng.uniform(-89.9, 89.9, 60)
+        lons = rng.uniform(-180.0, 180.0, 60)
+        ds = make_dataset([(i + 1, lats[i], lons[i], {i}) for i in range(60)])
+        c = cfg(box_half_km=box_half_km)
+        for i in range(len(ds)):
+            got = [r.survey_id for r in neighbors_in_patch(ds, ds.record(i), c)]
+            assert got == sorted(int(ds.ids[j]) for j in box_members_oracle(ds, i, c))
 
 
 class TestMergeModes:
