@@ -13,7 +13,8 @@ fields of ``MergeConfig`` and ``PipelineConfig`` (``--box-half-km`` sets
 ``box_half_km``). Precedence is flags > config file (a JSON object keyed by
 field name) > field defaults. Every value is checked against its field's
 type, and its range is checked when the config is built, before any input is
-read. Failures print one ``error:`` line to stderr and exit with status 1.
+read; either error names the key and the flag or file its value came from.
+Failures print one ``error:`` line to stderr and exit with status 1.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, write_assignments
 from .ingest import (
     DatasetKind,
     ParseError,
+    RangeError,
     decode_species,
     parse_occurrences,
     preview_ids,
@@ -87,7 +89,8 @@ def _typed(value, typ):
 def _effective_config(args: argparse.Namespace, cls):
     """An instance of the config dataclass ``cls``: flags > config file > field defaults.
 
-    Each given value, from a flag or the config file, must be of its field's type.
+    Each given value, from a flag or the config file, must be of its field's type
+    and in its field's range; an error names the field and where its value came from.
     """
     types = get_type_hints(cls)
     given = {}
@@ -113,7 +116,10 @@ def _effective_config(args: argparse.Namespace, cls):
             typ = types[name]
             expected = _TYPE_NAMES.get(typ) or f"one of {[m.value for m in typ]}"
             raise ValueError(f"{origin}: {name} must be {expected}, got {json.dumps(value)[:40]}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except RangeError as exc:
+        raise ValueError(f"{given[exc.field][1]}: {exc}") from None
 
 
 def _add_config_options(p: argparse.ArgumentParser, cls) -> None:

@@ -38,6 +38,14 @@ class ParseError(ValueError):
     """Raised for malformed or inconsistent survey files."""
 
 
+class RangeError(ValueError):
+    """Raised for a setting outside its range; ``field`` names the setting."""
+
+    def __init__(self, field: str, requirement: str, value) -> None:
+        super().__init__(f"{field} must be {requirement}, got {value}")
+        self.field, self.requirement, self.value = field, requirement, value
+
+
 def check_ids(path: str, line: int, text: str, *ids: int) -> None:
     """Reject the ids of one row unless written in ASCII digits and within int64, the id columns' type.
 
@@ -245,6 +253,9 @@ def parse_occurrences(
                 lon = float(row[2])
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+            coords = row[1] + row[2]  # float() also reads "_" separators and non-ASCII digits
+            if not coords.isascii() or "_" in coords:
+                raise ParseError(f"{path}:{line}: malformed row: coordinates must be ASCII decimal numbers")
             _check_coords(lat, lon, line, path)
             try:
                 if long_format:

@@ -125,13 +125,8 @@ def bce_loss(data: LabeledScores) -> float:
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
 
 
-def samples_f1(truth, predicted) -> float:
-    """Mean per-survey F1: TP / (TP + (FP + FN) / 2).
-
-    Both mappings must cover the same survey ids. A survey with empty truth
-    and empty prediction scores 1 (the 0/0 case rewards a correct empty
-    answer).
-    """
+def check_same_surveys(truth, predicted) -> None:
+    """Raise unless both collections hold the same, non-empty set of survey ids."""
     truth_ids = set(truth)
     pred_ids = set(predicted)
     if truth_ids != pred_ids:
@@ -140,8 +135,18 @@ def samples_f1(truth, predicted) -> float:
         raise ValueError(f"survey id mismatch: missing from predictions {missing}, unexpected {extra}")
     if not truth_ids:
         raise ValueError("no surveys to score")
+
+
+def samples_f1(truth, predicted) -> float:
+    """Mean per-survey F1: TP / (TP + (FP + FN) / 2).
+
+    Both mappings must cover the same survey ids. A survey with empty truth
+    and empty prediction scores 1 (the 0/0 case rewards a correct empty
+    answer).
+    """
+    check_same_surveys(truth, predicted)
     total = 0.0
-    for sid in sorted(truth_ids):  # fixed order: the mean is bit-reproducible
+    for sid in sorted(truth):  # fixed order: the mean is bit-reproducible
         t = set(truth[sid])
         q = set(predicted[sid])
         tp = len(t & q)
@@ -151,4 +156,4 @@ def samples_f1(truth, predicted) -> float:
             total += 1.0
         else:
             total += tp / (tp + (fp + fn) / 2.0)
-    return total / len(truth_ids)
+    return total / len(truth)

@@ -24,12 +24,16 @@ import numpy as np
 
 from . import __version__
 from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, moe_merge, write_assignments
-from .ingest import Dataset, DatasetKind, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
+from .ingest import Dataset, DatasetKind, RangeError, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
 from .postprocess import IN_DIST_TOP_K, IN_DIST_VOTE, OOD_TOP_K, OOD_VOTE, TopKConfig, VoteConfig, side_predictions, write_submission
 from .predictor import DEFAULT_K, ScoreMatrix, neighbor_frequency_predict, save_scores
 from .pseudolabel import MergeConfig, MergeMode, merge_points, merge_stats, merged_to_dataset
 
 OUTPUTS = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv")
+
+
+# The ``PipelineConfig`` field, less its side prefix, behind each TopKConfig / VoteConfig field.
+_SIDE_FIELDS = {"threshold": "threshold", "k_cap": "k_cap", "neighbor_count": "vote_neighbors", "min_frequency": "vote_min_freq"}
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,15 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         """Check every value up front, so a bad one fails before any file is read or written."""
         if self.predict_k < 1:
-            raise ValueError("predict_k must be >= 1")
+            raise RangeError("predict_k", ">= 1", self.predict_k)
         if self.gate_radius_km < 0:
-            raise ValueError("gate_radius_km must be >= 0")
+            raise RangeError("gate_radius_km", ">= 0", self.gate_radius_km)
         self.merge_config()
-        for side in Side:
-            self.side_configs(side)
+        for side, prefix in ((Side.IN_DISTRIBUTION, "in_"), (Side.OUT_OF_DISTRIBUTION, "ood_")):
+            try:
+                self.side_configs(side)
+            except RangeError as exc:  # name the field of this config, not of TopKConfig / VoteConfig
+                raise RangeError(prefix + _SIDE_FIELDS[exc.field], exc.requirement, exc.value) from None
 
     def merge_config(self) -> MergeConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(MergeConfig) if f.name != "mode"}

@@ -50,6 +50,19 @@ class ScoreMatrix:
     def survey_ids(self) -> list[int]:
         return sorted(self._rows)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored entry as flat arrays, rows in survey-id order.
+
+        Returns each row's entry count, then the species index and the score
+        of every entry, row after row.
+        """
+        rows = [self._rows[sid] for sid in self.survey_ids()]
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        total = int(counts.sum())
+        species = np.fromiter((sp for row in rows for sp in row), np.int64, total)
+        scores = np.fromiter((val for row in rows for val in row.values()), np.float64, total)
+        return counts, species, scores
+
     def __contains__(self, survey_id: int) -> bool:
         return survey_id in self._rows
 
@@ -130,6 +143,8 @@ def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
             check_ids(path, line, row[0] + row[1], sid, raw)
+            if not row[2].isascii() or "_" in row[2]:  # float() also reads "_" separators and non-ASCII digits
+                raise ParseError(f"{path}:{line}: malformed row: score must be an ASCII decimal number")
             if raw not in catalog.raw_to_dense:
                 raise ParseError(f"{path}:{line}: unknown species id {raw}")
             if not 0.0 <= val <= 1.0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import EARTH_RADIUS_KM, GeoIndex
-from .ingest import Dataset, SurveyRecord
+from .ingest import Dataset, RangeError, SurveyRecord
 
 DEFAULT_BOX_HALF_KM = 0.32
 # Degree-to-km scales of the patch box.
@@ -58,9 +58,9 @@ class MergeConfig:
 
     def __post_init__(self) -> None:
         if self.box_half_km <= 0:
-            raise ValueError("box_half_km must be positive")
+            raise RangeError("box_half_km", "positive", self.box_half_km)
         if self.rare_count_threshold < 1:
-            raise ValueError("rare_count_threshold must be >= 1")
+            raise RangeError("rare_count_threshold", ">= 1", self.rare_count_threshold)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,15 @@ class TestErrors:
         assert err.startswith(f"error: {bad}:2: malformed row") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_coordinates_beyond_ascii_numbers_are_a_malformed_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("surveyId,lat,lon,speciesId\n1,4_5.0,\u0665.0,7\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert run(["ingest", "--input", str(bad), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:2: malformed row: coordinates must be ASCII decimal numbers\n"
+        assert not out.exists()
+
 
 GOLDEN_FILES = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json")
 
@@ -317,6 +326,12 @@ class TestConfig:
             ('{"predict_k": 0}', "predict_k must be >= 1"),
             ('{"gate_radius_km": -1}', "gate_radius_km must be >= 0"),
             ('{"in_threshold": 1.5}', "threshold must be in [0, 1]"),
+            ('{"ood_threshold": 1.5}', "ood_threshold must be in [0, 1], got 1.5"),
+            ('{"in_k_cap": 0}', "in_k_cap must be >= 1, got 0"),
+            ('{"ood_vote_neighbors": 0}', "ood_vote_neighbors must be >= 1, got 0"),
+            ('{"in_vote_min_freq": 0}', "in_vote_min_freq must be in (0, 1], got 0.0"),
+            ('{"box_half_km": 0}', "box_half_km must be positive, got 0.0"),
+            ('{"rare_count_threshold": 0}', "rare_count_threshold must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_value_fails_before_any_output(self, tmp_path, capsys, text, reason):
@@ -325,8 +340,28 @@ class TestConfig:
         outdir = tmp_path / "run"
         assert run(pipeline_argv(outdir, "--config", str(config))) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {reason}\n" and captured.out == ""
+        key = next(iter(json.loads(text)))  # the message names the key and the file it came from
+        assert captured.err.startswith(f"error: {config}: {key} must be ") and captured.err.count("\n") == 1
+        assert reason in captured.err and captured.out == ""
         assert not any((outdir / name).exists() for name in pipeline.OUTPUTS)
+
+    def test_out_of_range_flag_names_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"in_threshold": 0.5}')
+        argv = pipeline_argv(tmp_path / "run", "--config", str(config), "--in-threshold", "1.5")
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: --in-threshold: in_threshold must be in [0, 1], got 1.5\n"
+
+    @pytest.mark.parametrize("from_file", [True, False])
+    def test_merge_range_error_names_key_and_origin(self, pair_file, tmp_path, capsys, from_file):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"box_half_km": -1}' if from_file else "{}")
+        flags = [] if from_file else ["--box-half-km", "-1"]
+        output = tmp_path / "m.csv"
+        status = run(["merge", "--input", pair_file, "--output", str(output), "--config", str(config), *flags])
+        assert status == 1 and not output.exists()
+        origin = config if from_file else "--box-half-km"
+        assert capsys.readouterr().err == f"error: {origin}: box_half_km must be positive, got -1.0\n"
 
     def test_non_finite_flag_value_is_rejected(self, tmp_path, capsys):
         assert run(pipeline_argv(tmp_path / "run", "--box-half-km", "inf")) == 1

@@ -84,6 +84,17 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"a\.csv:3: malformed row"):
             parse_occurrences(path)
 
+    @pytest.mark.parametrize("row", ["1,4_5.0,5.0,7", "1,45.0,٥.0,7", "1,45.0,5.0٠,7"])
+    def test_coordinates_other_than_ascii_numbers_are_malformed(self, tmp_path, row):
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "2,45.0,5.0,7", row])
+        with pytest.raises(ParseError, match=r"a\.csv:3: malformed row: coordinates must be ASCII"):
+            parse_occurrences(path)
+
+    def test_coordinates_keep_signs_and_exponents(self, tmp_path):
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,4.5e+01,+5.0,7", "2,-4.5E1,-5e-1,7"])
+        ds, _ = parse_occurrences(path)
+        assert ds.lats.tolist() == [45.0, -45.0] and ds.lons.tolist() == [5.0, -0.5]
+
     def test_int64_extremes_are_accepted(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "9223372036854775807,45.0,5.0,-9223372036854775808"])
         ds, catalog = parse_occurrences(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from geoflora.ingest import ParseError, SpeciesCatalog
+from geoflora.losses import samples_f1
 from geoflora.postprocess import (
     IN_DIST_VOTE,
     OOD_VOTE,
@@ -23,6 +26,40 @@ from geoflora.predictor import ScoreMatrix
 SCORES = {0: 0.9, 1: 0.6, 2: 0.4}  # A, B, C
 
 score_dicts = st.dictionaries(st.integers(0, 20), st.floats(0.0, 1.0), max_size=12)
+
+# few distinct values, so scores tie with each other and with grid thresholds
+tied_scores = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def scored_surveys(draw):
+    """A score matrix (empty rows allowed) and a truth set per row (empty allowed)."""
+    num_species = draw(st.integers(1, 8))
+    rows = draw(
+        st.dictionaries(
+            st.integers(0, 100),
+            st.dictionaries(st.integers(0, num_species - 1), tied_scores, max_size=num_species),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    matrix = ScoreMatrix(num_species)
+    for sid, row in rows.items():
+        matrix.add_row(sid, row)
+    truth = {sid: draw(st.frozensets(st.integers(0, num_species + 1), max_size=4)) for sid in rows}
+    return matrix, truth
+
+
+def reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1):
+    """Every grid point scored by ``apply_top_k`` + ``samples_f1``; first strict maximum wins."""
+    best_cfg, best_f1 = None, -1.0
+    for thr in sorted(thresholds):
+        for k_cap in sorted(k_caps):
+            cfg = TopKConfig(thr, k_cap, fallback_top1)
+            f1 = samples_f1(truth, apply_top_k(matrix, cfg))
+            if f1 > best_f1:
+                best_cfg, best_f1 = cfg, f1
+    return best_cfg, best_f1
 
 
 class TestThresholdTopK:
@@ -148,6 +185,63 @@ class TestGridSearch:
         cfg, f1 = grid_search_top_k(m, truth, thresholds=(0.2, 0.5, 0.8), k_caps=(1, 2))
         assert f1 == 1.0
         assert (cfg.threshold, cfg.k_cap) == (0.2, 2)  # first perfect combination in scan order
+
+    @given(
+        scored_surveys(),
+        st.lists(tied_scores, min_size=1, max_size=5),
+        st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_matches_per_point_reference(self, surveys, thresholds, k_caps, fallback_top1):
+        matrix, truth = surveys
+        got = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=fallback_top1)
+        assert got == reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1)  # F1 bit-equal
+        for thr in thresholds[:2]:
+            for k_cap in k_caps[:2]:
+                cfg = TopKConfig(thr, k_cap, fallback_top1)
+                one_point = grid_search_top_k(matrix, truth, [thr], [k_cap], fallback_top1=fallback_top1)
+                assert one_point == (cfg, samples_f1(truth, apply_top_k(matrix, cfg)))
+
+    def test_f1_adds_surveys_in_id_order(self):
+        # 15 per-survey F1 values whose pairwise total (numpy.sum) differs from the sequential one
+        m = ScoreMatrix(4)
+        truth = {}
+        for sid, (kept, first_true) in enumerate(zip("123123332111322", "011032230202233"), start=1):
+            m.add_row(sid, {sp: 0.9 for sp in range(int(kept))})
+            truth[sid] = frozenset(range(int(first_true), 4))
+        cfg = TopKConfig(0.5, 3)
+        assert grid_search_top_k(m, truth, [0.5], [3]) == (cfg, samples_f1(truth, apply_top_k(m, cfg)))
+
+    def test_id_mismatch_raises_the_samples_f1_message(self):
+        m = ScoreMatrix(2)
+        m.add_row(1, {0: 0.9})
+        m.add_row(2, {1: 0.9})
+        truth = {1: frozenset({0}), 3: frozenset()}
+        with pytest.raises(ValueError) as expected:
+            samples_f1(truth, apply_top_k(m, TopKConfig(0.5, 1)))
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            grid_search_top_k(m, truth, thresholds=(0.5,), k_caps=(1,))
+        with pytest.raises(ValueError, match="no surveys to score"):
+            grid_search_top_k(ScoreMatrix(2), {}, thresholds=(0.5,), k_caps=(1,))
+
+    @pytest.mark.parametrize("thresholds, k_caps", [((), (1, 2)), ((0.5,), ()), ((), ())])
+    def test_empty_grid_raises(self, thresholds, k_caps):
+        m = ScoreMatrix(1)
+        m.add_row(1, {0: 0.9})
+        with pytest.raises(ValueError, match="empty grid"):
+            grid_search_top_k(m, {1: frozenset({0})}, thresholds, k_caps)
+
+    def test_out_of_range_grid_threshold_raises(self):
+        m = ScoreMatrix(1)
+        m.add_row(1, {0: 0.9})
+        with pytest.raises(ValueError, match=re.escape("threshold must be in [0, 1], got 1.5")):
+            grid_search_top_k(m, {1: frozenset({0})}, thresholds=(0.5, 1.5), k_caps=(1,))
+
+    def test_returns_a_python_float(self):
+        m = ScoreMatrix(2)
+        m.add_row(1, {0: 0.9, 1: 0.6})
+        _, f1 = grid_search_top_k(m, {1: frozenset({0})}, thresholds=(0.5,), k_caps=(1, 2))
+        assert type(f1) is float and f1 == 1.0
 
     def test_apply_top_k_covers_all_rows(self):
         m = ScoreMatrix(3)

@@ -130,6 +130,21 @@ class TestScoreMatrix:
         with pytest.raises(ParseError, match=r"scores\.csv:3: malformed row"):
             load_scores(str(path), catalog)
 
+    @pytest.mark.parametrize("score", ["0_5", "0.٥", "٠.5"])
+    def test_load_rejects_scores_other_than_ascii_numbers(self, tmp_path, score):
+        catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_text(f"surveyId,speciesId,score\n1,7,0.5\n2,7,{score}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: malformed row: score must be an ASCII"):
+            load_scores(str(path), catalog)
+
+    def test_load_keeps_signs_and_exponents_in_scores(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_text("surveyId,speciesId,score\n1,7,5e-01\n2,7,+1E+00\n")
+        matrix = load_scores(str(path), catalog)
+        assert matrix.row(1) == {0: 0.5} and matrix.row(2) == {0: 1.0}
+
     def test_load_rejects_unknown_species(self, tmp_path):
         catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
         path = tmp_path / "scores.csv"
