@@ -14,6 +14,8 @@ fields of ``MergeConfig`` and ``PipelineConfig`` (``--box-half-km`` sets
 field name) > field defaults. Every value is checked against its field's
 type, and its range is checked when the config is built, before any input is
 read; either error names the key and the flag or file its value came from.
+The hand-written options of ``gate``, ``predict`` and ``postprocess`` are
+range-checked before any input is read as well, and their errors name the flag.
 Failures print one ``error:`` line to stderr and exit with status 1.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import itertools
 import json
 import math
 import sys
@@ -122,6 +125,14 @@ def _effective_config(args: argparse.Namespace, cls):
         raise ValueError(f"{given[exc.field][1]}: {exc}") from None
 
 
+def _flag_config(cls, flags: dict[str, str], *values):
+    """``cls(*values)``, where a range error names the flag that set the field (``flags``: field -> flag)."""
+    try:
+        return cls(*values)
+    except RangeError as exc:
+        raise ValueError(f"{flags[exc.field]}: {exc}") from None
+
+
 def _add_config_options(p: argparse.ArgumentParser, cls) -> None:
     """``--config`` plus one option per field of ``cls``, named after the field."""
     p.add_argument("--config", default=None, help="JSON config file; keys are the option names with underscores")
@@ -212,6 +223,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_gate(args) -> int:
+    if not args.gate_radius_km >= 0:
+        raise ValueError(f"--gate-radius-km: {RangeError('gate_radius_km', '>= 0', args.gate_radius_km)}")
     test, _ = _parse_file(args.test, kind="test")
     pa, _ = _parse_file(args.pa)
     assignments = assign(test, pa, args.gate_radius_km)
@@ -223,6 +236,8 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k: {RangeError('k', '>= 1', args.k)}")
     train, catalog = _parse_file(args.train)
     test, _ = _parse_file(args.test, kind="test")
     matrix = neighbor_frequency_predict(train, test, args.k, num_species=len(catalog))
@@ -233,20 +248,25 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_postprocess(args) -> int:
+    fallback = bool(args.fallback_top1)
+    top_cfg = _flag_config(TopKConfig, {"threshold": "--threshold", "k_cap": "--k-cap"}, args.threshold, args.k_cap, fallback)
+    vote_flags = {"neighbor_count": "--vote-neighbors", "min_frequency": "--vote-min-freq"}
+    vote_cfg = _flag_config(VoteConfig, vote_flags, args.vote_neighbors, args.vote_min_freq, not args.vote_inclusive)
+    thresholds = args.grid_thresholds or DEFAULT_GRID_THRESHOLDS
+    k_caps = args.grid_kcaps or DEFAULT_GRID_KCAPS
+    if args.tune_truth:
+        for t, k in itertools.product(thresholds, k_caps):
+            _flag_config(TopKConfig, {"threshold": "--grid-thresholds", "k_cap": "--grid-kcaps"}, t, k)
+
     reference, catalog = _parse_file(args.reference)
     test, _ = _parse_file(args.test, kind="test")
     matrix = load_scores(args.scores, catalog)
-
-    top_cfg = TopKConfig(args.threshold, args.k_cap, bool(args.fallback_top1))
     if args.tune_truth:
         truth_ds, _ = parse_occurrences(args.tune_truth, catalog=catalog)
         truth = dict(zip(truth_ds.ids.tolist(), truth_ds.species))
-        thresholds = args.grid_thresholds or DEFAULT_GRID_THRESHOLDS
-        k_caps = args.grid_kcaps or DEFAULT_GRID_KCAPS
-        top_cfg, best = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=bool(args.fallback_top1))
+        top_cfg, best = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=fallback)
         print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
 
-    vote_cfg = VoteConfig(args.vote_neighbors, args.vote_min_freq, not args.vote_inclusive)
     final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
     if len(matrix) < len(test):
         print(f"{args.scores}: {len(test) - len(matrix)} of {len(test)} test surveys have no score row", file=sys.stderr)

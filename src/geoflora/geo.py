@@ -15,6 +15,7 @@ Determinism rules, fixed for reproducibility:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -201,16 +202,20 @@ class GeoIndex:
         if r.ndim:
             r = np.broadcast_to(r, (m,))
         lists = self._tree.query_ball_point(_embed(lat_rad, lon_rad), r, workers=-1, return_sorted=False)
-        counts = np.fromiter((len(x) for x in lists), dtype=np.int64, count=m)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        flat = np.empty(total, dtype=np.intp)
-        pos = 0
-        for lst in lists:
-            nxt = pos + len(lst)
-            flat[pos:nxt] = lst
-            pos = nxt
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=m), out=offsets[1:])
+        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(offsets[-1]))
         return offsets, flat
+
+    def pairs_within(self, radius_km: float) -> np.ndarray:
+        """Candidate pairs of positions at most ``radius_km`` apart, shape (m, 2), each pair once with i < j.
+
+        Like ``radius_candidates_many`` the result is a superset of the exact
+        haversine pairs (one chord-space self-join with inflation, no
+        re-check); callers apply their own definitive filter.
+        """
+        if self._tree is None:
+            return np.empty((0, 2), dtype=np.intp)
+        return self._tree.query_pairs(float(_chord_radius(radius_km)), output_type="ndarray")
 
     def radius_query_many(self, lat_rad, lon_rad, radius_km) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact inclusive radius memberships for many query points.

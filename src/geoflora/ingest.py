@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -186,15 +187,22 @@ class Dataset:
             and self.species == other.species
         )
 
+    def species_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The species sets as CSR ``(indptr, indices)``: survey i's dense indices,
+        ascending, are ``indices[indptr[i]:indptr[i + 1]]``."""
+        n = len(self)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.species), dtype=np.int64, count=n), out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(self.species), dtype=np.int64, count=int(indptr[-1]))
+        if indices.size:
+            # One sort of row-major (row, index) keys orders every row; rows keep their places.
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * (int(indices.max()) + 1)
+            indices = np.sort(rows + indices) - rows
+        return indptr, indices
+
     def species_counts(self, num_species: int | None = None) -> np.ndarray:
         """Per-species number of surveys containing it (dense indexing)."""
-        if num_species is None:
-            num_species = 1 + max((max(s) for s in self.species if s), default=-1)
-        counts = np.zeros(num_species, dtype=np.int64)
-        for s in self.species:
-            for d in s:
-                counts[d] += 1
-        return counts
+        return np.bincount(self.species_csr()[1], minlength=num_species or 0)
 
 
 @dataclass

@@ -23,6 +23,20 @@ Anchor eligibility is mode dependent:
 Consumption only affects anchor eligibility; constituents are always drawn
 from the full dataset, so every survey's species reach at least one output
 record under every mode.
+
+``merge_points`` computes this walk as an array program, record for record
+equal to running it survey by survey:
+  members  one k-d tree self-join at the largest covering radius of the
+           dataset (``GeoIndex.pairs_within``), mirrored, joined by the self
+           pairs and cut by the exact box test, gives every survey's patch
+           members as a CSR matrix (row = anchor);
+  anchors  a plain loop walks the processing order and marks the members of
+           each anchor consumed; it builds no union and no record (loose mode
+           needs no loop: every survey anchors);
+  unions   the anchors' member rows times the species CSR, a boolean sparse
+           product, give every union at once;
+  records  are built from those CSR rows in chunks; an anchor alone in its
+           box reuses its own species set.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .geo import EARTH_RADIUS_KM, GeoIndex
 from .ingest import Dataset, RangeError, SurveyRecord
@@ -63,7 +78,7 @@ class MergeConfig:
             raise RangeError("rare_count_threshold", ">= 1", self.rare_count_threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergedRecord:
     """One aggregated survey: the anchor's identity plus the unioned species."""
 
@@ -109,6 +124,13 @@ def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
+def _in_box(cfg: MergeConfig, anchor_lats, anchor_lons, lats, lons) -> np.ndarray:
+    """The patch-box predicate, elementwise: is each point inside its anchor's box? (degrees)"""
+    dlat_km = np.abs(lats - anchor_lats) * LAT_KM_PER_DEG
+    dlon_km = _wrapped_dlon_deg(lons, anchor_lons) * (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(anchor_lats)))
+    return (dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km)
+
+
 def _patch_members(
     dataset: Dataset, cfg: MergeConfig, index: GeoIndex, lats: np.ndarray, lons: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,11 +140,7 @@ def _patch_members(
     if flat.size == 0:
         return offsets, flat
     src = np.repeat(np.arange(n), np.diff(offsets))
-    dlat_km = np.abs(dataset.lats[flat] - lats[src]) * LAT_KM_PER_DEG
-    dlon_km = _wrapped_dlon_deg(dataset.lons[flat], lons[src]) * (
-        LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats[src]))
-    )
-    keep = (dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km)
+    keep = _in_box(cfg, lats[src], lons[src], dataset.lats[flat], dataset.lons[flat])
     new_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[keep], minlength=n), out=new_offsets[1:])
     return new_offsets, flat[keep]
@@ -146,6 +164,44 @@ def neighbors_in_patch(
     return [dataset.record(p) for p in np.sort(members)]
 
 
+def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
+    """Every survey's patch members as a boolean n x n CSR, row = anchor, columns ascending.
+
+    One self-join at the largest covering radius gives candidate pairs; mirrored
+    and joined by the self pairs, they cover each anchor's box, and the exact
+    box test keeps the members.
+    """
+    n = len(dataset)
+    pairs = GeoIndex.from_dataset(dataset).pairs_within(float(_covering_radius_km(cfg, dataset.lats).max()))
+    rows = np.concatenate((pairs[:, 0], pairs[:, 1], np.arange(n)))
+    cols = np.concatenate((pairs[:, 1], pairs[:, 0], np.arange(n)))
+    keep = _in_box(cfg, dataset.lats[rows], dataset.lons[rows], dataset.lats[cols], dataset.lons[cols])
+    members = sparse.csr_matrix((np.ones(int(keep.sum()), dtype=bool), (rows[keep], cols[keep])), shape=(n, n))
+    members.sort_indices()
+    return members
+
+
+def _select_anchors(order: np.ndarray, members: sparse.csr_matrix, rescued: np.ndarray | None) -> list[int]:
+    """The sequential walk: in processing order, a survey anchors unless an earlier
+    anchor's box consumed it; a ``rescued`` survey anchors even when consumed."""
+    indptr = members.indptr.tolist()
+    cols = members.indices.tolist()
+    consumed = bytearray(len(order))
+    rescue = bytes(len(order)) if rescued is None else rescued.tobytes()
+    anchors = []
+    for i in order.tolist():
+        if consumed[i] and not rescue[i]:
+            continue
+        anchors.append(i)
+        for j in cols[indptr[i] : indptr[i + 1]]:
+            consumed[j] = 1
+    return anchors
+
+
+# Records are built this many anchors at a time, so no Python list spans the whole result.
+_RECORD_CHUNK = 1 << 16
+
+
 def merge_points(dataset: Dataset, cfg: MergeConfig) -> list[MergedRecord]:
     """Aggregate a presence-only dataset into merged records, one per anchor.
 
@@ -157,47 +213,40 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> list[MergedRecord]:
     n = len(dataset)
     if n == 0:
         return []
-    index = GeoIndex.from_dataset(dataset)
-    offsets, flat = _patch_members(dataset, cfg, index, dataset.lats, dataset.lons)
+    members = _member_matrix(dataset, cfg)
+    sp_ptr, sp_idx = dataset.species_csr()
+    order = np.lexsort((dataset.ids, -np.diff(sp_ptr)))
 
-    sp_sizes = np.fromiter((len(s) for s in dataset.species), dtype=np.int64, count=n)
-    order = np.lexsort((dataset.ids, -sp_sizes))
+    if cfg.mode is MergeMode.LOOSE:
+        anchors = order
+    else:
+        rescued = None
+        if cfg.mode is MergeMode.BALANCED:  # rescue every survey holding a rare species
+            rare_seen = np.zeros(sp_idx.size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(sp_idx)[sp_idx] < cfg.rare_count_threshold, out=rare_seen[1:])
+            rescued = rare_seen[sp_ptr[1:]] > rare_seen[sp_ptr[:-1]]
+        anchors = np.array(_select_anchors(order, members, rescued), dtype=np.intp)
 
-    mode = cfg.mode
-    if mode is MergeMode.BALANCED:
-        counts = dataset.species_counts()
-        thr = cfg.rare_count_threshold
-        has_rare = np.fromiter(
-            (any(counts[d] < thr for d in s) for s in dataset.species), dtype=bool, count=n
-        )
-
-    consumed = np.zeros(n, dtype=bool)
-    ids = dataset.ids
-    lats = dataset.lats
-    lons = dataset.lons
+    num_species = int(sp_idx.max()) + 1 if sp_idx.size else 0
+    species_matrix = sparse.csr_matrix((np.ones(sp_idx.size, dtype=bool), sp_idx, sp_ptr), shape=(n, num_species))
     species = dataset.species
+    shared_box = np.diff(members.indptr) > 1
     out: list[MergedRecord] = []
-    for i in order:
-        if consumed[i]:
-            if mode is MergeMode.STRICT:
-                continue
-            if mode is MergeMode.BALANCED and not has_rare[i]:
-                continue
-        members = flat[offsets[i] : offsets[i + 1]]
-        union: set[int] = set()
-        for j in members:
-            union.update(species[j])
-        if mode is not MergeMode.LOOSE:
-            consumed[members] = True
-        out.append(
-            MergedRecord(
-                int(ids[i]),
-                float(lats[i]),
-                float(lons[i]),
-                frozenset(union),
-                tuple(sorted(int(s) for s in ids[members])),
-            )
-        )
+    for start in range(0, anchors.size, _RECORD_CHUNK):
+        chunk = anchors[start : start + _RECORD_CHUNK]
+        anchor_ids = dataset.ids[chunk].tolist()
+        # An anchor alone in its box keeps its own species set and is its only source.
+        unions = [species[i] for i in chunk.tolist()]
+        sources = list(zip(anchor_ids))
+        shared = np.flatnonzero(shared_box[chunk])
+        m = members[chunk[shared]]
+        u = m @ species_matrix  # boolean product: each row is the union of its members' species
+        m_ptr, u_ptr = m.indptr.tolist(), u.indptr.tolist()
+        u_idx, member_ids = u.indices.tolist(), dataset.ids[m.indices].tolist()
+        for k, a, b, c, d in zip(shared.tolist(), m_ptr, m_ptr[1:], u_ptr, u_ptr[1:]):
+            unions[k] = frozenset(u_idx[c:d])
+            sources[k] = tuple(member_ids[a:b])
+        out.extend(map(MergedRecord, anchor_ids, dataset.lats[chunk].tolist(), dataset.lons[chunk].tolist(), unions, sources))
     return out
 
 

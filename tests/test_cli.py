@@ -195,6 +195,30 @@ class TestErrors:
         assert err == f"error: {bad}:2: malformed row: coordinates must be ASCII decimal numbers\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gate", "--test", "IN", "--pa", "IN", "--gate-radius-km", "-1"], "--gate-radius-km: gate_radius_km must be >= 0, got -1.0"),
+            (["predict", "--train", "IN", "--test", "IN", "--k", "0"], "--k: k must be >= 1, got 0"),
+            (
+                ["postprocess", "--scores", "IN", "--test", "IN", "--reference", "IN", "--vote-min-freq", "0"],
+                "--vote-min-freq: min_frequency must be in (0, 1], got 0.0",
+            ),
+            (
+                ["postprocess", "--scores", "IN", "--test", "IN", "--reference", "IN", "--tune-truth", "IN", "--grid-kcaps", "5", "0"],
+                "--grid-kcaps: k_cap must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_range_error_names_the_flag_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        # every input is missing, so reading one first would fail with another error
+        missing = str(tmp_path / "missing.csv")
+        output = tmp_path / "out.csv"
+        out_flag = "--out" if argv[0] == "predict" else "--output"
+        assert run([missing if a == "IN" else a for a in argv] + [out_flag, str(output)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not output.exists()
+
 
 GOLDEN_FILES = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json")
 

@@ -147,3 +147,16 @@ class TestGeoIndex:
         for i in range(15):
             got = [(int(ids[p]), float(d)) for p, d in zip(pos[i], dist[i])]
             assert got == brute_knn(ids, lats, lons, P(q_lat[i], q_lon[i]), 5)
+
+    @pytest.mark.parametrize("radius_km", [0.0, 750.0])
+    def test_pairs_within_cover_every_pair_in_the_ball(self, rng, radius_km):
+        ids, lats, lons = random_points(rng, 300)
+        idx = GeoIndex(ids, lats, lons)
+        pairs = idx.pairs_within(radius_km)
+        assert pairs.shape[1] == 2 and np.all(pairs[:, 0] < pairs[:, 1])
+        got = set(map(tuple, pairs.tolist()))
+        d = haversine_km_arrays(idx.lat_rad[:, None], idx.lon_rad[:, None], idx.lat_rad[None, :], idx.lon_rad[None, :])
+        i, j = np.nonzero(np.triu(d <= radius_km, k=1))
+        assert set(zip(i.tolist(), j.tolist())) <= got
+        assert len(got) == len(pairs)
+        assert GeoIndex(np.array([], dtype=np.int64), np.array([]), np.array([])).pairs_within(1.0).shape == (0, 2)

@@ -262,3 +262,15 @@ class TestDataset:
         recs = list(ds)
         assert [r.survey_id for r in recs] == [1, 2]
         assert recs[1].species == frozenset({1, 2})
+
+    def test_species_csr_rows_are_the_sets_ascending(self, rng):
+        sets = [frozenset(rng.choice(300, size=rng.integers(0, 8), replace=False).tolist()) for _ in range(200)]
+        ds = Dataset(np.arange(1, 201), np.zeros(200), np.zeros(200), sets)
+        indptr, indices = ds.species_csr()
+        assert indptr[0] == 0 and indptr.size == 201
+        assert [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [sorted(s) for s in sets]
+        counts = np.zeros(300, dtype=np.int64)
+        for s in sets:
+            counts[list(s)] += 1
+        assert np.array_equal(ds.species_counts(300), counts)
+        assert np.array_equal(ds.species_counts(), counts[: max(map(max, filter(None, sets))) + 1])

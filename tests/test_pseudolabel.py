@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from geoflora.ingest import Dataset
 from geoflora.pseudolabel import (
     MergeConfig,
     MergeMode,
@@ -181,6 +182,52 @@ class TestProperties:
             c = cfg(mode, rare_count_threshold=4)
             got = [record_key(r) for r in merge_points(ds, c)]
             assert got == merge_points_oracle(ds, c)
+
+
+class TestMergeRegimes:
+    """Shapes where the member self-join and the selection walk could part from the sequential walk."""
+
+    def test_transect_anchors_every_other_survey(self):
+        # 300 m apart on the equator: each box holds the two neighbours (300 m) but not the next (600 m);
+        # equal species counts keep id order, so each anchor consumes its successor
+        n = 20_000
+        lons = -20.0 + np.arange(n) * (0.3 / 111.32)
+        ds = Dataset(np.arange(1, n + 1), np.zeros(n), lons, [frozenset({i % 50}) for i in range(n)])
+        out = merge_points(ds, cfg(MergeMode.STRICT))
+        assert [r.survey_id for r in out] == list(range(1, n + 1, 2))
+        for r in out:
+            expected = tuple(sid for sid in (r.survey_id - 1, r.survey_id, r.survey_id + 1) if 1 <= sid <= n)
+            assert r.source_ids == expected
+            assert r.species == frozenset((sid - 1) % 50 for sid in expected)
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    def test_dense_clusters_with_duplicates_and_ties_match_oracle(self, rng, mode):
+        ds = clustered_surveys(2000, 200, rng, clusters=3, sigma_km=0.2, mean_extra_species=0.3)
+        lats, lons = ds.lats.copy(), ds.lons.copy()
+        src, dst = rng.integers(0, len(ds), 200), rng.integers(0, len(ds), 200)
+        lats[dst], lons[dst] = lats[src], lons[src]
+        ds = Dataset(ds.ids, lats, lons, ds.species)
+        c = cfg(mode, rare_count_threshold=12)
+        assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    def test_antimeridian_and_poles_match_oracle(self, rng, mode):
+        m = 60
+        lats = np.concatenate([rng.uniform(-0.002, 0.002, m), rng.uniform(89.99, 90.0, m), rng.uniform(-90.0, -89.99, m)])
+        lons = np.concatenate([rng.choice([-179.9999, 179.9999], m) + rng.uniform(-0.002, 0.002, m), rng.uniform(-180.0, 180.0, 2 * m)])
+        lons = np.clip(lons, -180.0, 180.0)
+        ds = make_dataset([(i + 1, lats[i], lons[i], {i % 7}) for i in range(3 * m)])
+        c = cfg(mode, rare_count_threshold=26)  # species 5 and 6 (25 surveys each) are rare
+        assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    @pytest.mark.parametrize("box_half_km", [5000.0, 40000.0])
+    def test_continental_boxes_match_oracle(self, rng, mode, box_half_km):
+        lats = rng.uniform(-89.9, 89.9, 60)
+        lons = rng.uniform(-180.0, 180.0, 60)
+        ds = make_dataset([(i + 1, lats[i], lons[i], {i % 9, 10 + i % 4}) for i in range(60)])
+        c = cfg(mode, box_half_km=box_half_km, rare_count_threshold=7)
+        assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
 
 
 class TestStatsAndRepackaging:
