@@ -158,32 +158,38 @@ class GeoIndex:
         Returns (positions, distances_km), each of shape (m, min(k, n)), rows
         sorted by (distance, survey_id). Near-ties are resolved by gathering
         every point whose chord distance falls within an inflated bound of the
-        k-th neighbour and re-ranking the candidates exactly.
+        k-th neighbour and re-ranking the candidates exactly: the candidates
+        of all rows are flattened into one array, measured with one haversine
+        call and ordered by one ``lexsort`` on (row, distance, survey id), of
+        which each row keeps its first min(k, n) entries.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
         m = lat_rad.size
-        n = len(self)
-        kk = min(k, n)
-        pos_out = np.empty((m, kk), dtype=np.intp)
-        d_out = np.empty((m, kk), dtype=np.float64)
+        kk = min(k, len(self))
         if kk == 0 or m == 0:
-            return pos_out, d_out
+            return np.empty((m, kk), dtype=np.intp), np.empty((m, kk), dtype=np.float64)
         q = _embed(lat_rad, lon_rad)
         chord, _ = self._tree.query(q, k=kk, workers=-1)
         chord = np.reshape(chord, (m, kk))
-        r = chord[:, -1] * (1.0 + _CHORD_REL) + _CHORD_ABS
-        cand = self._tree.query_ball_point(q, r, workers=-1, return_sorted=False)
-        ids = self.survey_ids
-        for i in range(m):
-            c = np.asarray(cand[i], dtype=np.intp)
-            d = haversine_km_arrays(lat_rad[i], lon_rad[i], self.lat_rad[c], self.lon_rad[c])
-            order = np.lexsort((ids[c], d))[:kk]
-            pos_out[i] = c[order]
-            d_out[i] = d[order]
-        return pos_out, d_out
+        offsets, flat = self._ball_candidates(q, chord[:, -1] * (1.0 + _CHORD_REL) + _CHORD_ABS)
+        # the ball holds the kk chord neighbours, so every row has at least kk candidates
+        row = np.repeat(np.arange(m), np.diff(offsets))
+        d = haversine_km_arrays(lat_rad[row], lon_rad[row], self.lat_rad[flat], self.lon_rad[flat])
+        order = np.lexsort((self.survey_ids[flat], d, row))
+        first = order[(offsets[:-1, None] + np.arange(kk)).ravel()]
+        return flat[first].reshape(m, kk), d[first].reshape(m, kk)
+
+    def _ball_candidates(self, q: np.ndarray, chord_r) -> tuple[np.ndarray, np.ndarray]:
+        """Positions within chord distance ``chord_r`` of each embedded query, CSR-style (offsets, positions)."""
+        m = q.shape[0]
+        lists = self._tree.query_ball_point(q, chord_r, workers=-1, return_sorted=False)
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=m), out=offsets[1:])
+        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(offsets[-1]))
+        return offsets, flat
 
     def radius_candidates_many(self, lat_rad, lon_rad, radius_km) -> tuple[np.ndarray, np.ndarray]:
         """Candidate positions per query point, CSR-style (offsets, positions).
@@ -195,16 +201,12 @@ class GeoIndex:
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
         m = lat_rad.size
-        offsets = np.zeros(m + 1, dtype=np.int64)
         if self._tree is None or m == 0:
-            return offsets, np.empty(0, dtype=np.intp)
+            return np.zeros(m + 1, dtype=np.int64), np.empty(0, dtype=np.intp)
         r = _chord_radius(radius_km)
         if r.ndim:
             r = np.broadcast_to(r, (m,))
-        lists = self._tree.query_ball_point(_embed(lat_rad, lon_rad), r, workers=-1, return_sorted=False)
-        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=m), out=offsets[1:])
-        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(offsets[-1]))
-        return offsets, flat
+        return self._ball_candidates(_embed(lat_rad, lon_rad), r)
 
     def pairs_within(self, radius_km: float) -> np.ndarray:
         """Candidate pairs of positions at most ``radius_km`` apart, shape (m, 2), each pair once with i < j.

@@ -59,6 +59,22 @@ def check_ids(path: str, line: int, text: str, *ids: int) -> None:
         raise ParseError(f"{path}:{line}: survey or species id outside the 64-bit integer range")
 
 
+def csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """The line number and fields of each non-blank row of a CSV file that must start with ``header``
+    and hold as many fields in every row."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.reader(f)
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != list(header):
+            raise ParseError(f"{path}:1: expected header {','.join(header)}, got {got!r}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            yield line, row
+
+
 def preview_ids(ids: Iterable) -> str:
     """Sorted ids for an error message, capped at ``MAX_IDS_IN_MESSAGE`` plus the total count."""
     ids = sorted(ids)

@@ -7,21 +7,21 @@ of the nearest reference surveys; the in-distribution side votes over raw PA
 surveys (5 neighbours, > 80 %), the out-of-distribution side over strictly
 merged PO surveys (6 neighbours, > 50 %). The final prediction is the
 deduplicated union of both.
+
+On CSR arrays, ``apply_top_k`` and ``grid_search_top_k`` share one ranking kernel
+(``threshold_top_k`` is the single-row form); votes threshold ``neighbor_species_counts``.
 """
 
 from __future__ import annotations
 
-import csv
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geo import GeoIndex
-from .ingest import Dataset, ParseError, RangeError, SpeciesCatalog, SurveyRecord, check_ids, preview_ids
+from .ingest import Dataset, ParseError, RangeError, SpeciesCatalog, SurveyRecord, check_ids, csv_rows, preview_ids
 from .losses import check_same_surveys
-from .predictor import ScoreMatrix
+from .predictor import ScoreMatrix, neighbor_species_counts
 
 # Grid-search defaults for tuning the in-distribution Threshold Top-K on a
 # held-out split.
@@ -90,47 +90,48 @@ def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> 
 
 def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig) -> list[frozenset[int]]:
     """Vectorised ``neighbor_vote`` over many query coordinates."""
-    lats_deg = np.atleast_1d(np.asarray(lats_deg, dtype=np.float64))
-    lons_deg = np.atleast_1d(np.asarray(lons_deg, dtype=np.float64))
-    if len(reference) == 0:
-        return [frozenset()] * lats_deg.size
-    pos, _ = GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats_deg), np.radians(lons_deg), cfg.neighbor_count)
-    denom = pos.shape[1]
-    out: list[frozenset[int]] = []
-    for i in range(lats_deg.size):
-        counts: Counter[int] = Counter()
-        for p in pos[i]:
-            counts.update(reference.species[p])
-        if cfg.strictly_greater:
-            out.append(frozenset(sp for sp, c in counts.items() if c / denom > cfg.min_frequency))
-        else:
-            out.append(frozenset(sp for sp, c in counts.items() if c / denom >= cfg.min_frequency))
-    return out
+    counts, denom = neighbor_species_counts(reference, lats_deg, lons_deg, cfg.neighbor_count)
+    freq = counts.data / denom
+    keep = freq > cfg.min_frequency if cfg.strictly_greater else freq >= cfg.min_frequency
+    return _row_sets(counts.indptr, counts.indices, keep)
 
 
-def finalize(
-    predictions: Mapping[int, Iterable[int]],
-    votes: Mapping[int, Iterable[int]],
-) -> dict[int, frozenset[int]]:
+def _row_sets(indptr: np.ndarray, values: np.ndarray, keep: np.ndarray) -> list[frozenset[int]]:
+    """The kept ``values`` of each CSR row, one frozenset per row."""
+    bounds = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
+    kept = values[keep].tolist()
+    return [frozenset(kept[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def finalize(predictions: Mapping[int, Iterable[int]], votes: Mapping[int, Iterable[int]]) -> dict[int, frozenset[int]]:
     """Union the thresholded predictions with the vote sets, per survey."""
-    out: dict[int, frozenset[int]] = {}
-    for sid in set(predictions) | set(votes):
-        out[sid] = frozenset(predictions.get(sid, ())) | frozenset(votes.get(sid, ()))
-    return out
+    return {sid: frozenset(predictions.get(sid, ())) | frozenset(votes.get(sid, ())) for sid in set(predictions) | set(votes)}
+
+
+def _ranked_entries(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, species and score of every entry by (row, descending score, species); Top-K keeps a prefix of each row."""
+    row_len, species, score = matrix.entries()
+    row = np.repeat(np.arange(row_len.size), row_len)
+    order = np.lexsort((-score, row))  # stable: equal scores keep the rows' ascending species order
+    return row, species[order], score[order]
+
+
+def _kept_counts(row: np.ndarray, score: np.ndarray, row_len: np.ndarray, threshold: float, k_cap, fallback_top1: bool) -> np.ndarray:
+    """How many ranked entries of each row Threshold Top-K keeps (one result row per cap if ``k_cap`` is a column):
+    those clearing the threshold, capped; with ``fallback_top1`` a non-empty row keeps at least its best entry."""
+    cleared = np.bincount(row[score >= threshold], minlength=row_len.size)
+    return np.minimum(np.minimum(np.maximum(cleared, int(fallback_top1)), row_len), k_cap)
 
 
 def apply_top_k(matrix: ScoreMatrix, cfg: TopKConfig) -> dict[int, frozenset[int]]:
     """Threshold Top-K over every row of a score matrix."""
-    return {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+    row, species, score = _ranked_entries(matrix)
+    kept = _kept_counts(row, score, np.diff(matrix.indptr), cfg.threshold, cfg.k_cap, cfg.fallback_top1)
+    keep = np.arange(row.size) - matrix.indptr[row] < kept[row]
+    return dict(zip(matrix.survey_ids(), _row_sets(matrix.indptr, species, keep)))
 
 
-def side_predictions(
-    matrix: ScoreMatrix,
-    test: Dataset,
-    reference: Dataset,
-    top_k: TopKConfig,
-    vote: VoteConfig,
-) -> dict[int, frozenset[int]]:
+def side_predictions(matrix: ScoreMatrix, test: Dataset, reference: Dataset, top_k: TopKConfig, vote: VoteConfig) -> dict[int, frozenset[int]]:
     """Threshold Top-K over the scores united with neighbour votes over ``reference``.
 
     The result holds exactly the surveys of ``test``. Score rows for other
@@ -145,23 +146,17 @@ def side_predictions(
 
 
 def grid_search_top_k(
-    matrix: ScoreMatrix,
-    truth: Mapping[int, frozenset[int]],
-    thresholds: Sequence[float] = DEFAULT_GRID_THRESHOLDS,
-    k_caps: Sequence[int] = DEFAULT_GRID_KCAPS,
-    *,
-    fallback_top1: bool = False,
+    matrix: ScoreMatrix, truth: Mapping[int, frozenset[int]], thresholds: Sequence[float] = DEFAULT_GRID_THRESHOLDS,
+    k_caps: Sequence[int] = DEFAULT_GRID_KCAPS, *, fallback_top1: bool = False,
 ) -> tuple[TopKConfig, float]:
     """Pick the (threshold, k_cap) pair maximising samples-averaged F1.
 
     The grid is scanned in ascending (threshold, k_cap) order and only a
     strict improvement moves the winner, so the result is deterministic.
-
-    Every grid point is scored from one ranking of the entries: sorted by
-    (row, descending score, species), ``apply_top_k`` keeps a prefix of each
-    row, so a running count of true species within the row gives TP for any
-    prefix length. Each point's F1 equals ``samples_f1`` of ``apply_top_k``
-    bit for bit: same per-survey expression, summed in survey-id order.
+    Every point is scored from the ranking ``apply_top_k`` takes prefixes of:
+    a running count of true species within each row gives TP for any prefix
+    length. Each point's F1 equals ``samples_f1`` of ``apply_top_k`` bit for
+    bit: same per-survey expression, summed in survey-id order.
     """
     thresholds, k_caps = sorted(thresholds), sorted(k_caps)
     grid = [TopKConfig(thr, k_cap, fallback_top1) for thr in thresholds for k_cap in k_caps]
@@ -171,12 +166,7 @@ def grid_search_top_k(
     check_same_surveys(truth, ids)
     n = len(ids)
 
-    row_len, species, score = matrix.entries()
-    row = np.repeat(np.arange(n), row_len)
-    order = np.lexsort((species, -score, row))  # row is the first key and already ascending: it keeps its order
-    score = score[order]
-    keys = species[order]
-    del species, order  # each step holds at most five entry-sized arrays, as the lexsort does
+    row, keys, score = _ranked_entries(matrix)  # with the lexsort, at most five entry-sized arrays at once
     width = matrix.num_species
     keys += row * width
     # an entry is a hit when its (row, species) key is among the truth's keys; the
@@ -186,15 +176,12 @@ def grid_search_top_k(
     hits = np.concatenate(([0], np.cumsum(truth_keys[np.searchsorted(truth_keys, keys)] == keys)))
     del keys
     truth_len = np.fromiter((len(set(truth[sid])) for sid in ids), np.int64, n)
-    row_start = np.concatenate(([0], np.cumsum(row_len)[:-1]))
+    row_len, row_start = np.diff(matrix.indptr), matrix.indptr[:-1]
     caps = np.array(k_caps, dtype=np.int64)[:, None]
 
     f1 = np.empty((len(thresholds), len(k_caps)))  # grid order when flattened
     for j, thr in enumerate(thresholds):
-        cleared = np.bincount(row[score >= thr], minlength=n)
-        kept = np.minimum(cleared, caps)  # one row per k_cap
-        if fallback_top1:
-            kept = np.where((cleared == 0) & (row_len > 0), 1, kept)
+        kept = _kept_counts(row, score, row_len, thr, caps, fallback_top1)  # one row per k_cap
         tp = hits[row_start + kept] - hits[row_start]
         denom = tp + ((kept - tp) + (truth_len - tp)) / 2.0
         per_survey = np.divide(tp, denom, out=np.ones(denom.shape), where=denom > 0)
@@ -216,23 +203,14 @@ def write_submission(predictions: Mapping[int, Iterable[int]], path: str, catalo
 def read_submission(path: str) -> dict[int, frozenset[int]]:
     """Read a submission file into per-survey raw-id sets."""
     out: dict[int, frozenset[int]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["surveyId", "predictions"]:
-            raise ParseError(f"{path}:1: expected header surveyId,predictions, got {header!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{line}: expected 2 fields, got {len(row)}")
-            try:
-                sid = int(row[0])
-                species = [int(tok) for tok in row[1].split()]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-            check_ids(path, line, row[0] + row[1], sid, *species)
-            if sid in out:
-                raise ParseError(f"{path}:{line}: duplicate survey id {sid}")
-            out[sid] = frozenset(species)
+    for line, row in csv_rows(path, ("surveyId", "predictions")):
+        try:
+            sid = int(row[0])
+            species = [int(tok) for tok in row[1].split()]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+        check_ids(path, line, row[0] + row[1], sid, *species)
+        if sid in out:
+            raise ParseError(f"{path}:{line}: duplicate survey id {sid}")
+        out[sid] = frozenset(species)
     return out

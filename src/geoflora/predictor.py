@@ -4,77 +4,109 @@ Two sources: a neighbour-frequency baseline (the fraction of a test point's
 k nearest training surveys containing each species, following the prior that
 geographic proximity implies ecological similarity) and score files produced
 by external models. Either way the result is a sparse score matrix with
-values in [0, 1]; absent entries are zero.
+values in [0, 1]; absent entries are zero. The baseline fills the matrix's
+CSR arrays from one sparse product (``neighbor_species_counts``).
 """
 
 from __future__ import annotations
 
-import csv
-from collections import Counter
+from array import array
 from typing import Mapping
 
 import numpy as np
+from scipy import sparse
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, SpeciesCatalog, check_ids
+from .ingest import Dataset, ParseError, SpeciesCatalog, check_ids, csv_rows
 
 # Neighbours per test survey in the baseline.
 DEFAULT_K = 10
+# Rows formatted per write in ``save_scores``; one join over the whole matrix costs tens of MB.
+_SAVE_CHUNK_ROWS = 256
 
 
 class ScoreMatrix:
-    """Sparse survey x species scores; row ids unique, stored values in [0, 1]."""
+    """Sparse survey x species scores in CSR form; row ids unique, stored values in [0, 1].
 
-    def __init__(self, num_species: int):
+    Row i holds survey ``ids[i]`` (ascending) with species ``species[indptr[i]:indptr[i + 1]]``
+    (ascending) scored ``scores[indptr[i]:indptr[i + 1]]``. The arrays are read-only.
+    """
+
+    def __init__(self, num_species: int, ids=(), indptr=(0,), species=(), scores=()):
+        """Check the arrays once, vectorised; rows may come in any id order and entries in any species order."""
         if num_species < 0:
             raise ValueError("num_species must be >= 0")
         self.num_species = int(num_species)
-        self._rows: dict[int, dict[int, float]] = {}
+        ids, indptr, species = (np.asarray(a, dtype=np.int64) for a in (ids, indptr, species))
+        scores = np.asarray(scores, dtype=np.float64)
+        row_len = np.diff(indptr)
+        if indptr.shape != (ids.size + 1,) or indptr[0] != 0 or not species.shape == scores.shape == (indptr[-1],):
+            raise ValueError("malformed CSR arrays")
+        by_id = np.argsort(ids, kind="stable")
+        dup = np.flatnonzero(np.diff(ids[by_id]) == 0)
+        if dup.size:
+            raise ValueError(f"duplicate survey id {ids[by_id[dup[0]]]}")
+        sid = np.repeat(ids, row_len)
+        bad = np.flatnonzero((species < 0) | (species >= self.num_species))
+        if bad.size:
+            raise ValueError(f"species index {species[bad[0]]} out of range [0, {self.num_species})")
+        bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+        if bad.size:
+            raise ValueError(f"score {scores[bad[0]]} for survey {sid[bad[0]]}, species {species[bad[0]]} outside [0, 1]")
+        order = np.lexsort((species, sid))
+        sid, species, scores = sid[order], species[order], scores[order]
+        dup = np.flatnonzero((sid[1:] == sid[:-1]) & (species[1:] == species[:-1]))
+        if dup.size:
+            raise ValueError(f"duplicate score for survey {sid[dup[0]]}, species {species[dup[0]]}")
+        indptr = np.concatenate(([0], np.cumsum(row_len[by_id])))
+        self.ids, self.indptr, self.species, self.scores = ids[by_id], indptr, species, scores
+        for a in (self.ids, self.indptr, self.species, self.scores):
+            a.flags.writeable = False
 
     def add_row(self, survey_id: int, scores: Mapping[int, float]) -> None:
-        if survey_id in self._rows:
-            raise ValueError(f"duplicate survey id {survey_id}")
-        row: dict[int, float] = {}
-        for sp, val in scores.items():
-            if not 0 <= sp < self.num_species:
-                raise ValueError(f"species index {sp} out of range [0, {self.num_species})")
-            val = float(val)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"score {val} for survey {survey_id}, species {sp} outside [0, 1]")
-            row[int(sp)] = val
-        self._rows[int(survey_id)] = row
+        """Add one survey's row; it rebuilds the arrays, so build large matrices with the constructor."""
+        ids, indptr = np.append(self.ids, survey_id), np.append(self.indptr, self.indptr[-1] + len(scores))
+        grown = ScoreMatrix(self.num_species, ids, indptr, [*self.species, *scores.keys()], [*self.scores, *scores.values()])
+        self.ids, self.indptr, self.species, self.scores = grown.ids, grown.indptr, grown.species, grown.scores
 
     def row(self, survey_id: int) -> dict[int, float]:
-        return dict(self._rows[survey_id])
+        i = int(np.searchsorted(self.ids, survey_id))
+        if i == self.ids.size or self.ids[i] != survey_id:
+            raise KeyError(survey_id)
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return dict(zip(self.species[a:b].tolist(), self.scores[a:b].tolist()))
 
     def survey_ids(self) -> list[int]:
-        return sorted(self._rows)
+        return self.ids.tolist()
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stored entry as flat arrays, rows in survey-id order.
-
-        Returns each row's entry count, then the species index and the score
-        of every entry, row after row.
-        """
-        rows = [self._rows[sid] for sid in self.survey_ids()]
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        total = int(counts.sum())
-        species = np.fromiter((sp for row in rows for sp in row), np.int64, total)
-        scores = np.fromiter((val for row in rows for val in row.values()), np.float64, total)
-        return counts, species, scores
+        """Each row's entry count, then the species index and score of every entry, rows in survey-id order."""
+        return np.diff(self.indptr), self.species, self.scores
 
     def __contains__(self, survey_id: int) -> bool:
-        return survey_id in self._rows
+        return survey_id in self.ids
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return int(self.ids.size)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScoreMatrix)
-            and self.num_species == other.num_species
-            and self._rows == other._rows
-        )
+        same = isinstance(other, ScoreMatrix) and self.num_species == other.num_species
+        return same and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in ("ids", "indptr", "species", "scores"))
+
+
+def neighbor_species_counts(reference: Dataset, lats_deg, lons_deg, k: int) -> tuple[sparse.csr_matrix, int]:
+    """How many of each query point's k nearest reference surveys hold each species.
+
+    Returns the counts as a queries x species CSR matrix and the denominator
+    min(k, len(reference)); the counts are a selection matrix with a 1 per
+    neighbour of each query times the reference's species CSR.
+    """
+    pos, _ = GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats_deg), np.radians(lons_deg), k)
+    (m, kk), n = pos.shape, len(reference)
+    select = sparse.csr_matrix((np.ones(pos.size, dtype=np.int32), pos.ravel(), np.arange(m + 1) * kk), shape=(m, n))
+    sp_ptr, sp_idx = reference.species_csr()
+    species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=np.int32), sp_idx, sp_ptr), shape=(n, int(sp_idx.max(initial=-1)) + 1))
+    return select @ species, kk
 
 
 def neighbor_frequency_predict(train: Dataset, test: Dataset, k: int, *, num_species: int | None = None) -> ScoreMatrix:
@@ -85,72 +117,60 @@ def neighbor_frequency_predict(train: Dataset, test: Dataset, k: int, *, num_spe
     When the training set holds fewer than k surveys, all of them vote and
     the denominator shrinks to match.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if len(train) == 0:
         raise ValueError("training dataset is empty")
-    if num_species is None:
-        num_species = 1 + max((max(s) for s in train.species if s), default=-1)
-    matrix = ScoreMatrix(num_species)
-    if len(test) == 0:
-        return matrix
-    index = GeoIndex.from_dataset(train)
-    pos, _ = index.knn_query_many(np.radians(test.lats), np.radians(test.lons), k)
-    denom = pos.shape[1]
-    for i in range(len(test)):
-        counts: Counter[int] = Counter()
-        for p in pos[i]:
-            counts.update(train.species[p])
-        matrix.add_row(int(test.ids[i]), {sp: c / denom for sp, c in counts.items()})
-    return matrix
+    counts, denom = neighbor_species_counts(train, test.lats, test.lons, k)
+    num_species = counts.shape[1] if num_species is None else num_species
+    return ScoreMatrix(num_species, test.ids, counts.indptr, counts.indices, counts.data / denom)
 
 
 def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None:
-    """Write scores as surveyId,speciesId,score triplets (raw species ids).
+    """Write scores as surveyId,speciesId,score triplets (raw species ids), ordered by survey then species.
 
-    Load after save restores every stored entry exactly; rows holding no
-    entries have nothing to serialise and are dropped.
+    Load after save restores every stored entry exactly (scores as their
+    shortest ``repr``); rows holding no entries have nothing to serialise and
+    are dropped.
     """
+    raw_txt = np.array([f",{r}," for r in catalog.dense_to_raw.tolist()], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,speciesId,score\n")
-        for sid in matrix.survey_ids():
-            row = matrix.row(sid)
-            for raw, val in sorted((catalog.to_raw(sp), val) for sp, val in row.items()):
-                f.write(f"{sid},{raw},{val!r}\n")
+        for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
+            ids, ptr = matrix.ids[start : start + _SAVE_CHUNK_ROWS], matrix.indptr[start : start + _SAVE_CHUNK_ROWS + 1]
+            row_len = np.diff(ptr)
+            raw = catalog.dense_to_raw[matrix.species[ptr[0] : ptr[-1]]]
+            entry = ptr[0] + np.lexsort((raw, np.repeat(ids, row_len)))  # raw ids ascend within each row
+            bits, inv = np.unique(matrix.scores[entry].view(np.int64), return_inverse=True)  # one repr per bit pattern
+            sid_txt = np.repeat(np.array([str(i) for i in ids.tolist()], dtype=object), row_len)
+            score_txt = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)[inv]
+            f.write("".join(np.column_stack((sid_txt, raw_txt[matrix.species[entry]], score_txt)).ravel().tolist()))
 
 
 def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
-    """Read a triplet score file back into a matrix.
-
-    Scores outside [0, 1] and species ids absent from the catalog are
-    rejected with the offending location.
-    """
-    rows: dict[int, dict[int, float]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["surveyId", "speciesId", "score"]:
-            raise ParseError(f"{path}:1: expected header surveyId,speciesId,score, got {header!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{line}: expected 3 fields, got {len(row)}")
-            try:
-                sid = int(row[0])
-                raw = int(row[1])
-                val = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-            check_ids(path, line, row[0] + row[1], sid, raw)
-            if not row[2].isascii() or "_" in row[2]:  # float() also reads "_" separators and non-ASCII digits
-                raise ParseError(f"{path}:{line}: malformed row: score must be an ASCII decimal number")
-            if raw not in catalog.raw_to_dense:
-                raise ParseError(f"{path}:{line}: unknown species id {raw}")
-            if not 0.0 <= val <= 1.0:
-                raise ParseError(f"{path}:{line}: score {val} for survey {sid}, species {raw} outside [0, 1]")
-            rows.setdefault(sid, {})[catalog.to_dense(raw)] = val
-    matrix = ScoreMatrix(len(catalog))
-    for sid in sorted(rows):
-        matrix.add_row(sid, rows[sid])
-    return matrix
+    """Read a triplet score file back into a matrix; a score outside [0, 1], a species id absent from the
+    catalog or a repeated (survey, species) pair is rejected with its location."""
+    sids, species, scores, lines = array("q"), array("q"), array("d"), array("q")  # 8 bytes a value, unlike a list
+    for line, row in csv_rows(path, ("surveyId", "speciesId", "score")):
+        try:
+            sid, raw, val = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+        check_ids(path, line, row[0] + row[1], sid, raw)
+        if not row[2].isascii() or "_" in row[2]:  # float() also reads "_" separators and non-ASCII digits
+            raise ParseError(f"{path}:{line}: malformed row: score must be an ASCII decimal number")
+        dense = catalog.raw_to_dense.get(raw)
+        if dense is None:
+            raise ParseError(f"{path}:{line}: unknown species id {raw}")
+        if not 0.0 <= val <= 1.0:
+            raise ParseError(f"{path}:{line}: score {val} for survey {sid}, species {raw} outside [0, 1]")
+        sids.append(sid)
+        species.append(dense)
+        scores.append(val)
+        lines.append(line)
+    sid, dense = np.asarray(sids), np.asarray(species)
+    order = np.lexsort((dense, sid))  # stable: a repeated pair keeps its file order
+    dup = np.flatnonzero((np.diff(sid[order]) == 0) & (np.diff(dense[order]) == 0))
+    if dup.size:
+        e = order[dup + 1].min()  # the first repeat in the file
+        raise ParseError(f"{path}:{lines[e]}: duplicate score for survey {sid[e]}, species {catalog.to_raw(dense[e])}")
+    ids, row_len = np.unique(sid, return_counts=True)
+    return ScoreMatrix(len(catalog), ids, np.concatenate(([0], np.cumsum(row_len))), dense[order], np.asarray(scores)[order])

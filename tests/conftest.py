@@ -41,6 +41,24 @@ def random_points(rng: np.random.Generator, n: int, *, lat_span=(-89.0, 89.0), l
     return np.sort(ids), lats, lons
 
 
+def random_surveys(rng: np.random.Generator, n: int, num_species: int, *, empty_fraction=0.2) -> Dataset:
+    """Surveys in a small box with duplicated coordinates (distance ties); some hold no species."""
+    ids, lats, lons = random_points(rng, n, lat_span=(40.0, 42.0), lon_span=(0.0, 3.0), duplicate_fraction=0.3)
+    species = [
+        frozenset() if rng.random() < empty_fraction else frozenset(rng.choice(num_species, int(rng.integers(1, 5)), replace=False).tolist())
+        for _ in range(n)
+    ]
+    return Dataset(ids, lats, lons, species)
+
+
+def query_coordinates(rng: np.random.Generator, reference: Dataset, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m query points, half of them on reference coordinates, where neighbours tie."""
+    on = rng.integers(0, len(reference), m // 2) if len(reference) else np.empty(0, dtype=np.int64)
+    lats = np.concatenate((reference.lats[on], rng.uniform(40.0, 42.0, m - on.size)))
+    lons = np.concatenate((reference.lons[on], rng.uniform(0.0, 3.0, m - on.size)))
+    return lats, lons
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20250810)

@@ -10,6 +10,7 @@ implementation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -44,6 +45,38 @@ def brute_knn(ids, lats_deg, lons_deg, center: GeoPoint, k: int) -> list[tuple[i
     d = haversine_km_arrays(center.lat_rad, center.lon_rad, np.radians(lats_deg), np.radians(lons_deg))
     order = np.lexsort((ids, d))[: min(k, ids.size)]
     return [(int(ids[o]), float(d[o])) for o in order]
+
+
+def _neighbor_counts(reference: Dataset, lat_deg: float, lon_deg: float, k: int) -> tuple[Counter, int]:
+    """Species counts over the min(k, n) nearest reference surveys (``brute_knn``), and that denominator."""
+    near = brute_knn(reference.ids, reference.lats, reference.lons, GeoPoint.from_degrees(lat_deg, lon_deg), k)
+    position = {int(sid): i for i, sid in enumerate(reference.ids)}
+    counts: Counter = Counter()
+    for sid, _ in near:
+        counts.update(reference.species[position[sid]])
+    return counts, len(near)
+
+
+def neighbor_frequency_oracle(train: Dataset, test: Dataset, k: int) -> dict[int, dict[int, float]]:
+    """Per test survey, count / denominator of each species among its k nearest training surveys."""
+    out = {}
+    for i, sid in enumerate(test.ids):
+        counts, denom = _neighbor_counts(train, float(test.lats[i]), float(test.lons[i]), k)
+        out[int(sid)] = {sp: c / denom for sp, c in counts.items()}
+    return out
+
+
+def neighbor_vote_oracle(reference: Dataset, lats_deg, lons_deg, neighbor_count: int, min_frequency: float, strictly_greater: bool) -> list[frozenset[int]]:
+    """Per query point, the species whose frequency among its nearest reference surveys clears ``min_frequency``."""
+    out = []
+    for lat, lon in zip(lats_deg, lons_deg):
+        if len(reference) == 0:
+            out.append(frozenset())
+            continue
+        counts, denom = _neighbor_counts(reference, float(lat), float(lon), neighbor_count)
+        freq = {sp: c / denom for sp, c in counts.items()}
+        out.append(frozenset(sp for sp, f in freq.items() if (f > min_frequency if strictly_greater else f >= min_frequency)))
+    return out
 
 
 def box_members_oracle(dataset: Dataset, i: int, cfg: MergeConfig) -> np.ndarray:

@@ -440,6 +440,17 @@ class TestPostprocessKeying:
         assert err.endswith(", ...] (116 in total)\n")
         assert not output.exists()
 
+    def test_repeated_score_row_is_one_error_line(self, tmp_path, capsys, fixture_scores):
+        sid, species, _ = fixture_scores.read_text().splitlines()[1].split(",")
+        with open(fixture_scores, "a") as f:
+            f.write(f"{sid},{species},0.9\n")
+        line = len(fixture_scores.read_text().splitlines())
+        capsys.readouterr()
+        output = tmp_path / "sub.csv"
+        assert self.postprocess(fixture_scores, f"{FIXTURES}/test.csv", output) == 1
+        assert capsys.readouterr().err == f"error: {fixture_scores}:{line}: duplicate score for survey {sid}, species {species}\n"
+        assert not output.exists()
+
     def test_submission_covers_exactly_the_test_surveys(self, tmp_path, capsys, five_test_surveys, fixture_scores):
         test_ids = [int(line.split(",")[0]) for line in fixture_lines("test.csv")[1:6]]
         kept = [line for line in fixture_scores.read_text().splitlines()[1:] if int(line.split(",")[0]) in test_ids[:3]]

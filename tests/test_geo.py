@@ -148,6 +148,32 @@ class TestGeoIndex:
             got = [(int(ids[p]), float(d)) for p, d in zip(pos[i], dist[i])]
             assert got == brute_knn(ids, lats, lons, P(q_lat[i], q_lon[i]), 5)
 
+    @pytest.mark.parametrize("k", [3, 260, 300])
+    def test_bulk_knn_mixed_batch_matches_brute_force(self, rng, k):
+        # one batch: queries inside 200 co-located points (k = 3 takes the three lowest ids),
+        # next to the cluster and far from everything; k = 260 and 300 are at least n
+        ids = np.sort(rng.choice(np.arange(1, 5001), 260, replace=False))
+        lats = np.concatenate((np.full(200, 45.0), rng.uniform(-80, 80, 60)))
+        lons = np.concatenate((np.full(200, 7.0), rng.uniform(-180, 180, 60)))
+        order = rng.permutation(260)  # the cluster's ids are not in position order
+        ids, lats, lons = ids[order], lats[order], lons[order]
+        idx = GeoIndex(ids, lats, lons)
+        q_lat = np.concatenate(([45.0, 45.0, 45.001], rng.uniform(-80, 80, 7)))
+        q_lon = np.concatenate(([7.0, 7.0, 7.002], rng.uniform(-180, 180, 7)))
+        pos, dist = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), k)
+        assert pos.shape == dist.shape == (10, min(k, 260))
+        for i in range(10):
+            got = [(int(ids[p]), float(d)) for p, d in zip(pos[i], dist[i])]
+            assert got == brute_knn(ids, lats, lons, P(q_lat[i], q_lon[i]), k)
+        assert [g[0] for g in brute_knn(ids, lats, lons, P(45.0, 7.0), 3)] == sorted(ids[lats == 45.0])[:3]
+
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_bulk_knn_without_queries_is_empty(self, rng, k):
+        idx = GeoIndex(*random_points(rng, 20))
+        pos, dist = idx.knn_query_many(np.empty(0), np.empty(0), k)
+        assert pos.shape == dist.shape == (0, min(k, 20))
+        assert pos.dtype == np.intp and dist.dtype == np.float64
+
     @pytest.mark.parametrize("radius_km", [0.0, 750.0])
     def test_pairs_within_cover_every_pair_in_the_ball(self, rng, radius_km):
         ids, lats, lons = random_points(rng, 300)

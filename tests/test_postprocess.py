@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, query_coordinates, random_surveys
 from geoflora.ingest import ParseError, SpeciesCatalog
 from geoflora.losses import samples_f1
 from geoflora.postprocess import (
@@ -17,11 +17,13 @@ from geoflora.postprocess import (
     finalize,
     grid_search_top_k,
     neighbor_vote,
+    neighbor_vote_many,
     read_submission,
     threshold_top_k,
     write_submission,
 )
 from geoflora.predictor import ScoreMatrix
+from oracles import neighbor_vote_oracle
 
 SCORES = {0: 0.9, 1: 0.6, 2: 0.4}  # A, B, C
 
@@ -93,6 +95,24 @@ class TestThresholdTopK:
         lo, hi = min(t1, t2), max(t1, t2)
         assert threshold_top_k(scores, TopKConfig(hi, k_cap)) <= threshold_top_k(scores, TopKConfig(lo, k_cap))
 
+    @given(scored_surveys(), tied_scores, st.integers(1, 6), st.booleans())
+    def test_apply_top_k_equals_threshold_top_k_per_row(self, surveys, threshold, k_cap, fallback_top1):
+        matrix, _ = surveys
+        cfg = TopKConfig(threshold, k_cap, fallback_top1)
+        assert apply_top_k(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+
+    @pytest.mark.parametrize("fallback_top1", [False, True])
+    def test_apply_top_k_equals_threshold_top_k_on_random_matrices(self, rng, fallback_top1):
+        for _ in range(10):
+            n, num_species = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+            row_len = rng.integers(0, num_species + 1, n)  # empty rows included
+            species = np.concatenate([rng.choice(num_species, r, replace=False) for r in row_len] + [np.empty(0, np.int64)])
+            scores = rng.integers(0, 5, species.size) / 4  # few distinct values: ties within rows and with thresholds
+            matrix = ScoreMatrix(num_species, rng.permutation(10 * n)[:n], np.concatenate(([0], np.cumsum(row_len))), species, scores)
+            for threshold in (0.0, 0.5, 0.6, 1.0):
+                cfg = TopKConfig(threshold, int(rng.integers(1, 8)), fallback_top1)
+                assert apply_top_k(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TopKConfig(1.5, 3)
@@ -144,6 +164,17 @@ class TestNeighborVote:
     def test_empty_reference_votes_nothing(self):
         rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
         assert neighbor_vote(rec, make_dataset([]), OOD_VOTE) == frozenset()
+
+    @pytest.mark.parametrize("strictly_greater", [True, False])
+    @pytest.mark.parametrize("neighbor_count", [1, 4, 6, 300])
+    def test_bulk_votes_equal_the_oracle(self, rng, neighbor_count, strictly_greater):
+        # 300 neighbours exceed every reference; co-located surveys tie in distance; 0.5 of 4 or 6 ties the threshold
+        for size in (0, 1, 5, 60, 150):
+            reference = random_surveys(rng, size, 8)
+            lats, lons = query_coordinates(rng, reference, 30)
+            for min_frequency in (0.25, 0.5, 1.0):
+                got = neighbor_vote_many(lats, lons, reference, VoteConfig(neighbor_count, min_frequency, strictly_greater))
+                assert got == neighbor_vote_oracle(reference, lats, lons, neighbor_count, min_frequency, strictly_greater)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

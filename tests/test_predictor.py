@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
-from geoflora.ingest import ParseError, SpeciesCatalog
+from conftest import make_dataset, query_coordinates, random_surveys
+from geoflora.ingest import Dataset, ParseError, SpeciesCatalog
 from geoflora.predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, save_scores
 from geoflora.synth import identity_catalog, uniform_surveys
+from oracles import neighbor_frequency_oracle
 
 
 def query_points(rows):
@@ -68,6 +69,23 @@ class TestNeighborFrequency:
             neighbor_frequency_predict(make_dataset([]), test, 1)
 
 
+    @pytest.mark.parametrize("k", [1, 3, 10, 500])
+    def test_scores_equal_the_oracle_bit_for_bit(self, rng, k):
+        # k = 500 exceeds every training set; co-located surveys tie in distance
+        for _ in range(6):
+            train = random_surveys(rng, int(rng.integers(1, 150)), 12)
+            lats, lons = query_coordinates(rng, train, 40)
+            test = Dataset(np.arange(1, 41, dtype=np.int64), lats, lons, [frozenset()] * 40)
+            m = neighbor_frequency_predict(train, test, k, num_species=12)
+            assert m.survey_ids() == test.ids.tolist()
+            assert {sid: m.row(sid) for sid in m.survey_ids()} == neighbor_frequency_oracle(train, test, k)
+
+    def test_training_surveys_without_species_give_empty_rows(self):
+        train = make_dataset([(1, 0.0, 0.0, set()), (2, 0.01, 0.0, {4})])
+        m = neighbor_frequency_predict(train, query_points([(100, 0.0, 0.0), (101, 5.0, 5.0)]), 1, num_species=5)
+        assert m.row(100) == {} and m.row(101) == {4: 1.0}
+
+
 class TestScoreMatrix:
     def test_row_validation(self):
         m = ScoreMatrix(10)
@@ -78,6 +96,24 @@ class TestScoreMatrix:
             m.add_row(2, {0: 1.2})
         with pytest.raises(ValueError, match="out of range"):
             m.add_row(3, {10: 0.5})
+
+    def test_array_constructor_orders_rows_and_entries(self):
+        m = ScoreMatrix(5, [9, 2], [0, 2, 3], [4, 1, 0], [0.5, 0.25, 1.0])
+        assert m.survey_ids() == [2, 9] and list(m.row(9).items()) == [(1, 0.25), (4, 0.5)]
+        built = ScoreMatrix(5)
+        built.add_row(9, {4: 0.5, 1: 0.25})
+        built.add_row(2, {0: 1.0})
+        assert m == built and 9 in m and 3 not in m and len(m) == 2
+        with pytest.raises(KeyError):
+            m.row(3)
+        with pytest.raises(ValueError):
+            m.scores[0] = 0.0  # the arrays are read-only
+
+    def test_array_constructor_rejects_a_repeated_species_in_a_row(self):
+        with pytest.raises(ValueError, match="duplicate score for survey 9, species 4"):
+            ScoreMatrix(5, [9], [0, 2], [4, 4], [0.5, 0.25])
+        with pytest.raises(ValueError, match="malformed"):
+            ScoreMatrix(5, [9], [0, 3], [4, 4], [0.5, 0.25])
 
     def test_round_trip_empty(self, tmp_path):
         catalog = SpeciesCatalog(np.arange(5, dtype=np.int64))
@@ -144,6 +180,13 @@ class TestScoreMatrix:
         path.write_text("surveyId,speciesId,score\n1,7,5e-01\n2,7,+1E+00\n")
         matrix = load_scores(str(path), catalog)
         assert matrix.row(1) == {0: 0.5} and matrix.row(2) == {0: 1.0}
+
+    def test_load_rejects_a_repeated_survey_species_pair(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([7, 9], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_text("surveyId,speciesId,score\n1,7,0.5\n2,7,0.1\n1,9,0.2\n\n2,9,0.3\n1,7,0.9\n2,7,0.4\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:7: duplicate score for survey 1, species 7$"):
+            load_scores(str(path), catalog)
 
     def test_load_rejects_unknown_species(self, tmp_path):
         catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
