@@ -91,7 +91,7 @@ def write_long(dataset: Dataset, path: Path, catalog: SpeciesCatalog) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,lat,lon,speciesId\n")
         for i in range(len(dataset)):
-            for raw in sorted(catalog.to_raw(d) for d in dataset.species[i]):
+            for raw in catalog.raw_ids(dataset.species[i]):
                 f.write(f"{int(dataset.ids[i])},{dataset.lats[i]:.7f},{dataset.lons[i]:.7f},{raw}\n")
 
 

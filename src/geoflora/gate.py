@@ -8,7 +8,6 @@ prediction, with no mixing inside a survey.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .geo import GeoIndex
-from .ingest import Dataset
+from .ingest import Dataset, ParseError, csv_rows
 
 DEFAULT_GATE_RADIUS_KM = 10.0
 
@@ -48,7 +47,7 @@ def assign(
     An empty PA dataset routes everything out-of-distribution with an
     infinite nearest distance. Output is ordered by survey id.
     """
-    if gate_radius_km < 0:
+    if not gate_radius_km >= 0:  # written so that NaN fails too
         raise ValueError("gate_radius_km must be >= 0")
     n = len(test_dataset)
     if len(pa_dataset) == 0:
@@ -91,14 +90,11 @@ def write_assignments(assignments: list[GateAssignment], path: str) -> None:
 
 
 def read_assignments(path: str) -> list[GateAssignment]:
+    """Read an assignment file; a malformed row is rejected with its location."""
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["surveyId", "side", "nearestPaKm"]:
-            raise ValueError(f"{path}: not an assignment file (header {header!r})")
-        for row in reader:
-            if not row:
-                continue
+    for line, row in csv_rows(path, ("surveyId", "side", "nearestPaKm")):
+        try:
             out.append(GateAssignment(int(row[0]), Side(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
     return out

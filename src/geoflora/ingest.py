@@ -9,8 +9,9 @@ Two comma-delimited, UTF-8 file shapes are supported (header row required):
 
 Raw species identifiers are remapped to dense indices [0, S) at ingestion;
 all downstream math runs on dense indices and submissions map back to raw
-ids. Dense indices are assigned by ascending raw id, so any two files
-covering the same species produce identical mappings.
+ids. A catalog holds its raw ids in strictly ascending order and dense index
+d is the d-th of them, so any two files covering the same species produce
+identical mappings and ascending dense indices decode to ascending raw ids.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,61 +105,41 @@ class SurveyRecord:
 
 
 class SpeciesCatalog:
-    """Bidirectional raw id <-> dense index map with per-species survey counts.
+    """Raw species ids in strictly ascending order; dense index ``d`` means raw id ``dense_to_raw[d]``.
 
-    ``occurrence_count[d]`` is the number of surveys containing species ``d``
-    in the data the catalog was built from; summed over species it equals the
-    total number of distinct (survey, species) pairs.
+    Dense order is raw order, so ascending dense indices decode to ascending
+    raw ids, and the catalog over a given set of raw ids is unique.
     """
 
-    __slots__ = ("raw_to_dense", "dense_to_raw", "occurrence_count")
+    __slots__ = ("raw_to_dense", "dense_to_raw", "_raw")
 
-    def __init__(self, dense_to_raw, occurrence_count=None):
+    def __init__(self, dense_to_raw):
         self.dense_to_raw = np.asarray(dense_to_raw, dtype=np.int64)
-        if occurrence_count is None:
-            occurrence_count = np.zeros(self.dense_to_raw.size, dtype=np.int64)
-        self.occurrence_count = np.asarray(occurrence_count, dtype=np.int64)
-        if self.occurrence_count.shape != self.dense_to_raw.shape:
-            raise ValueError("occurrence_count length must match dense_to_raw")
-        self.raw_to_dense = {int(raw): d for d, raw in enumerate(self.dense_to_raw)}
-        if len(self.raw_to_dense) != self.dense_to_raw.size:
-            raise ValueError("duplicate raw species id in catalog")
-
-    @classmethod
-    def from_species_sets(cls, species_sets: Iterable[Iterable[int]]) -> "SpeciesCatalog":
-        """Build a catalog (sorted raw ids, counted occurrences) from raw id sets."""
-        counts: dict[int, int] = {}
-        for s in species_sets:
-            for raw in set(s):
-                counts[raw] = counts.get(raw, 0) + 1
-        raws = sorted(counts)
-        return cls(np.array(raws, dtype=np.int64), np.array([counts[r] for r in raws], dtype=np.int64))
+        if np.any(np.diff(self.dense_to_raw) <= 0):
+            raise ValueError("raw species ids must be strictly ascending, without duplicates")
+        self._raw = self.dense_to_raw.tolist()
+        self.raw_to_dense = {raw: d for d, raw in enumerate(self._raw)}
 
     @staticmethod
     def union(catalogs: Sequence["SpeciesCatalog"]) -> "SpeciesCatalog":
-        """Merged catalog over several datasets; counts are summed per raw id."""
-        counts: dict[int, int] = {}
-        for cat in catalogs:
-            for raw, cnt in zip(cat.dense_to_raw, cat.occurrence_count):
-                counts[int(raw)] = counts.get(int(raw), 0) + int(cnt)
-        raws = sorted(counts)
-        return SpeciesCatalog(np.array(raws, dtype=np.int64), np.array([counts[r] for r in raws], dtype=np.int64))
+        """The catalog over every raw id of ``catalogs``."""
+        return SpeciesCatalog(np.unique(np.concatenate([c.dense_to_raw for c in catalogs])))
 
     def to_dense(self, raw: int) -> int:
         return self.raw_to_dense[raw]
 
     def to_raw(self, dense: int) -> int:
-        return int(self.dense_to_raw[dense])
+        return self._raw[dense]
+
+    def raw_ids(self, species: Iterable[int]) -> list[int]:
+        """A set of dense indices as its raw ids, ascending."""
+        return [self._raw[d] for d in sorted(species)]
 
     def __len__(self) -> int:
-        return int(self.dense_to_raw.size)
+        return len(self._raw)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpeciesCatalog)
-            and np.array_equal(self.dense_to_raw, other.dense_to_raw)
-            and np.array_equal(self.occurrence_count, other.occurrence_count)
-        )
+        return isinstance(other, SpeciesCatalog) and np.array_equal(self.dense_to_raw, other.dense_to_raw)
 
 
 @dataclass
@@ -249,8 +230,7 @@ def parse_occurrences(
     agree on coordinates to within 1e-6 degrees. Output is sorted
     by survey id, so row order never affects the result. If ``catalog`` is
     given its mapping is reused (every species in the file must be present in
-    it and its counts are left untouched); otherwise a fresh catalog is built
-    from this file.
+    it); otherwise the catalog is this file's raw ids, ascending.
 
     ``kind`` enables emptiness checks: TEST surveys must carry no species,
     training surveys must carry at least one.
@@ -305,7 +285,7 @@ def parse_occurrences(
                 grp.raw_species.update(raw_species)
 
     if catalog is None:
-        catalog = SpeciesCatalog.from_species_sets(g.raw_species for g in groups.values())
+        catalog = SpeciesCatalog(sorted(set().union(*(g.raw_species for g in groups.values()))))
 
     order = sorted(groups)
     ids = np.fromiter(order, dtype=np.int64, count=len(order))
@@ -340,16 +320,18 @@ def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,lat,lon,speciesIds\n")
         for i in range(len(dataset)):
-            raw = sorted(catalog.to_raw(d) for d in dataset.species[i])
             f.write(
                 f"{int(dataset.ids[i])},{dataset.lats[i]:.7f},{dataset.lons[i]:.7f},"
-                f"{' '.join(map(str, raw))}\n"
+                f"{' '.join(map(str, catalog.raw_ids(dataset.species[i])))}\n"
             )
 
 
 def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) -> Dataset:
-    """Re-encode a dataset's dense species indices from one catalog to another."""
-    remap = {d: new.to_dense(old.to_raw(d)) for d in range(len(old))}
+    """Re-encode a dataset's dense species indices from one catalog to another.
+
+    Every raw id of ``old`` must be in ``new``; both ascend, so the remap is monotone.
+    """
+    remap = [new.to_dense(raw) for raw in old.dense_to_raw.tolist()]
     species = [frozenset(remap[d] for d in s) for s in dataset.species]
     return Dataset(dataset.ids, dataset.lats, dataset.lons, species)
 
@@ -357,6 +339,6 @@ def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) 
 def decode_species(dataset: Dataset, catalog: SpeciesCatalog) -> dict[int, frozenset[int]]:
     """Per-survey raw-id species sets, e.g. for metric computation on files."""
     return {
-        int(dataset.ids[i]): frozenset(catalog.to_raw(d) for d in dataset.species[i])
+        int(dataset.ids[i]): frozenset(catalog.raw_ids(dataset.species[i]))
         for i in range(len(dataset))
     }

@@ -58,9 +58,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         """Check every value up front, so a bad one fails before any file is read or written."""
-        if self.predict_k < 1:
+        if not self.predict_k >= 1:  # written so that NaN fails too
             raise RangeError("predict_k", ">= 1", self.predict_k)
-        if self.gate_radius_km < 0:
+        if not self.gate_radius_km >= 0:
             raise RangeError("gate_radius_km", ">= 0", self.gate_radius_km)
         self.merge_config()
         for side, prefix in ((Side.IN_DISTRIBUTION, "in_"), (Side.OUT_OF_DISTRIBUTION, "ood_")):

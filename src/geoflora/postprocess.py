@@ -196,8 +196,7 @@ def write_submission(predictions: Mapping[int, Iterable[int]], path: str, catalo
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,predictions\n")
         for sid in sorted(predictions):
-            raw = sorted(catalog.to_raw(sp) for sp in predictions[sid])
-            f.write(f"{sid},{' '.join(map(str, raw))}\n")
+            f.write(f"{sid},{' '.join(map(str, catalog.raw_ids(predictions[sid])))}\n")
 
 
 def read_submission(path: str) -> dict[int, frozenset[int]]:

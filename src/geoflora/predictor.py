@@ -137,8 +137,7 @@ def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None
         for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
             ids, ptr = matrix.ids[start : start + _SAVE_CHUNK_ROWS], matrix.indptr[start : start + _SAVE_CHUNK_ROWS + 1]
             row_len = np.diff(ptr)
-            raw = catalog.dense_to_raw[matrix.species[ptr[0] : ptr[-1]]]
-            entry = ptr[0] + np.lexsort((raw, np.repeat(ids, row_len)))  # raw ids ascend within each row
+            entry = slice(ptr[0], ptr[-1])  # species ascend within each row, so their raw ids do too
             bits, inv = np.unique(matrix.scores[entry].view(np.int64), return_inverse=True)  # one repr per bit pattern
             sid_txt = np.repeat(np.array([str(i) for i in ids.tolist()], dtype=object), row_len)
             score_txt = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)[inv]

@@ -72,9 +72,9 @@ class MergeConfig:
     rare_count_threshold: int = 100
 
     def __post_init__(self) -> None:
-        if self.box_half_km <= 0:
+        if not self.box_half_km > 0:  # written so that NaN fails too
             raise RangeError("box_half_km", "positive", self.box_half_km)
-        if self.rare_count_threshold < 1:
+        if not self.rare_count_threshold >= 1:
             raise RangeError("rare_count_threshold", ">= 1", self.rare_count_threshold)
 
 

@@ -70,11 +70,11 @@ def clustered_surveys(
 def identity_catalog(dataset: Dataset, num_species: int | None = None, *, raw_offset: int = 0, raw_step: int = 1) -> SpeciesCatalog:
     """A catalog whose raw ids are an affine function of the dense indices.
 
-    Counts come from the dataset, so catalog invariants hold. A step > 1 or a
-    nonzero offset keeps raw and dense id spaces visibly distinct in files.
+    It covers every species index of the dataset, and at least ``num_species``.
+    A step > 1 or a nonzero offset keeps raw and dense id spaces visibly
+    distinct in files.
     """
     if raw_step < 1:
         raise ValueError("raw_step must be >= 1")
-    counts = dataset.species_counts(num_species)
-    raws = raw_offset + raw_step * np.arange(counts.size, dtype=np.int64)
-    return SpeciesCatalog(raws, counts)
+    size = max([num_species or 0, *(max(s) + 1 for s in dataset.species if s)])
+    return SpeciesCatalog(raw_offset + raw_step * np.arange(size, dtype=np.int64))

@@ -30,7 +30,9 @@ class TestBasicCommands:
         out = tmp_path / "wide.csv"
         assert run(["ingest", "--input", str(src), "--output", str(out)]) == 0
         assert out.read_text() == "surveyId,lat,lon,speciesIds\n1,0.0000000,0.0000000,10\n2,1.0000000,2.0000000,10 30\n"
-        assert "2 surveys" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "2 surveys" in printed
+        assert f"{src}: 2 surveys, 2 species, 3 (survey, species) pairs\n" in printed
 
     def test_stats_writes_reports(self, pair_file, tmp_path):
         outdir = tmp_path / "stats"
@@ -320,6 +322,14 @@ class TestConfig:
         assert {f.name for f in fields(pipeline.PipelineConfig)} == PIPELINE_KEYS
         golden = json.loads((Path(FIXTURES) / "golden" / "manifest.json").read_text())
         assert set(golden["config"]) == PIPELINE_KEYS
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("gate_radius_km", "gate_radius_km must be >= 0, got nan"), ("predict_k", "predict_k must be >= 1, got nan")],
+    )
+    def test_nan_is_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pipeline.PipelineConfig(**{setting: float("nan")})
 
     @pytest.mark.parametrize(
         "text, reason",

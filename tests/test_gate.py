@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import make_dataset
 from geoflora.gate import GateAssignment, RoutingError, Side, assign, moe_merge, read_assignments, write_assignments
 from geoflora.geo import GeoPoint, haversine_km
+from geoflora.ingest import ParseError
 from geoflora.synth import uniform_surveys
 
 
@@ -41,6 +43,12 @@ class TestAssign:
         pa = make_dataset([])
         got = assign(test, pa)
         assert all(a.side is Side.OUT_OF_DISTRIBUTION and math.isinf(a.nearest_pa_km) for a in got)
+
+    def test_nan_radius_is_rejected(self):
+        test = coords_only([(1, 48.0, 2.0)])
+        pa = make_dataset([(10, 48.0, 2.0, {0})])
+        with pytest.raises(ValueError, match="gate_radius_km must be >= 0"):
+            assign(test, pa, math.nan)
 
     def test_matches_brute_force_nearest(self, rng):
         for _ in range(20):
@@ -118,6 +126,21 @@ def test_assignment_csv_round_trip(tmp_path, rng):
     path = str(tmp_path / "gate.csv")
     write_assignments(original, path)
     assert read_assignments(path) == original
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("1,in_distribution", "expected 3 fields, got 2"),
+        ("1,inside,3.0", "malformed row: 'inside' is not a valid Side"),
+        ("x1,in_distribution,3.0", "malformed row: invalid literal for int"),
+    ],
+)
+def test_bad_assignment_row_names_its_location(tmp_path, row, reason):
+    path = tmp_path / "gate.csv"
+    path.write_text(f"surveyId,side,nearestPaKm\n2,out_of_distribution,inf\n{row}\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: {reason}"):
+        read_assignments(str(path))
 
 
 def test_assignment_csv_round_trip_with_infinity(tmp_path):

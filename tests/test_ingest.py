@@ -162,20 +162,6 @@ class TestCatalog:
         ds, catalog = parse_occurrences(path)
         for raw in (20, 50):
             assert catalog.to_raw(catalog.to_dense(raw)) == raw
-        counts = {catalog.to_raw(d): int(c) for d, c in enumerate(catalog.occurrence_count)}
-        assert counts == {20: 2, 50: 2}
-        assert int(catalog.occurrence_count.sum()) == sum(len(s) for s in ds.species)
-
-    def test_counts_match_brute_recount(self, rng, tmp_path):
-        lines = ["surveyId,lat,lon,speciesId"]
-        for sid in range(1, 60):
-            lat, lon = rng.uniform(-50, 50), rng.uniform(-50, 50)
-            for sp in rng.choice(40, size=rng.integers(1, 6), replace=False):
-                lines.append(f"{sid},{lat:.5f},{lon:.5f},{sp}")
-        path = write_lines(tmp_path, "a.csv", lines)
-        ds, catalog = parse_occurrences(path)
-        recount = ds.species_counts(len(catalog))
-        assert np.array_equal(recount, catalog.occurrence_count)
 
     def test_explicit_catalog_is_reused_and_strict(self, tmp_path):
         catalog = SpeciesCatalog(np.array([5, 7], dtype=np.int64))
@@ -194,7 +180,6 @@ class TestCatalog:
         d2, c2 = parse_occurrences(p2)
         union = SpeciesCatalog.union([c1, c2])
         assert [union.to_raw(i) for i in range(len(union))] == [10, 20, 30]
-        assert int(union.occurrence_count.sum()) == 4
         r1 = reindex_dataset(d1, c1, union)
         r2 = reindex_dataset(d2, c2, union)
         assert decode_species(r1, union) == decode_species(d1, c1)
@@ -203,6 +188,29 @@ class TestCatalog:
     def test_duplicate_raw_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SpeciesCatalog(np.array([3, 3], dtype=np.int64))
+
+    @pytest.mark.parametrize("raws", [[5, 3], [1, 9, 4], [-1, 2, 2, 7]])
+    def test_raw_ids_must_ascend(self, raws):
+        with pytest.raises(ValueError, match="ascending"):
+            SpeciesCatalog(np.array(raws, dtype=np.int64))
+
+    def test_raw_ids_decode_sets_ascending(self, rng):
+        raws = np.unique(rng.integers(-(2**62), 2**62, size=300))  # no affine map from dense to raw
+        catalog = SpeciesCatalog(raws)
+        assert catalog.raw_ids([]) == []
+        for _ in range(200):
+            dense = rng.choice(raws.size, size=rng.integers(1, 12), replace=False).tolist()
+            decoded = catalog.raw_ids(frozenset(dense))
+            assert decoded == sorted(int(raws[d]) for d in dense)
+            assert all(type(r) is int for r in decoded)
+
+    def test_union_is_the_sorted_union(self, rng):
+        sets = [np.unique(rng.integers(-50, 50, size=rng.integers(0, 30))) for _ in range(4)]
+        catalogs = [SpeciesCatalog(s) for s in sets]
+        expected = sorted(set().union(*(s.tolist() for s in sets)))
+        assert SpeciesCatalog.union(catalogs).dense_to_raw.tolist() == expected
+        assert SpeciesCatalog.union(catalogs[:1]) == catalogs[0]
+        assert SpeciesCatalog.union([SpeciesCatalog([])]) == SpeciesCatalog([])
 
 
 class TestRoundTrip:

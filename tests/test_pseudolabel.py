@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             MergeConfig(mode=MergeMode.LOOSE, rare_count_threshold=0)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("box_half_km", "box_half_km must be positive, got nan"), ("rare_count_threshold", "rare_count_threshold must be >= 1, got nan")],
+    )
+    def test_nan_is_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MergeConfig(mode=MergeMode.STRICT, **{setting: float("nan")})
+
 
 class TestNeighborsInPatch:
     def test_isolated_survey_is_its_own_patch(self):
