@@ -90,9 +90,10 @@ def build_test(rng) -> Dataset:
 def write_long(dataset: Dataset, path: Path, catalog: SpeciesCatalog) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,lat,lon,speciesId\n")
-        for i in range(len(dataset)):
-            for raw in catalog.raw_ids(dataset.species[i]):
-                f.write(f"{int(dataset.ids[i])},{dataset.lats[i]:.7f},{dataset.lons[i]:.7f},{raw}\n")
+        raw, ptr = catalog.dense_to_raw[dataset.indices].tolist(), dataset.indptr.tolist()
+        for sid, lat, lon, a, b in zip(dataset.ids.tolist(), dataset.lats.tolist(), dataset.lons.tolist(), ptr, ptr[1:]):
+            for r in raw[a:b]:
+                f.write(f"{sid},{lat:.7f},{lon:.7f},{r}\n")
 
 
 def main() -> int:

@@ -19,6 +19,7 @@ from .predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, sav
 from .pseudolabel import (
     MergeConfig,
     MergedRecord,
+    MergedSet,
     MergeMode,
     merge_points,
     merge_stats,
@@ -37,6 +38,7 @@ __all__ = [
     "MergeConfig",
     "MergeMode",
     "MergedRecord",
+    "MergedSet",
     "ParseError",
     "ScoreMatrix",
     "Side",

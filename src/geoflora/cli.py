@@ -154,8 +154,7 @@ def _parse_file(path: str, kind: str | None = None):
 def _cmd_ingest(args) -> int:
     dataset, catalog = _parse_file(args.input, args.kind)
     write_dataset(dataset, args.output, catalog)
-    pairs = sum(map(len, dataset.species))
-    print(f"{args.input}: {len(dataset)} surveys, {len(catalog)} species, {pairs} (survey, species) pairs")
+    print(f"{args.input}: {len(dataset)} surveys, {len(catalog)} species, {dataset.indices.size} (survey, species) pairs")
     print(f"wrote {args.output}")
     return 0
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, csv_rows
+from .ingest import Dataset, ParseError, check_ids, csv_rows
 
 DEFAULT_GATE_RADIUS_KM = 10.0
 
@@ -90,11 +90,18 @@ def write_assignments(assignments: list[GateAssignment], path: str) -> None:
 
 
 def read_assignments(path: str) -> list[GateAssignment]:
-    """Read an assignment file; a malformed row is rejected with its location."""
+    """Read an assignment file; a malformed row is rejected with its location.
+
+    Ids must pass ``check_ids``; a distance must be ``inf`` or a finite value >= 0.
+    """
     out = []
     for line, row in csv_rows(path, ("surveyId", "side", "nearestPaKm")):
         try:
-            out.append(GateAssignment(int(row[0]), Side(row[1]), float(row[2])))
+            a = GateAssignment(int(row[0]), Side(row[1]), float(row[2]))
         except ValueError as exc:
             raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+        check_ids(path, line, row[0], a.survey_id)
+        if not a.nearest_pa_km >= 0:  # written so that NaN fails too
+            raise ParseError(f"{path}:{line}: malformed row: nearestPaKm must be >= 0 or inf, got {row[2]}")
+        out.append(a)
     return out

@@ -12,6 +12,8 @@ all downstream math runs on dense indices and submissions map back to raw
 ids. A catalog holds its raw ids in strictly ascending order and dense index
 d is the d-th of them, so any two files covering the same species produce
 identical mappings and ascending dense indices decode to ascending raw ids.
+A ``Dataset`` stores species sets only as CSR arrays: parsing builds them,
+re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 """
 
 from __future__ import annotations
@@ -142,29 +144,89 @@ class SpeciesCatalog:
         return isinstance(other, SpeciesCatalog) and np.array_equal(self.dense_to_raw, other.dense_to_raw)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class RowSets(Sequence[frozenset[int]]):
+    """CSR rows as a read-only sequence of sets: row i holds ``indices[indptr[i]:indptr[i + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def row(self, i) -> np.ndarray:
+        i = range(len(self))[i]  # negative positions and IndexError as a list has them
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def __getitem__(self, i) -> frozenset[int]:
+        return frozenset(self.row(i).tolist())
+
+
+def _flat_rows(sets: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and the concatenated items of ``sets``, each set in its own iteration order."""
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
+    return indptr, np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=int(indptr[-1]))
+
+
+def _sort_rows(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Each CSR row's non-negative indices ascending; rows keep their places."""
+    if indices.size:
+        # One sort of row-major (row, index) keys orders every row.
+        rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)) * (int(indices.max()) + 1)
+        indices = np.sort(rows + indices) - rows
+    return indices
+
+
+def take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows at positions ``rows``, in that order, as a new ``(indptr, indices)``."""
+    starts, lengths = indptr[rows], indptr[rows + 1] - indptr[rows]
+    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out, indices[np.repeat(starts - out[:-1], lengths) + np.arange(out[-1])]
+
+
 class Dataset:
     """An immutable-by-convention collection of surveys, sorted by survey id.
 
-    Columnar storage (ids/lats/lons arrays plus a list of dense species
-    frozensets) keeps million-survey pipelines cheap; ``SurveyRecord`` views
-    are materialised on demand.
+    Columnar: ``ids``, ``lats``, ``lons`` and the species as CSR, survey i's
+    dense indices, strictly ascending, being ``indices[indptr[i]:indptr[i + 1]]``.
+    ``Dataset(ids, lats, lons, species_sets)`` converts sets once; ``from_csr``
+    takes the arrays. ``species`` and ``SurveyRecord`` are views made on demand.
     """
 
-    ids: np.ndarray
-    lats: np.ndarray
-    lons: np.ndarray
-    species: list[frozenset[int]]
+    __slots__ = ("ids", "lats", "lons", "indptr", "indices")
 
-    def __post_init__(self) -> None:
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.lats = np.asarray(self.lats, dtype=np.float64)
-        self.lons = np.asarray(self.lons, dtype=np.float64)
+    def __init__(self, ids, lats, lons, species: Sequence[Iterable[int]]) -> None:
+        indptr, flat = _flat_rows(species)
+        self._set_columns(ids, lats, lons, indptr, _sort_rows(indptr, flat))
+
+    @classmethod
+    def from_csr(cls, ids, lats, lons, indptr, indices) -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._set_columns(ids, lats, lons, indptr, indices)
+        same_row = np.diff(np.repeat(np.arange(len(ds)), np.diff(ds.indptr))) == 0
+        if np.any(same_row & (np.diff(ds.indices) <= 0)):
+            raise ValueError("each survey's species indices must ascend strictly")
+        return ds
+
+    def _set_columns(self, ids, lats, lons, indptr, indices) -> None:
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.lats = np.asarray(lats, dtype=np.float64)
+        self.lons = np.asarray(lons, dtype=np.float64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
         n = self.ids.size
-        if not (self.lats.size == self.lons.size == len(self.species) == n):
+        if not (self.lats.size == self.lons.size == self.indptr.size - 1 == n) or (
+            self.indptr[0] != 0 or self.indptr[-1] != self.indices.size or np.any(np.diff(self.indptr) < 0)
+        ):
             raise ValueError("column lengths disagree")
         if n > 1 and np.any(np.diff(self.ids) <= 0):
             raise ValueError("survey ids must be unique and sorted ascending")
+
+    @property
+    def species(self) -> RowSets:
+        return RowSets(self.indptr, self.indices)
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -176,30 +238,15 @@ class Dataset:
         return (self.record(i) for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dataset)
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.lats, other.lats)
-            and np.array_equal(self.lons, other.lons)
-            and self.species == other.species
-        )
+        return isinstance(other, Dataset) and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in Dataset.__slots__)
 
-    def species_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The species sets as CSR ``(indptr, indices)``: survey i's dense indices,
-        ascending, are ``indices[indptr[i]:indptr[i + 1]]``."""
-        n = len(self)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.species), dtype=np.int64, count=n), out=indptr[1:])
-        indices = np.fromiter(itertools.chain.from_iterable(self.species), dtype=np.int64, count=int(indptr[-1]))
-        if indices.size:
-            # One sort of row-major (row, index) keys orders every row; rows keep their places.
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * (int(indices.max()) + 1)
-            indices = np.sort(rows + indices) - rows
-        return indptr, indices
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The surveys at ascending positions ``rows``."""
+        return Dataset.from_csr(self.ids[rows], self.lats[rows], self.lons[rows], *take_rows(self.indptr, self.indices, rows))
 
     def species_counts(self, num_species: int | None = None) -> np.ndarray:
         """Per-species number of surveys containing it (dense indexing)."""
-        return np.bincount(self.species_csr()[1], minlength=num_species or 0)
+        return np.bincount(self.indices, minlength=num_species or 0)
 
 
 @dataclass
@@ -284,31 +331,27 @@ def parse_occurrences(
                     )
                 grp.raw_species.update(raw_species)
 
-    if catalog is None:
-        catalog = SpeciesCatalog(sorted(set().union(*(g.raw_species for g in groups.values()))))
-
     order = sorted(groups)
     ids = np.fromiter(order, dtype=np.int64, count=len(order))
     lats = np.array([groups[i].lat for i in order], dtype=np.float64)
     lons = np.array([groups[i].lon for i in order], dtype=np.float64)
-    species: list[frozenset[int]] = []
-    for i in order:
-        g = groups[i]
-        try:
-            species.append(frozenset(catalog.to_dense(r) for r in g.raw_species))
-        except KeyError as exc:
-            raise ParseError(f"{path}: survey {i} references species {exc.args[0]} not present in the catalog") from None
+    indptr, raw = _flat_rows([groups[i].raw_species for i in order])
+    if catalog is None:
+        catalog = SpeciesCatalog(np.unique(raw))
+    missing = np.flatnonzero(~np.isin(raw, catalog.dense_to_raw))
+    if missing.size:
+        survey = ids[np.searchsorted(indptr, missing[0], side="right") - 1]
+        raise ParseError(f"{path}: survey {survey} references species {raw[missing[0]]} not present in the catalog")
 
+    lengths = np.diff(indptr)
     if kind is DatasetKind.TEST:
-        for i, s in zip(ids, species):
-            if s:
-                raise ParseError(f"{path}: test survey {i} must not carry species")
-    elif kind is not None:
-        for i, s in zip(ids, species):
-            if not s:
-                raise ParseError(f"{path}: {kind.value} survey {i} carries no species")
+        if lengths.any():
+            raise ParseError(f"{path}: test survey {ids[np.flatnonzero(lengths)[0]]} must not carry species")
+    elif kind is not None and not lengths.all():
+        raise ParseError(f"{path}: {kind.value} survey {ids[np.flatnonzero(lengths == 0)[0]]} carries no species")
 
-    return Dataset(ids, lats, lons, species), catalog
+    dense = np.searchsorted(catalog.dense_to_raw, raw)
+    return Dataset.from_csr(ids, lats, lons, indptr, _sort_rows(indptr, dense)), catalog
 
 
 def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
@@ -319,26 +362,21 @@ def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,lat,lon,speciesIds\n")
-        for i in range(len(dataset)):
-            f.write(
-                f"{int(dataset.ids[i])},{dataset.lats[i]:.7f},{dataset.lons[i]:.7f},"
-                f"{' '.join(map(str, catalog.raw_ids(dataset.species[i])))}\n"
-            )
+        raw, ptr = catalog.dense_to_raw[dataset.indices].tolist(), dataset.indptr.tolist()
+        for sid, lat, lon, a, b in zip(dataset.ids.tolist(), dataset.lats.tolist(), dataset.lons.tolist(), ptr, ptr[1:]):
+            f.write(f"{sid},{lat:.7f},{lon:.7f},{' '.join(map(str, raw[a:b]))}\n")
 
 
 def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) -> Dataset:
     """Re-encode a dataset's dense species indices from one catalog to another.
 
-    Every raw id of ``old`` must be in ``new``; both ascend, so the remap is monotone.
+    Every raw id of ``old`` must be in ``new`` (``KeyError`` otherwise); both
+    ascend, so the remap is monotone and each row stays ascending.
     """
-    remap = [new.to_dense(raw) for raw in old.dense_to_raw.tolist()]
-    species = [frozenset(remap[d] for d in s) for s in dataset.species]
-    return Dataset(dataset.ids, dataset.lats, dataset.lons, species)
+    remap = np.array([new.to_dense(raw) for raw in old.dense_to_raw.tolist()], dtype=np.int64)
+    return Dataset.from_csr(dataset.ids, dataset.lats, dataset.lons, dataset.indptr, remap[dataset.indices])
 
 
 def decode_species(dataset: Dataset, catalog: SpeciesCatalog) -> dict[int, frozenset[int]]:
     """Per-survey raw-id species sets, e.g. for metric computation on files."""
-    return {
-        int(dataset.ids[i]): frozenset(catalog.raw_ids(dataset.species[i]))
-        for i in range(len(dataset))
-    }
+    return dict(zip(dataset.ids.tolist(), RowSets(dataset.indptr, catalog.dense_to_raw[dataset.indices])))

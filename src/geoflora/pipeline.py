@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, moe_merge, write_assignments
-from .ingest import Dataset, DatasetKind, RangeError, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
+from .ingest import DatasetKind, RangeError, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
 from .postprocess import IN_DIST_TOP_K, IN_DIST_VOTE, OOD_TOP_K, OOD_VOTE, TopKConfig, VoteConfig, side_predictions, write_submission
 from .predictor import DEFAULT_K, ScoreMatrix, neighbor_frequency_predict, save_scores
 from .pseudolabel import MergeConfig, MergeMode, merge_points, merge_stats, merged_to_dataset
@@ -106,12 +106,6 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _subset(dataset: Dataset, mask: np.ndarray) -> Dataset:
-    keep = np.flatnonzero(mask)
-    species = [dataset.species[i] for i in keep]
-    return Dataset(dataset.ids[keep], dataset.lats[keep], dataset.lons[keep], species)
-
-
 def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, config: PipelineConfig = PipelineConfig()) -> dict:
     """Run the chain on three survey files and write its outputs under ``outdir``.
 
@@ -150,7 +144,7 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         (Side.IN_DISTRIBUTION, pa_ds, in_mask, "scores_in.csv"),
         (Side.OUT_OF_DISTRIBUTION, merged_po, ~in_mask, "scores_ood.csv"),
     ):
-        test_side = _subset(test_ds, mask)
+        test_side = test_ds.take(np.flatnonzero(mask))
         matrix, predictions[side] = ScoreMatrix(len(catalog)), {}
         if len(test_side):
             if len(train) == 0:

@@ -104,8 +104,8 @@ def neighbor_species_counts(reference: Dataset, lats_deg, lons_deg, k: int) -> t
     pos, _ = GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats_deg), np.radians(lons_deg), k)
     (m, kk), n = pos.shape, len(reference)
     select = sparse.csr_matrix((np.ones(pos.size, dtype=np.int32), pos.ravel(), np.arange(m + 1) * kk), shape=(m, n))
-    sp_ptr, sp_idx = reference.species_csr()
-    species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=np.int32), sp_idx, sp_ptr), shape=(n, int(sp_idx.max(initial=-1)) + 1))
+    sp_idx = reference.indices
+    species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=np.int32), sp_idx, reference.indptr), shape=(n, int(sp_idx.max(initial=-1)) + 1))
     return select @ species, kk
 
 

@@ -34,9 +34,9 @@ equal to running it survey by survey:
            each anchor consumed; it builds no union and no record (loose mode
            needs no loop: every survey anchors);
   unions   the anchors' member rows times the species CSR, a boolean sparse
-           product, give every union at once;
-  records  are built from those CSR rows in chunks; an anchor alone in its
-           box reuses its own species set.
+           product, give every union at once.
+The result, ``MergedSet``, keeps those arrays and builds a ``MergedRecord``
+only when one is asked for.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .geo import EARTH_RADIUS_KM, GeoIndex
-from .ingest import Dataset, RangeError, SurveyRecord
+from .ingest import Dataset, RangeError, RowSets, SurveyRecord, take_rows
 
 DEFAULT_BOX_HALF_KM = 0.32
 # Degree-to-km scales of the patch box.
@@ -172,7 +173,7 @@ def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
     box test keeps the members.
     """
     n = len(dataset)
-    pairs = GeoIndex.from_dataset(dataset).pairs_within(float(_covering_radius_km(cfg, dataset.lats).max()))
+    pairs = GeoIndex.from_dataset(dataset).pairs_within(float(_covering_radius_km(cfg, dataset.lats).max(initial=0.0)))
     rows = np.concatenate((pairs[:, 0], pairs[:, 1], np.arange(n)))
     cols = np.concatenate((pairs[:, 1], pairs[:, 0], np.arange(n)))
     keep = _in_box(cfg, dataset.lats[rows], dataset.lons[rows], dataset.lats[cols], dataset.lons[cols])
@@ -198,11 +199,30 @@ def _select_anchors(order: np.ndarray, members: sparse.csr_matrix, rescued: np.n
     return anchors
 
 
-# Records are built this many anchors at a time, so no Python list spans the whole result.
-_RECORD_CHUNK = 1 << 16
+@dataclass(frozen=True, eq=False)
+class MergedSet(Sequence[MergedRecord]):
+    """The merged records, columnar, in processing order.
+
+    Record k is anchored at ``dataset`` position ``anchors[k]``; CSR row k of
+    ``members`` holds the dataset positions inside its box and row k of
+    ``unions`` the union of their species, both ascending. ``[k]``, iteration
+    and ``len`` give ``MergedRecord`` views.
+    """
+
+    dataset: Dataset
+    anchors: np.ndarray
+    members: RowSets
+    unions: RowSets
+
+    def __len__(self) -> int:
+        return int(self.anchors.size)
+
+    def __getitem__(self, k) -> MergedRecord:
+        ds, a, sources = self.dataset, self.anchors[k], self.dataset.ids[self.members.row(k)]
+        return MergedRecord(int(ds.ids[a]), float(ds.lats[a]), float(ds.lons[a]), self.unions[k], tuple(sources.tolist()))
 
 
-def merge_points(dataset: Dataset, cfg: MergeConfig) -> list[MergedRecord]:
+def merge_points(dataset: Dataset, cfg: MergeConfig) -> MergedSet:
     """Aggregate a presence-only dataset into merged records, one per anchor.
 
     Anchors are processed in descending species-count order, ties broken by
@@ -210,11 +230,8 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> list[MergedRecord]:
     balanced mode is judged against the number of surveys of ``dataset``
     containing each species.
     """
-    n = len(dataset)
-    if n == 0:
-        return []
     members = _member_matrix(dataset, cfg)
-    sp_ptr, sp_idx = dataset.species_csr()
+    sp_ptr, sp_idx = dataset.indptr, dataset.indices
     order = np.lexsort((dataset.ids, -np.diff(sp_ptr)))
 
     if cfg.mode is MergeMode.LOOSE:
@@ -227,52 +244,29 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> list[MergedRecord]:
             rescued = rare_seen[sp_ptr[1:]] > rare_seen[sp_ptr[:-1]]
         anchors = np.array(_select_anchors(order, members, rescued), dtype=np.intp)
 
-    num_species = int(sp_idx.max()) + 1 if sp_idx.size else 0
-    species_matrix = sparse.csr_matrix((np.ones(sp_idx.size, dtype=bool), sp_idx, sp_ptr), shape=(n, num_species))
-    species = dataset.species
-    shared_box = np.diff(members.indptr) > 1
-    out: list[MergedRecord] = []
-    for start in range(0, anchors.size, _RECORD_CHUNK):
-        chunk = anchors[start : start + _RECORD_CHUNK]
-        anchor_ids = dataset.ids[chunk].tolist()
-        # An anchor alone in its box keeps its own species set and is its only source.
-        unions = [species[i] for i in chunk.tolist()]
-        sources = list(zip(anchor_ids))
-        shared = np.flatnonzero(shared_box[chunk])
-        m = members[chunk[shared]]
-        u = m @ species_matrix  # boolean product: each row is the union of its members' species
-        m_ptr, u_ptr = m.indptr.tolist(), u.indptr.tolist()
-        u_idx, member_ids = u.indices.tolist(), dataset.ids[m.indices].tolist()
-        for k, a, b, c, d in zip(shared.tolist(), m_ptr, m_ptr[1:], u_ptr, u_ptr[1:]):
-            unions[k] = frozenset(u_idx[c:d])
-            sources[k] = tuple(member_ids[a:b])
-        out.extend(map(MergedRecord, anchor_ids, dataset.lats[chunk].tolist(), dataset.lons[chunk].tolist(), unions, sources))
-    return out
+    species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=bool), sp_idx, sp_ptr), shape=(len(dataset), int(sp_idx.max(initial=-1)) + 1))
+    members = members[anchors]
+    unions = members @ species  # boolean product: each row is the union of its members' species
+    unions.sort_indices()
+    return MergedSet(dataset, anchors, RowSets(members.indptr, members.indices), RowSets(unions.indptr, unions.indices))
 
 
-def merged_to_dataset(records: list[MergedRecord]) -> Dataset:
-    """Repackage merged records as a dataset (sorted by survey id)."""
-    recs = sorted(records, key=lambda r: r.survey_id)
-    return Dataset(
-        np.array([r.survey_id for r in recs], dtype=np.int64),
-        np.array([r.lat for r in recs], dtype=np.float64),
-        np.array([r.lon for r in recs], dtype=np.float64),
-        [r.species for r in recs],
-    )
+def merged_to_dataset(merged: MergedSet) -> Dataset:
+    """Repackage merged records as a dataset (sorted by survey id): the union rows permuted by anchor."""
+    by_id = np.argsort(merged.anchors)  # dataset positions ascend with survey id
+    ds, a = merged.dataset, merged.anchors[by_id]
+    return Dataset.from_csr(ds.ids[a], ds.lats[a], ds.lons[a], *take_rows(merged.unions.indptr, merged.unions.indices, by_id))
 
 
-def merge_stats(dataset: Dataset, merged: list[MergedRecord]) -> MergeReport:
+def merge_stats(dataset: Dataset, merged: MergedSet) -> MergeReport:
     """Before/after summary of one aggregation run."""
-    species_in = set().union(*dataset.species) if len(dataset) else set()
-    species_out = set().union(*(r.species for r in merged)) if merged else set()
-    mean_in = float(np.mean([len(s) for s in dataset.species])) if len(dataset) else 0.0
-    mean_out = float(np.mean([len(r.species) for r in merged])) if merged else 0.0
+    n_in, n_out = len(dataset), len(merged)
     return MergeReport(
-        surveys_in=len(dataset),
-        surveys_out=len(merged),
-        consumed=len(dataset) - len(merged),
-        species_in=len(species_in),
-        species_out=len(species_out),
-        mean_species_in=mean_in,
-        mean_species_out=mean_out,
+        surveys_in=n_in,
+        surveys_out=n_out,
+        consumed=n_in - n_out,
+        species_in=np.unique(dataset.indices).size,
+        species_out=np.unique(merged.unions.indices).size,
+        mean_species_in=dataset.indices.size / n_in if n_in else 0.0,
+        mean_species_out=merged.unions.indices.size / n_out if n_out else 0.0,
     )

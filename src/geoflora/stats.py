@@ -6,7 +6,6 @@ be dumped to two-column CSV without further processing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,26 +42,28 @@ class BboxSummary:
     lon_quantiles: dict[float, float]
 
 
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    """Value -> number of times it occurs, for the non-negative integers ``values``, ascending by value."""
+    counts = np.bincount(values)
+    bins = np.flatnonzero(counts)
+    return dict(zip(bins.tolist(), counts[bins].tolist()))
+
+
 def species_per_survey_hist(dataset: Dataset) -> SpeciesPerSurveyHist:
     """Distribution of the number of species recorded per survey."""
-    counts = Counter(len(s) for s in dataset.species)
-    if counts:
-        best = max(counts.values())
-        mode = min(b for b, c in counts.items() if c == best)
-    else:
-        mode = 0
-    return SpeciesPerSurveyHist(dict(sorted(counts.items())), mode, len(dataset))
+    histogram = _histogram(np.diff(dataset.indptr))
+    mode = max(histogram, key=histogram.get, default=0)  # the first, smallest, of tied bins
+    return SpeciesPerSurveyHist(histogram, mode, len(dataset))
 
 
 def occurrences_per_species_hist(dataset: Dataset, num_species: int | None = None) -> OccurrencesPerSpeciesHist:
     """Distribution of the number of surveys each species appears in."""
     per_species = dataset.species_counts(num_species)
     present = per_species[per_species > 0]
-    hist = Counter(int(c) for c in present)
     n_present = int(present.size)
     under_50 = int(np.count_nonzero(present < 50))
     return OccurrencesPerSpeciesHist(
-        histogram=dict(sorted(hist.items())),
+        histogram=_histogram(present),
         per_species=per_species,
         present_species=n_present,
         fraction_under_50=under_50 / n_present if n_present else 0.0,

@@ -76,5 +76,5 @@ def identity_catalog(dataset: Dataset, num_species: int | None = None, *, raw_of
     """
     if raw_step < 1:
         raise ValueError("raw_step must be >= 1")
-    size = max([num_species or 0, *(max(s) + 1 for s in dataset.species if s)])
+    size = max(num_species or 0, int(dataset.indices.max(initial=-1)) + 1)
     return SpeciesCatalog(raw_offset + raw_step * np.arange(size, dtype=np.int64))

@@ -134,6 +134,11 @@ def test_assignment_csv_round_trip(tmp_path, rng):
         ("1,in_distribution", "expected 3 fields, got 2"),
         ("1,inside,3.0", "malformed row: 'inside' is not a valid Side"),
         ("x1,in_distribution,3.0", "malformed row: invalid literal for int"),
+        ("1_0,in_distribution,nan", "malformed row: ids must be ASCII digits"),
+        ("1,in_distribution,nan", r"malformed row: nearestPaKm must be >= 0 or inf, got nan$"),
+        ("1,in_distribution,-0.5", r"malformed row: nearestPaKm must be >= 0 or inf, got -0.5$"),
+        ("1,in_distribution,-inf", r"malformed row: nearestPaKm must be >= 0 or inf, got -inf$"),
+        ("99999999999999999999,in_distribution,1.0", "survey or species id outside the 64-bit integer range"),
     ],
 )
 def test_bad_assignment_row_names_its_location(tmp_path, row, reason):

@@ -173,6 +173,15 @@ class TestCatalog:
         with pytest.raises(ParseError, match="99"):
             parse_occurrences(bad, catalog=catalog)
 
+    def test_missing_species_names_its_survey(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([5, 7], dtype=np.int64))
+        rows = ["surveyId,lat,lon,speciesIds", "1,0.0,0.0,", "2,0.0,0.0,7", "3,0.0,0.0,", "4,0.0,0.0,5 99", "6,0.0,0.0,98"]
+        path = write_lines(tmp_path, "a.csv", rows)
+        with pytest.raises(ParseError, match=r": survey 4 references species 99 not present in the catalog$"):
+            parse_occurrences(path, catalog=catalog)
+        with pytest.raises(ParseError, match=r": survey 1 references species 5 not present in the catalog$"):
+            parse_occurrences(write_lines(tmp_path, "b.csv", rows[:2] + ["1,0.0,0.0,5"]), catalog=SpeciesCatalog([]))
+
     def test_union_and_reindex(self, tmp_path):
         p1 = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,0.0,0.0,30", "2,1.0,1.0,10"])
         p2 = write_lines(tmp_path, "b.csv", ["surveyId,lat,lon,speciesId", "3,0.0,0.0,20", "4,1.0,1.0,30"])
@@ -184,6 +193,9 @@ class TestCatalog:
         r2 = reindex_dataset(d2, c2, union)
         assert decode_species(r1, union) == decode_species(d1, c1)
         assert decode_species(r2, union) == decode_species(d2, c2)
+        assert r1.indices.tolist() == [2, 0] and r2.indices.tolist() == [1, 2]
+        with pytest.raises(KeyError):
+            reindex_dataset(d1, c1, c2)  # raw id 10 is not in c2
 
     def test_duplicate_raw_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -274,7 +286,7 @@ class TestDataset:
     def test_species_csr_rows_are_the_sets_ascending(self, rng):
         sets = [frozenset(rng.choice(300, size=rng.integers(0, 8), replace=False).tolist()) for _ in range(200)]
         ds = Dataset(np.arange(1, 201), np.zeros(200), np.zeros(200), sets)
-        indptr, indices = ds.species_csr()
+        indptr, indices = ds.indptr, ds.indices
         assert indptr[0] == 0 and indptr.size == 201
         assert [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [sorted(s) for s in sets]
         counts = np.zeros(300, dtype=np.int64)
@@ -282,3 +294,43 @@ class TestDataset:
             counts[list(s)] += 1
         assert np.array_equal(ds.species_counts(300), counts)
         assert np.array_equal(ds.species_counts(), counts[: max(map(max, filter(None, sets))) + 1])
+
+    def test_from_csr_equals_the_set_constructor(self):
+        ds = Dataset.from_csr([1, 2, 3, 4], np.zeros(4), np.zeros(4), [0, 2, 2, 3, 5], [1, 4, 0, 2, 3])
+        assert ds == make_dataset([(1, 0.0, 0.0, {4, 1}), (2, 0.0, 0.0, set()), (3, 0.0, 0.0, {0}), (4, 0.0, 0.0, {3, 2})])
+        assert ds.indices.dtype == np.int64 and ds.indptr.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            ([0, 2, 3], [4, 1, 0], "ascend strictly"),  # unsorted row
+            ([0, 2, 3], [1, 1, 0], "ascend strictly"),  # repeated entry
+            ([0, 0, 2], [2, 2], "ascend strictly"),  # repeated entry after an empty row
+            ([0, 2], [1, 2], "lengths disagree"),  # one row for two surveys
+            ([0, 2, 4], [1, 2, 3], "lengths disagree"),  # pointer past the indices
+            ([1, 2, 3], [1, 2, 3], "lengths disagree"),  # first row does not start at 0
+            ([0, 3, 2], [1, 2, 3], "lengths disagree"),  # descending pointers
+        ],
+    )
+    def test_from_csr_rejects_bad_rows(self, indptr, indices, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_csr([1, 2], np.zeros(2), np.zeros(2), indptr, indices)
+
+    def test_set_constructor_checks_lengths(self):
+        with pytest.raises(ValueError, match="lengths disagree"):
+            Dataset(np.array([1, 2]), np.zeros(2), np.zeros(2), [frozenset()])
+
+    def test_species_view_behaves_as_a_list_of_sets(self):
+        sets = [frozenset({3, 1}), frozenset(), frozenset({2})]
+        ds = Dataset(np.arange(1, 4), np.zeros(3), np.zeros(3), sets)
+        assert len(ds.species) == 3 and list(ds.species) == sets
+        assert ds.species[-1] == frozenset({2}) and ds.species[np.int64(0)] == frozenset({1, 3})
+        with pytest.raises(IndexError):
+            ds.species[3]
+
+    def test_take_gathers_rows(self, rng):
+        sets = [frozenset(rng.choice(50, size=rng.integers(0, 5), replace=False).tolist()) for _ in range(100)]
+        ds = Dataset(np.arange(1, 101) * 3, rng.uniform(-9, 9, 100), rng.uniform(-9, 9, 100), sets)
+        rows = np.sort(rng.choice(100, size=40, replace=False))
+        assert ds.take(rows) == Dataset(ds.ids[rows], ds.lats[rows], ds.lons[rows], [sets[i] for i in rows])
+        assert len(ds.take(np.arange(0))) == 0

@@ -132,13 +132,13 @@ class TestMergeModes:
 
     def test_empty_dataset(self):
         ds = make_dataset([])
-        assert merge_points(ds, cfg(MergeMode.STRICT)) == []
+        assert len(merge_points(ds, cfg(MergeMode.STRICT))) == 0
 
     def test_merge_is_deterministic(self, rng):
         ds = clustered_surveys(500, 30, rng, clusters=12, sigma_km=0.4)
         a = merge_points(ds, cfg(MergeMode.BALANCED, rare_count_threshold=5))
         b = merge_points(ds, cfg(MergeMode.BALANCED, rare_count_threshold=5))
-        assert a == b
+        assert list(a) == list(b)
 
 
 class TestProperties:
@@ -181,6 +181,28 @@ class TestProperties:
         mean_in = np.mean([len(s) for s in ds.species])
         mean_out = np.mean([len(r.species) for r in out])
         assert mean_out >= mean_in
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    def test_merged_dataset_and_stats_match_oracle(self, rng, mode):
+        ds = clustered_surveys(400, 25, rng, clusters=8, sigma_km=0.3)
+        c = cfg(mode, rare_count_threshold=4)
+        want = sorted(merge_points_oracle(ds, c))
+        merged = merge_points(ds, c)
+        assert merged_to_dataset(merged) == make_dataset([(sid, lat, lon, species) for sid, lat, lon, species, _ in want])
+        report = merge_stats(ds, merged)
+        assert (report.surveys_in, report.surveys_out, report.consumed) == (len(ds), len(want), len(ds) - len(want))
+        assert report.species_in == len(set().union(*ds.species))
+        assert report.species_out == len(set().union(*(r[3] for r in want)))
+        assert report.mean_species_in == float(np.mean([len(s) for s in ds.species]))
+        assert report.mean_species_out == float(np.mean([len(r[3]) for r in want]))
+
+    def test_records_index_as_a_list(self, rng):
+        ds = clustered_surveys(200, 15, rng, clusters=5, sigma_km=0.2)
+        merged = merge_points(ds, cfg(MergeMode.STRICT))
+        records = list(merged)
+        assert merged[-1] == records[-1] and merged[np.int64(2)] == records[2]
+        with pytest.raises(IndexError):
+            merged[len(merged)]
 
     @pytest.mark.parametrize("mode", list(MergeMode))
     def test_matches_quadratic_oracle(self, rng, mode):
