@@ -8,14 +8,15 @@ numpy and Python versions go into a separate run record (``run.json``), so
 the manifest stays byte-identical everywhere.
 
 Survey files are read in the long or the wide format, whichever their header
-names. The options of ``merge`` and ``pipeline`` are generated from the
-fields of ``MergeConfig`` and ``PipelineConfig`` (``--box-half-km`` sets
-``box_half_km``). Precedence is flags > config file (a JSON object keyed by
-field name) > field defaults. Every value is checked against its field's
+names. Every setting of a subcommand is an option generated from a field of
+its config dataclass (``--box-half-km`` sets ``MergeConfig.box_half_km``):
+``merge`` from ``MergeConfig``, ``gate`` from ``GateConfig``, ``predict`` from
+``PredictConfig``, ``postprocess`` from ``TopKConfig`` and ``VoteConfig``, and
+``pipeline`` from ``PipelineConfig``. ``merge`` and ``pipeline`` also read a
+``--config`` file (a JSON object keyed by field name); precedence is flags >
+config file > field defaults. Every value is checked against its field's
 type, and its range is checked when the config is built, before any input is
 read; either error names the key and the flag or file its value came from.
-The hand-written options of ``gate``, ``predict`` and ``postprocess`` are
-range-checked before any input is read as well, and their errors name the flag.
 Failures print one ``error:`` line to stderr and exit with status 1.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .fusion import FusionWeights, ModalityTriple, init_weights, stack_forward, tri_serial_forward
-from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, write_assignments
+from .gate import GateConfig, Side, assign, write_assignments
 from .ingest import (
     DatasetKind,
     ParseError,
@@ -51,8 +52,6 @@ from .pipeline import run as run_pipeline
 from .postprocess import (
     DEFAULT_GRID_KCAPS,
     DEFAULT_GRID_THRESHOLDS,
-    IN_DIST_TOP_K,
-    IN_DIST_VOTE,
     TopKConfig,
     VoteConfig,
     grid_search_top_k,
@@ -60,7 +59,7 @@ from .postprocess import (
     side_predictions,
     write_submission,
 )
-from .predictor import DEFAULT_K, load_scores, neighbor_frequency_predict, save_scores
+from .predictor import PredictConfig, load_scores, neighbor_frequency_predict, save_scores
 from .pseudolabel import MergeConfig, merge_points, merge_stats, merged_to_dataset
 from .stats import bbox_summary, occurrences_per_species_hist, species_per_survey_hist
 
@@ -97,7 +96,7 @@ def _effective_config(args: argparse.Namespace, cls):
     """
     types = get_type_hints(cls)
     given = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
             try:
                 loaded = json.load(f)
@@ -125,26 +124,21 @@ def _effective_config(args: argparse.Namespace, cls):
         raise ValueError(f"{given[exc.field][1]}: {exc}") from None
 
 
-def _flag_config(cls, flags: dict[str, str], *values):
-    """``cls(*values)``, where a range error names the flag that set the field (``flags``: field -> flag)."""
-    try:
-        return cls(*values)
-    except RangeError as exc:
-        raise ValueError(f"{flags[exc.field]}: {exc}") from None
-
-
-def _add_config_options(p: argparse.ArgumentParser, cls) -> None:
-    """``--config`` plus one option per field of ``cls``, named after the field."""
-    p.add_argument("--config", default=None, help="JSON config file; keys are the option names with underscores")
-    types = get_type_hints(cls)
-    for f in fields(cls):
-        flag, typ = "--" + f.name.replace("_", "-"), types[f.name]
-        if typ is bool:
-            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
-        elif issubclass(typ, enum.Enum):
-            p.add_argument(flag, choices=[m.value for m in typ], default=None)
-        else:
-            p.add_argument(flag, type=typ, default=None)
+def _add_config_options(p: argparse.ArgumentParser, *classes, config_file: bool = False) -> None:
+    """One option per field of each config class, named after the field; ``config_file`` adds ``--config``."""
+    if config_file:
+        p.add_argument("--config", default=None, help="JSON config file; keys are the option names with underscores")
+    for cls in classes:
+        types = get_type_hints(cls)
+        for f in fields(cls):
+            flag, typ = "--" + f.name.replace("_", "-"), types[f.name]
+            shown = f"default: {f.default.value if isinstance(f.default, enum.Enum) else f.default}"
+            if typ is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=shown)
+            elif issubclass(typ, enum.Enum):
+                p.add_argument(flag, choices=[m.value for m in typ], default=None, help=shown)
+            else:
+                p.add_argument(flag, type=typ, default=None, help=shown)
 
 
 def _parse_file(path: str, kind: str | None = None):
@@ -222,40 +216,37 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    if not args.gate_radius_km >= 0:
-        raise ValueError(f"--gate-radius-km: {RangeError('gate_radius_km', '>= 0', args.gate_radius_km)}")
+    cfg = _effective_config(args, GateConfig)
     test, _ = _parse_file(args.test, kind="test")
     pa, _ = _parse_file(args.pa)
-    assignments = assign(test, pa, args.gate_radius_km)
+    assignments = assign(test, pa, cfg.gate_radius_km)
     write_assignments(assignments, args.output)
     n_in = sum(a.side is Side.IN_DISTRIBUTION for a in assignments)
-    print(f"{n_in} in-distribution, {len(assignments) - n_in} out-of-distribution (radius {args.gate_radius_km} km)")
+    print(f"{n_in} in-distribution, {len(assignments) - n_in} out-of-distribution (radius {cfg.gate_radius_km} km)")
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"--k: {RangeError('k', '>= 1', args.k)}")
+    cfg = _effective_config(args, PredictConfig)
     train, catalog = _parse_file(args.train)
     test, _ = _parse_file(args.test, kind="test")
-    matrix = neighbor_frequency_predict(train, test, args.k, num_species=len(catalog))
+    matrix = neighbor_frequency_predict(train, test, cfg.k, num_species=len(catalog))
     save_scores(matrix, args.out, catalog)
-    print(f"scored {len(matrix)} surveys against {len(train)} training surveys (k={args.k})")
+    print(f"scored {len(matrix)} surveys against {len(train)} training surveys (k={cfg.k})")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_postprocess(args) -> int:
-    fallback = bool(args.fallback_top1)
-    top_cfg = _flag_config(TopKConfig, {"threshold": "--threshold", "k_cap": "--k-cap"}, args.threshold, args.k_cap, fallback)
-    vote_flags = {"neighbor_count": "--vote-neighbors", "min_frequency": "--vote-min-freq"}
-    vote_cfg = _flag_config(VoteConfig, vote_flags, args.vote_neighbors, args.vote_min_freq, not args.vote_inclusive)
-    thresholds = args.grid_thresholds or DEFAULT_GRID_THRESHOLDS
-    k_caps = args.grid_kcaps or DEFAULT_GRID_KCAPS
+    top_cfg, vote_cfg = _effective_config(args, TopKConfig), _effective_config(args, VoteConfig)
     if args.tune_truth:
-        for t, k in itertools.product(thresholds, k_caps):
-            _flag_config(TopKConfig, {"threshold": "--grid-thresholds", "k_cap": "--grid-kcaps"}, t, k)
+        try:
+            for t, k in itertools.product(args.grid_thresholds, args.grid_kcaps):
+                TopKConfig(t, k)
+        except RangeError as exc:
+            flag = "--grid-thresholds" if exc.field == "threshold" else "--grid-kcaps"
+            raise ValueError(f"{flag}: {exc}") from None
 
     reference, catalog = _parse_file(args.reference)
     test, _ = _parse_file(args.test, kind="test")
@@ -263,7 +254,7 @@ def _cmd_postprocess(args) -> int:
     if args.tune_truth:
         truth_ds, _ = parse_occurrences(args.tune_truth, catalog=catalog)
         truth = dict(zip(truth_ds.ids.tolist(), truth_ds.species))
-        top_cfg, best = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=fallback)
+        top_cfg, best = grid_search_top_k(matrix, truth, args.grid_thresholds, args.grid_kcaps, fallback_top1=top_cfg.fallback_top1)
         print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
 
     final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
@@ -356,21 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="aggregate presence-only surveys by patch coverage")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    _add_config_options(p, MergeConfig)
+    _add_config_options(p, MergeConfig, config_file=True)
     p.add_argument("--report-out", default=None, help="optional JSON merge report")
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("gate", help="route test surveys by proximity to PA training surveys")
     p.add_argument("--test", required=True)
     p.add_argument("--pa", required=True)
-    p.add_argument("--gate-radius-km", type=float, default=DEFAULT_GATE_RADIUS_KM)
+    _add_config_options(p, GateConfig)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_gate)
 
     p = sub.add_parser("predict", help="neighbour-frequency baseline scores")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    _add_config_options(p, PredictConfig)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -378,15 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--test", required=True, help="test survey coordinates")
     p.add_argument("--reference", required=True, help="dataset voted over; also defines the species universe")
-    p.add_argument("--threshold", type=float, default=IN_DIST_TOP_K.threshold)
-    p.add_argument("--k-cap", type=int, default=IN_DIST_TOP_K.k_cap)
-    p.add_argument("--fallback-top1", action="store_true")
-    p.add_argument("--vote-neighbors", type=int, default=IN_DIST_VOTE.neighbor_count)
-    p.add_argument("--vote-min-freq", type=float, default=IN_DIST_VOTE.min_frequency)
-    p.add_argument("--vote-inclusive", action="store_true", help="vote in species at exactly the minimum frequency")
+    _add_config_options(p, TopKConfig, VoteConfig)
     p.add_argument("--tune-truth", default=None, help="held-out truth file enabling threshold/k grid search")
-    p.add_argument("--grid-thresholds", type=float, nargs="*", default=None)
-    p.add_argument("--grid-kcaps", type=int, nargs="*", default=None)
+    p.add_argument("--grid-thresholds", type=float, nargs="+", default=DEFAULT_GRID_THRESHOLDS)
+    p.add_argument("--grid-kcaps", type=int, nargs="+", default=DEFAULT_GRID_KCAPS)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_postprocess)
 
@@ -400,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--po", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--outdir", required=True)
-    _add_config_options(p, PipelineConfig)
+    _add_config_options(p, PipelineConfig, config_file=True)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("fusion-check", help="run the fusion block's invariant battery")

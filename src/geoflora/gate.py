@@ -16,9 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, check_ids, csv_rows
-
-DEFAULT_GATE_RADIUS_KM = 10.0
+from .ingest import Dataset, ParseError, RangeError, check_ids, csv_rows
 
 
 class Side(enum.Enum):
@@ -31,6 +29,17 @@ class RoutingError(ValueError):
 
 
 @dataclass(frozen=True)
+class GateConfig:
+    """Routing settings: a test survey within ``gate_radius_km`` of a PA survey is in-distribution."""
+
+    gate_radius_km: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not self.gate_radius_km >= 0:  # written so that NaN fails too
+            raise RangeError("gate_radius_km", ">= 0", self.gate_radius_km)
+
+
+@dataclass(frozen=True)
 class GateAssignment:
     survey_id: int
     side: Side
@@ -40,15 +49,14 @@ class GateAssignment:
 def assign(
     test_dataset: Dataset,
     pa_dataset: Dataset,
-    gate_radius_km: float = DEFAULT_GATE_RADIUS_KM,
+    gate_radius_km: float = GateConfig.gate_radius_km,
 ) -> list[GateAssignment]:
     """Per test survey: its side and the distance to the nearest PA survey.
 
     An empty PA dataset routes everything out-of-distribution with an
     infinite nearest distance. Output is ordered by survey id.
     """
-    if not gate_radius_km >= 0:  # written so that NaN fails too
-        raise ValueError("gate_radius_km must be >= 0")
+    GateConfig(gate_radius_km)
     n = len(test_dataset)
     if len(pa_dataset) == 0:
         nearest = np.full(n, math.inf)

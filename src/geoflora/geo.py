@@ -143,10 +143,6 @@ class GeoIndex:
 
     def knn_query(self, center: GeoPoint, k: int) -> list[tuple[int, float]]:
         """The min(k, n) nearest points as (survey_id, distance_km) pairs."""
-        if len(self) == 0:
-            if k < 1:
-                raise ValueError("k must be >= 1")
-            return []
         pos, d = self.knn_query_many(np.array([center.lat_rad]), np.array([center.lon_rad]), k)
         return [(int(self.survey_ids[p]), float(x)) for p, x in zip(pos[0], d[0])]
 

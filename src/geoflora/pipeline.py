@@ -5,10 +5,12 @@ distance to the nearest presence-absence survey; the in-distribution expert
 scores and votes over the PA surveys, the out-of-distribution expert over the
 merged PO surveys, each with its own Threshold Top-K and vote settings.
 
-``PipelineConfig`` is the single source of the chain's settings: its field
-names are the config-file keys, the ``geoflora pipeline`` flags and the
-manifest's ``config`` keys, and its defaults are the owning modules'
-constants.
+``PipelineConfig`` holds the chain's settings: its field names are the
+config-file keys, the ``geoflora pipeline`` flags and the manifest's
+``config`` keys. Each stage config (``MergeConfig``, ``GateConfig``,
+``PredictConfig``, and ``TopKConfig`` / ``VoteConfig`` per side) owns its
+defaults and range checks; ``PipelineConfig`` takes its defaults from them
+and builds them from its fields.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gate import DEFAULT_GATE_RADIUS_KM, Side, assign, moe_merge, write_assignments
+from .gate import GateConfig, Side, assign, moe_merge, write_assignments
 from .ingest import DatasetKind, RangeError, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
-from .postprocess import IN_DIST_TOP_K, IN_DIST_VOTE, OOD_TOP_K, OOD_VOTE, TopKConfig, VoteConfig, side_predictions, write_submission
-from .predictor import DEFAULT_K, ScoreMatrix, neighbor_frequency_predict, save_scores
+from .postprocess import OOD_TOP_K, OOD_VOTE, TopKConfig, VoteConfig, side_predictions, write_submission
+from .predictor import PredictConfig, ScoreMatrix, neighbor_frequency_predict, save_scores
 from .pseudolabel import MergeConfig, MergeMode, merge_points, merge_stats, merged_to_dataset
 
 OUTPUTS = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv")
-
-
-# The ``PipelineConfig`` field, less its side prefix, behind each TopKConfig / VoteConfig field.
-_SIDE_FIELDS = {"threshold": "threshold", "k_cap": "k_cap", "neighbor_count": "vote_neighbors", "min_frequency": "vote_min_freq"}
 
 
 @dataclass(frozen=True)
@@ -43,47 +41,45 @@ class PipelineConfig:
     merge_mode: MergeMode = MergeMode.STRICT
     box_half_km: float = MergeConfig.box_half_km
     rare_count_threshold: int = MergeConfig.rare_count_threshold
-    gate_radius_km: float = DEFAULT_GATE_RADIUS_KM
-    predict_k: int = DEFAULT_K
-    in_threshold: float = IN_DIST_TOP_K.threshold
-    in_k_cap: int = IN_DIST_TOP_K.k_cap
+    gate_radius_km: float = GateConfig.gate_radius_km
+    predict_k: int = PredictConfig.k
+    in_threshold: float = TopKConfig.threshold
+    in_k_cap: int = TopKConfig.k_cap
     ood_threshold: float = OOD_TOP_K.threshold
     ood_k_cap: int = OOD_TOP_K.k_cap
-    in_vote_neighbors: int = IN_DIST_VOTE.neighbor_count
-    in_vote_min_freq: float = IN_DIST_VOTE.min_frequency
-    ood_vote_neighbors: int = OOD_VOTE.neighbor_count
-    ood_vote_min_freq: float = OOD_VOTE.min_frequency
+    in_vote_neighbors: int = VoteConfig.vote_neighbors
+    in_vote_min_freq: float = VoteConfig.vote_min_freq
+    ood_vote_neighbors: int = OOD_VOTE.vote_neighbors
+    ood_vote_min_freq: float = OOD_VOTE.vote_min_freq
     vote_inclusive: bool = False
     fallback_top1: bool = False
 
     def __post_init__(self) -> None:
-        """Check every value up front, so a bad one fails before any file is read or written."""
-        if not self.predict_k >= 1:  # written so that NaN fails too
-            raise RangeError("predict_k", ">= 1", self.predict_k)
-        if not self.gate_radius_km >= 0:
-            raise RangeError("gate_radius_km", ">= 0", self.gate_radius_km)
+        """Build every stage config up front, so a bad value fails before any file is read or written."""
         self.merge_config()
-        for side, prefix in ((Side.IN_DISTRIBUTION, "in_"), (Side.OUT_OF_DISTRIBUTION, "ood_")):
-            try:
-                self.side_configs(side)
-            except RangeError as exc:  # name the field of this config, not of TopKConfig / VoteConfig
-                raise RangeError(prefix + _SIDE_FIELDS[exc.field], exc.requirement, exc.value) from None
+        self._stage_config(GateConfig)
+        self._stage_config(PredictConfig, "predict_")
+        for side in Side:
+            self.side_configs(side)
+
+    def _stage_config(self, cls, prefix: str = ""):
+        """The ``cls`` config of one stage; its field ``name`` is set by this config's ``prefix + name``, else ``name``.
+
+        A range error names this config's field.
+        """
+        own = {f.name for f in fields(self)}
+        source = {f.name: prefix + f.name if prefix + f.name in own else f.name for f in fields(cls)}
+        try:
+            return cls(**{name: getattr(self, field) for name, field in source.items()})
+        except RangeError as exc:
+            raise RangeError(source[exc.field], exc.requirement, exc.value) from None
 
     def merge_config(self) -> MergeConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(MergeConfig) if f.name != "mode"}
-        return MergeConfig(mode=self.merge_mode, **shared)
+        return self._stage_config(MergeConfig, "merge_")
 
     def side_configs(self, side: Side) -> tuple[TopKConfig, VoteConfig]:
-        strictly_greater = not self.vote_inclusive
-        if side is Side.IN_DISTRIBUTION:
-            return (
-                TopKConfig(self.in_threshold, self.in_k_cap, self.fallback_top1),
-                VoteConfig(self.in_vote_neighbors, self.in_vote_min_freq, strictly_greater),
-            )
-        return (
-            TopKConfig(self.ood_threshold, self.ood_k_cap, self.fallback_top1),
-            VoteConfig(self.ood_vote_neighbors, self.ood_vote_min_freq, strictly_greater),
-        )
+        prefix = "in_" if side is Side.IN_DISTRIBUTION else "ood_"
+        return self._stage_config(TopKConfig, prefix), self._stage_config(VoteConfig, prefix)
 
 
 def _config_dict(config) -> dict:

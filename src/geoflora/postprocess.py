@@ -31,8 +31,10 @@ DEFAULT_GRID_KCAPS = tuple(range(5, 51, 5))
 
 @dataclass(frozen=True)
 class TopKConfig:
-    threshold: float
-    k_cap: int
+    """Threshold Top-K settings; the defaults are the in-distribution side's."""
+
+    threshold: float = 0.5
+    k_cap: int = 25
     fallback_top1: bool = False
 
     def __post_init__(self) -> None:
@@ -44,22 +46,22 @@ class TopKConfig:
 
 @dataclass(frozen=True)
 class VoteConfig:
-    neighbor_count: int
-    min_frequency: float
-    strictly_greater: bool = True
+    """Neighbour-vote settings; the defaults are the in-distribution side's."""
+
+    vote_neighbors: int = 5
+    vote_min_freq: float = 0.8
+    vote_inclusive: bool = False
 
     def __post_init__(self) -> None:
-        if self.neighbor_count < 1:
-            raise RangeError("neighbor_count", ">= 1", self.neighbor_count)
-        if not 0.0 < self.min_frequency <= 1.0:
-            raise RangeError("min_frequency", "in (0, 1]", self.min_frequency)
+        if self.vote_neighbors < 1:
+            raise RangeError("vote_neighbors", ">= 1", self.vote_neighbors)
+        if not 0.0 < self.vote_min_freq <= 1.0:
+            raise RangeError("vote_min_freq", "in (0, 1]", self.vote_min_freq)
 
 
-# Defaults for the two expert sides.
-IN_DIST_TOP_K = TopKConfig(threshold=0.5, k_cap=25)
-OOD_TOP_K = TopKConfig(threshold=0.475, k_cap=25)
-IN_DIST_VOTE = VoteConfig(neighbor_count=5, min_frequency=0.8)
-OOD_VOTE = VoteConfig(neighbor_count=6, min_frequency=0.5)
+# The out-of-distribution side's settings; the field defaults are the in-distribution side's.
+OOD_TOP_K = TopKConfig(threshold=0.475)
+OOD_VOTE = VoteConfig(vote_neighbors=6, vote_min_freq=0.5)
 
 
 def threshold_top_k(scores: Mapping[int, float], cfg: TopKConfig) -> frozenset[int]:
@@ -80,9 +82,9 @@ def threshold_top_k(scores: Mapping[int, float], cfg: TopKConfig) -> frozenset[i
 def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> frozenset[int]:
     """Species frequent among the nearest reference surveys of one test point.
 
-    A species is voted in when its frequency among the ``neighbor_count``
-    nearest reference surveys exceeds ``min_frequency`` (or meets it when
-    ``strictly_greater`` is off). A reference smaller than the neighbour
+    A species is voted in when its frequency among the ``vote_neighbors``
+    nearest reference surveys exceeds ``vote_min_freq`` (or meets it when
+    ``vote_inclusive`` is on). A reference smaller than the neighbour
     count uses every survey it has, shrinking the denominator.
     """
     return neighbor_vote_many(np.array([survey.lat]), np.array([survey.lon]), reference, cfg)[0]
@@ -90,9 +92,9 @@ def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> 
 
 def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig) -> list[frozenset[int]]:
     """Vectorised ``neighbor_vote`` over many query coordinates."""
-    counts, denom = neighbor_species_counts(reference, lats_deg, lons_deg, cfg.neighbor_count)
+    counts, denom = neighbor_species_counts(reference, lats_deg, lons_deg, cfg.vote_neighbors)
     freq = counts.data / denom
-    keep = freq > cfg.min_frequency if cfg.strictly_greater else freq >= cfg.min_frequency
+    keep = freq >= cfg.vote_min_freq if cfg.vote_inclusive else freq > cfg.vote_min_freq
     return _row_sets(counts.indptr, counts.indices, keep)
 
 

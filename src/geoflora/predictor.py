@@ -11,18 +11,28 @@ CSR arrays from one sparse product (``neighbor_species_counts``).
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 from scipy import sparse
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, SpeciesCatalog, check_ids, csv_rows
+from .ingest import Dataset, ParseError, RangeError, SpeciesCatalog, check_ids, csv_rows
 
-# Neighbours per test survey in the baseline.
-DEFAULT_K = 10
 # Rows formatted per write in ``save_scores``; one join over the whole matrix costs tens of MB.
 _SAVE_CHUNK_ROWS = 256
+
+
+@dataclass(frozen=True)
+class PredictConfig:
+    """Baseline settings: ``k`` neighbours per test survey."""
+
+    k: int = 10
+
+    def __post_init__(self) -> None:
+        if not self.k >= 1:  # written so that NaN fails too
+            raise RangeError("k", ">= 1", self.k)
 
 
 class ScoreMatrix:

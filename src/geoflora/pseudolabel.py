@@ -52,7 +52,6 @@ from scipy import sparse
 from .geo import EARTH_RADIUS_KM, GeoIndex
 from .ingest import Dataset, RangeError, RowSets, SurveyRecord, take_rows
 
-DEFAULT_BOX_HALF_KM = 0.32
 # Degree-to-km scales of the patch box.
 LAT_KM_PER_DEG = 111.4
 LON_KM_PER_DEG_AT_EQUATOR = 111.32
@@ -69,7 +68,7 @@ class MergeConfig:
     """Aggregation parameters."""
 
     mode: MergeMode = MergeMode.BALANCED
-    box_half_km: float = DEFAULT_BOX_HALF_KM
+    box_half_km: float = 0.32  # half the side of the 640 m patch
     rare_count_threshold: int = 100
 
     def __post_init__(self) -> None:

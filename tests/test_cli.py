@@ -157,6 +157,9 @@ class TestBasicCommands:
         assert "fusion-check: OK" in capsys.readouterr().out
 
 
+POSTPROCESS_IN = ["postprocess", "--scores", "IN", "--test", "IN", "--reference", "IN"]
+
+
 class TestErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         status = run(["ingest", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "o.csv")])
@@ -202,14 +205,13 @@ class TestErrors:
         [
             (["gate", "--test", "IN", "--pa", "IN", "--gate-radius-km", "-1"], "--gate-radius-km: gate_radius_km must be >= 0, got -1.0"),
             (["predict", "--train", "IN", "--test", "IN", "--k", "0"], "--k: k must be >= 1, got 0"),
-            (
-                ["postprocess", "--scores", "IN", "--test", "IN", "--reference", "IN", "--vote-min-freq", "0"],
-                "--vote-min-freq: min_frequency must be in (0, 1], got 0.0",
-            ),
-            (
-                ["postprocess", "--scores", "IN", "--test", "IN", "--reference", "IN", "--tune-truth", "IN", "--grid-kcaps", "5", "0"],
-                "--grid-kcaps: k_cap must be >= 1, got 0",
-            ),
+            ([*POSTPROCESS_IN, "--vote-min-freq", "0"], "--vote-min-freq: vote_min_freq must be in (0, 1], got 0.0"),
+            ([*POSTPROCESS_IN, "--tune-truth", "IN", "--grid-kcaps", "5", "0"], "--grid-kcaps: k_cap must be >= 1, got 0"),
+            ([*POSTPROCESS_IN, "--threshold", "1.5"], "--threshold: threshold must be in [0, 1], got 1.5"),
+            ([*POSTPROCESS_IN, "--k-cap", "0"], "--k-cap: k_cap must be >= 1, got 0"),
+            ([*POSTPROCESS_IN, "--vote-neighbors", "0"], "--vote-neighbors: vote_neighbors must be >= 1, got 0"),
+            ([*POSTPROCESS_IN, "--tune-truth", "IN", "--grid-thresholds", "1.5"], "--grid-thresholds: threshold must be in [0, 1], got 1.5"),
+            (["gate", "--test", "IN", "--pa", "IN", "--gate-radius-km", "nan"], "--gate-radius-km: gate_radius_km must be a finite number, got NaN"),
         ],
     )
     def test_range_error_names_the_flag_before_any_input_is_read(self, tmp_path, capsys, argv, message):
@@ -221,11 +223,18 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not output.exists()
 
+    @pytest.mark.parametrize("flag", ["--grid-thresholds", "--grid-kcaps"])
+    def test_grid_option_without_values_is_a_usage_error(self, flag):
+        # argparse rejects the command line before any file is opened
+        with pytest.raises(SystemExit) as exc:
+            run([*POSTPROCESS_IN, "--tune-truth", "IN", flag, "--output", "OUT"])
+        assert exc.value.code == 2
+
 
 GOLDEN_FILES = ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json")
 
-# The option and config-key sets of the two configurable commands; the patch
-# box's degree-to-km scales and the merge pre-query radius are not settings.
+# The option sets of the configurable commands and the config-key sets of the two
+# that read a config file; the patch box's degree-to-km scales are not settings.
 MERGE_KEYS = {"mode", "box_half_km", "rare_count_threshold"}
 PIPELINE_KEYS = {
     "merge_mode", "box_half_km", "rare_count_threshold", "gate_radius_km", "predict_k", "in_threshold",
@@ -234,6 +243,13 @@ PIPELINE_KEYS = {
 }
 MERGE_FLAGS = {
     "-h", "--help", "--input", "--output", "--config", "--report-out", "--mode", "--box-half-km", "--rare-count-threshold",
+}
+GATE_FLAGS = {"-h", "--help", "--test", "--pa", "--output", "--gate-radius-km"}
+PREDICT_FLAGS = {"-h", "--help", "--train", "--test", "--out", "--k"}
+POSTPROCESS_FLAGS = {
+    "-h", "--help", "--scores", "--test", "--reference", "--output", "--tune-truth", "--grid-thresholds", "--grid-kcaps",
+    "--threshold", "--k-cap", "--fallback-top1", "--no-fallback-top1",
+    "--vote-neighbors", "--vote-min-freq", "--vote-inclusive", "--no-vote-inclusive",
 }
 PIPELINE_FLAGS = {
     "-h", "--help", "--pa", "--po", "--test", "--outdir", "--config", "--merge-mode", "--box-half-km",
@@ -295,6 +311,31 @@ class TestPipeline:
         record = json.loads((outdir / "run.json").read_text())
         assert record["versions"] == {"numpy": np.__version__, "python": sys.version.split()[0]}
 
+    def test_subcommands_at_their_defaults_reproduce_the_golden_run(self, tmp_path):
+        golden = Path(FIXTURES) / "golden"
+        pa, po = f"{FIXTURES}/pa_train.csv", f"{FIXTURES}/po_train.csv"
+        merged, gate = tmp_path / "merged_po.csv", tmp_path / "gate.csv"
+        assert run(["merge", "--input", po, "--output", str(merged), "--mode", "strict"]) == 0
+        assert run(["gate", "--test", f"{FIXTURES}/test.csv", "--pa", pa, "--output", str(gate)]) == 0
+        in_ids = {line.split(",")[0] for line in gate.read_text().splitlines()[1:] if line.split(",")[1] == "in_distribution"}
+        header, *rows = fixture_lines("test.csv")
+        submission_rows = []
+        for side, train, settings in (
+            ("in", pa, []),
+            ("ood", str(merged), ["--threshold", "0.475", "--vote-neighbors", "6", "--vote-min-freq", "0.5"]),
+        ):
+            side_rows = [r for r in rows if (r.split(",")[0] in in_ids) == (side == "in")]
+            test, scores, sub = (tmp_path / f"{name}_{side}.csv" for name in ("test", "scores", "submission"))
+            test.write_text("\n".join([header, *side_rows]) + "\n")
+            assert run(["predict", "--train", train, "--test", str(test), "--out", str(scores)]) == 0
+            argv = ["postprocess", "--scores", str(scores), "--test", str(test), "--reference", train, *settings]
+            assert run([*argv, "--output", str(sub)]) == 0
+            submission_rows += sub.read_text().splitlines()[1:]
+        submission_rows.sort(key=lambda r: int(r.split(",")[0]))
+        (tmp_path / "submission.csv").write_text("\n".join(["surveyId,predictions", *submission_rows]) + "\n")
+        for name in GOLDEN_FILES[:-1]:
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_library_run_reproduces_golden_and_cli_output(self, tmp_path, capsys):
         outdir = tmp_path / "run"
         manifest = pipeline.run(
@@ -318,6 +359,9 @@ class TestConfig:
     def test_options_and_keys_match_the_config_fields(self):
         assert command_options("merge") == MERGE_FLAGS
         assert command_options("pipeline") == PIPELINE_FLAGS
+        assert command_options("gate") == GATE_FLAGS
+        assert command_options("predict") == PREDICT_FLAGS
+        assert command_options("postprocess") == POSTPROCESS_FLAGS
         assert {f.name for f in fields(MergeConfig)} == MERGE_KEYS
         assert {f.name for f in fields(pipeline.PipelineConfig)} == PIPELINE_KEYS
         golden = json.loads((Path(FIXTURES) / "golden" / "manifest.json").read_text())

@@ -60,6 +60,8 @@ class TestGeoIndex:
         assert len(idx) == 0
         assert idx.radius_query(P(0, 0), 100.0) == []
         assert idx.knn_query(P(0, 0), 3) == []
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            idx.knn_query(P(0, 0), 0)
 
     def test_radius_zero_hits_colocated_points(self):
         idx = GeoIndex(np.array([5, 3, 9]), np.array([48.0, 48.0, 50.0]), np.array([2.0, 2.0, 2.0]))

@@ -9,7 +9,6 @@ from conftest import make_dataset, query_coordinates, random_surveys
 from geoflora.ingest import ParseError, SpeciesCatalog
 from geoflora.losses import samples_f1
 from geoflora.postprocess import (
-    IN_DIST_VOTE,
     OOD_VOTE,
     TopKConfig,
     VoteConfig,
@@ -141,19 +140,19 @@ class TestNeighborVote:
     def test_exact_half_included_when_inclusive(self):
         ref = reference_dataset([{7}, {7}, {7}, {8}, {8}, {8}])
         rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        got = neighbor_vote(rec, ref, VoteConfig(6, 0.5, strictly_greater=False))
+        got = neighbor_vote(rec, ref, VoteConfig(6, 0.5, vote_inclusive=True))
         assert got == {7, 8}
 
     def test_unanimous_five_clears_eighty_percent(self):
         ref = reference_dataset([{3}, {3}, {3}, {3}, {3}, {9}])
         rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, IN_DIST_VOTE) == {3}
+        assert neighbor_vote(rec, ref, VoteConfig()) == {3}
 
     def test_four_of_five_fails_strict_eighty_percent(self):
         ref = reference_dataset([{3}, {3}, {3}, {3}, {9}, {9}])
         rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, IN_DIST_VOTE) == frozenset()
-        got = neighbor_vote(rec, ref, VoteConfig(5, 0.8, strictly_greater=False))
+        assert neighbor_vote(rec, ref, VoteConfig()) == frozenset()
+        got = neighbor_vote(rec, ref, VoteConfig(5, 0.8, vote_inclusive=True))
         assert got == {3}
 
     def test_small_reference_shrinks_denominator(self):
@@ -173,7 +172,7 @@ class TestNeighborVote:
             reference = random_surveys(rng, size, 8)
             lats, lons = query_coordinates(rng, reference, 30)
             for min_frequency in (0.25, 0.5, 1.0):
-                got = neighbor_vote_many(lats, lons, reference, VoteConfig(neighbor_count, min_frequency, strictly_greater))
+                got = neighbor_vote_many(lats, lons, reference, VoteConfig(neighbor_count, min_frequency, vote_inclusive=not strictly_greater))
                 assert got == neighbor_vote_oracle(reference, lats, lons, neighbor_count, min_frequency, strictly_greater)
 
     def test_config_validation(self):
