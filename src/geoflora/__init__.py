@@ -2,15 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .gate import GateAssignment, Side, assign, moe_merge
+from .gate import Gate, GateAssignment, Side, assign, moe_merge
 from .geo import EARTH_RADIUS_KM, GeoIndex, GeoPoint, haversine_km
 from .ingest import (
     Dataset,
     DatasetKind,
     ParseError,
+    RowSets,
     SpeciesCatalog,
     SurveyRecord,
     parse_occurrences,
+    union_rows,
     write_dataset,
 )
 from .losses import AslParams, LabeledScores, asl_grad, asl_loss, bce_loss, samples_f1
@@ -31,6 +33,7 @@ __all__ = [
     "Dataset",
     "DatasetKind",
     "EARTH_RADIUS_KM",
+    "Gate",
     "GateAssignment",
     "GeoIndex",
     "GeoPoint",
@@ -40,6 +43,7 @@ __all__ = [
     "MergedRecord",
     "MergedSet",
     "ParseError",
+    "RowSets",
     "ScoreMatrix",
     "Side",
     "SpeciesCatalog",
@@ -63,5 +67,6 @@ __all__ = [
     "samples_f1",
     "save_scores",
     "threshold_top_k",
+    "union_rows",
     "write_dataset",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .fusion import FusionWeights, ModalityTriple, init_weights, stack_forward, tri_serial_forward
-from .gate import GateConfig, Side, assign, write_assignments
+from .gate import GateConfig, assign, write_assignments
 from .ingest import (
     DatasetKind,
     ParseError,
@@ -219,10 +219,10 @@ def _cmd_gate(args) -> int:
     cfg = _effective_config(args, GateConfig)
     test, _ = _parse_file(args.test, kind="test")
     pa, _ = _parse_file(args.pa)
-    assignments = assign(test, pa, cfg.gate_radius_km)
-    write_assignments(assignments, args.output)
-    n_in = sum(a.side is Side.IN_DISTRIBUTION for a in assignments)
-    print(f"{n_in} in-distribution, {len(assignments) - n_in} out-of-distribution (radius {cfg.gate_radius_km} km)")
+    gate = assign(test, pa, cfg.gate_radius_km)
+    write_assignments(gate, args.output)
+    n_in = int(gate.in_mask.sum())
+    print(f"{n_in} in-distribution, {len(gate) - n_in} out-of-distribution (radius {cfg.gate_radius_km} km)")
     print(f"wrote {args.output}")
     return 0
 
@@ -260,7 +260,7 @@ def _cmd_postprocess(args) -> int:
     final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
     if len(matrix) < len(test):
         print(f"{args.scores}: {len(test) - len(matrix)} of {len(test)} test surveys have no score row", file=sys.stderr)
-    write_submission(final, args.output, catalog)
+    write_submission(test.ids, final, args.output, catalog)
     print(f"wrote {args.output} ({len(final)} surveys)")
     return 0
 

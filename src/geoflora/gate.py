@@ -4,6 +4,9 @@ Test surveys with a presence-absence training survey within the gate radius
 (10 km by default, boundary inclusive) are in-distribution; everything else
 is out-of-distribution. Each survey then takes exactly its assigned expert's
 prediction, with no mixing inside a survey.
+
+``assign`` returns a columnar ``Gate``; each expert's ``RowSets`` follow its side's
+surveys, and ``moe_merge`` unites them into one ``RowSets`` aligned with the test ids.
 """
 
 from __future__ import annotations
@@ -11,21 +14,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, RangeError, check_ids, csv_rows
+from .ingest import Dataset, RangeError, RowSets, union_rows
 
 
 class Side(enum.Enum):
     IN_DISTRIBUTION = "in_distribution"
     OUT_OF_DISTRIBUTION = "out_of_distribution"
-
-
-class RoutingError(ValueError):
-    """A survey is missing from its assigned expert's predictions."""
 
 
 @dataclass(frozen=True)
@@ -46,70 +45,49 @@ class GateAssignment:
     nearest_pa_km: float
 
 
-def assign(
-    test_dataset: Dataset,
-    pa_dataset: Dataset,
-    gate_radius_km: float = GateConfig.gate_radius_km,
-) -> list[GateAssignment]:
+@dataclass(frozen=True, eq=False)
+class Gate(Sequence[GateAssignment]):
+    """Columns with one row per test survey, by survey id; rows read as ``GateAssignment`` views made on demand."""
+
+    ids: np.ndarray
+    nearest_km: np.ndarray
+    in_mask: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, i) -> GateAssignment:
+        side = Side.IN_DISTRIBUTION if self.in_mask[i] else Side.OUT_OF_DISTRIBUTION
+        return GateAssignment(int(self.ids[i]), side, float(self.nearest_km[i]))
+
+
+def assign(test_dataset: Dataset, pa_dataset: Dataset, gate_radius_km: float = GateConfig.gate_radius_km) -> Gate:
     """Per test survey: its side and the distance to the nearest PA survey.
 
     An empty PA dataset routes everything out-of-distribution with an
-    infinite nearest distance. Output is ordered by survey id.
+    infinite nearest distance. Rows follow the test dataset, i.e. survey id.
     """
     GateConfig(gate_radius_km)
-    n = len(test_dataset)
     if len(pa_dataset) == 0:
-        nearest = np.full(n, math.inf)
+        nearest = np.full(len(test_dataset), math.inf)
     else:
         index = GeoIndex.from_dataset(pa_dataset)
         _, dists = index.knn_query_many(np.radians(test_dataset.lats), np.radians(test_dataset.lons), 1)
         nearest = dists[:, 0]
-    return [
-        GateAssignment(
-            int(test_dataset.ids[i]),
-            Side.IN_DISTRIBUTION if nearest[i] <= gate_radius_km else Side.OUT_OF_DISTRIBUTION,
-            float(nearest[i]),
-        )
-        for i in range(n)
-    ]
+    return Gate(test_dataset.ids, nearest, nearest <= gate_radius_km)
 
 
-def moe_merge(
-    assignments: list[GateAssignment],
-    in_dist_predictions: Mapping[int, frozenset[int]],
-    ood_predictions: Mapping[int, frozenset[int]],
-) -> dict[int, frozenset[int]]:
-    """Route each survey to its assigned expert's prediction."""
-    out: dict[int, frozenset[int]] = {}
-    for a in assignments:
-        source = in_dist_predictions if a.side is Side.IN_DISTRIBUTION else ood_predictions
-        if a.survey_id not in source:
-            raise RoutingError(f"survey {a.survey_id} missing from {a.side.value} predictions")
-        out[a.survey_id] = frozenset(source[a.survey_id])
-    return out
+def moe_merge(gate: Gate, in_dist_predictions: RowSets, ood_predictions: RowSets) -> RowSets:
+    """Route each survey to its assigned expert's prediction: row i of the result is ``gate.ids[i]``.
+
+    Each expert's rows follow its own side's surveys in gate order; routing is the union of these disjoint rows.
+    """
+    return union_rows(len(gate), (np.flatnonzero(gate.in_mask), in_dist_predictions), (np.flatnonzero(~gate.in_mask), ood_predictions))
 
 
-def write_assignments(assignments: list[GateAssignment], path: str) -> None:
+def write_assignments(gate: Gate, path: str) -> None:
+    names = (Side.OUT_OF_DISTRIBUTION.value, Side.IN_DISTRIBUTION.value)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,side,nearestPaKm\n")
-        for a in assignments:
-            km = "inf" if math.isinf(a.nearest_pa_km) else repr(a.nearest_pa_km)
-            f.write(f"{a.survey_id},{a.side.value},{km}\n")
-
-
-def read_assignments(path: str) -> list[GateAssignment]:
-    """Read an assignment file; a malformed row is rejected with its location.
-
-    Ids must pass ``check_ids``; a distance must be ``inf`` or a finite value >= 0.
-    """
-    out = []
-    for line, row in csv_rows(path, ("surveyId", "side", "nearestPaKm")):
-        try:
-            a = GateAssignment(int(row[0]), Side(row[1]), float(row[2]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-        check_ids(path, line, row[0], a.survey_id)
-        if not a.nearest_pa_km >= 0:  # written so that NaN fails too
-            raise ParseError(f"{path}:{line}: malformed row: nearestPaKm must be >= 0 or inf, got {row[2]}")
-        out.append(a)
-    return out
+        for sid, inside, km in zip(gate.ids.tolist(), gate.in_mask.tolist(), gate.nearest_km.tolist()):
+            f.write(f"{sid},{names[inside]},{km!r}\n")

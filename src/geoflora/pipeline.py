@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .gate import GateConfig, Side, assign, moe_merge, write_assignments
-from .ingest import DatasetKind, RangeError, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
+from .ingest import DatasetKind, RangeError, RowSets, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
 from .postprocess import OOD_TOP_K, OOD_VOTE, TopKConfig, VoteConfig, side_predictions, write_submission
 from .predictor import PredictConfig, ScoreMatrix, neighbor_frequency_predict, save_scores
 from .pseudolabel import MergeConfig, MergeMode, merge_points, merge_stats, merged_to_dataset
@@ -130,18 +130,18 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         f"mean species/survey {report.mean_species_in:.3f} -> {report.mean_species_out:.3f}"
     )
 
-    assignments = assign(test_ds, pa_ds, config.gate_radius_km)
-    write_assignments(assignments, str(outdir / "gate.csv"))
-    in_mask = np.array([a.side is Side.IN_DISTRIBUTION for a in assignments], dtype=bool)
-    print(f"gate: {int(in_mask.sum())} in-distribution, {int((~in_mask).sum())} out-of-distribution")
+    gate = assign(test_ds, pa_ds, config.gate_radius_km)
+    write_assignments(gate, str(outdir / "gate.csv"))
+    n_in = int(gate.in_mask.sum())
+    print(f"gate: {n_in} in-distribution, {len(gate) - n_in} out-of-distribution")
 
-    predictions: dict[Side, dict[int, frozenset[int]]] = {}
+    predictions: dict[Side, RowSets] = {}
     for side, train, mask, scores_name in (
-        (Side.IN_DISTRIBUTION, pa_ds, in_mask, "scores_in.csv"),
-        (Side.OUT_OF_DISTRIBUTION, merged_po, ~in_mask, "scores_ood.csv"),
+        (Side.IN_DISTRIBUTION, pa_ds, gate.in_mask, "scores_in.csv"),
+        (Side.OUT_OF_DISTRIBUTION, merged_po, ~gate.in_mask, "scores_ood.csv"),
     ):
         test_side = test_ds.take(np.flatnonzero(mask))
-        matrix, predictions[side] = ScoreMatrix(len(catalog)), {}
+        matrix, predictions[side] = ScoreMatrix(len(catalog)), test_side.species  # no rows on an empty side
         if len(test_side):
             if len(train) == 0:
                 raise ValueError(f"no training data for the {side.value.replace('_', '-')} expert")
@@ -149,9 +149,9 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
             predictions[side] = side_predictions(matrix, test_side, train, *config.side_configs(side))
         save_scores(matrix, str(outdir / scores_name), catalog)
 
-    final = moe_merge(assignments, predictions[Side.IN_DISTRIBUTION], predictions[Side.OUT_OF_DISTRIBUTION])
+    final = moe_merge(gate, predictions[Side.IN_DISTRIBUTION], predictions[Side.OUT_OF_DISTRIBUTION])
     submission_path = outdir / "submission.csv"
-    write_submission(final, str(submission_path), catalog)
+    write_submission(gate.ids, final, str(submission_path), catalog)
     print(f"wrote {submission_path} ({len(final)} surveys)")
 
     manifest = {

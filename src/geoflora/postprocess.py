@@ -10,16 +10,18 @@ deduplicated union of both.
 
 On CSR arrays, ``apply_top_k`` and ``grid_search_top_k`` share one ranking kernel
 (``threshold_top_k`` is the single-row form); votes threshold ``neighbor_species_counts``.
+Top-K picks (rows by score-matrix id), votes and their union (rows by test id,
+the order ``write_submission`` writes) are ``RowSets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, ParseError, RangeError, SpeciesCatalog, SurveyRecord, check_ids, csv_rows, preview_ids
+from .ingest import Dataset, ParseError, RangeError, RowSets, SpeciesCatalog, SurveyRecord, check_ids, csv_rows, preview_ids, union_rows
 from .losses import check_same_surveys
 from .predictor import ScoreMatrix, neighbor_species_counts
 
@@ -90,24 +92,17 @@ def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> 
     return neighbor_vote_many(np.array([survey.lat]), np.array([survey.lon]), reference, cfg)[0]
 
 
-def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig) -> list[frozenset[int]]:
-    """Vectorised ``neighbor_vote`` over many query coordinates."""
+def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig) -> RowSets:
+    """Vectorised ``neighbor_vote`` over many query coordinates: row i holds query i's votes."""
     counts, denom = neighbor_species_counts(reference, lats_deg, lons_deg, cfg.vote_neighbors)
     freq = counts.data / denom
     keep = freq >= cfg.vote_min_freq if cfg.vote_inclusive else freq > cfg.vote_min_freq
-    return _row_sets(counts.indptr, counts.indices, keep)
+    return RowSets(np.concatenate(([0], np.cumsum(keep)))[counts.indptr], counts.indices[keep])
 
 
-def _row_sets(indptr: np.ndarray, values: np.ndarray, keep: np.ndarray) -> list[frozenset[int]]:
-    """The kept ``values`` of each CSR row, one frozenset per row."""
-    bounds = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
-    kept = values[keep].tolist()
-    return [frozenset(kept[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def finalize(predictions: Mapping[int, Iterable[int]], votes: Mapping[int, Iterable[int]]) -> dict[int, frozenset[int]]:
-    """Union the thresholded predictions with the vote sets, per survey."""
-    return {sid: frozenset(predictions.get(sid, ())) | frozenset(votes.get(sid, ())) for sid in set(predictions) | set(votes)}
+def finalize(votes: RowSets, picks: RowSets, rows: np.ndarray) -> RowSets:
+    """Each survey's votes united with its Top-K picks; ``picks[j]`` belongs to vote row ``rows[j]``."""
+    return union_rows(len(votes), (np.arange(len(votes)), votes), (rows, picks))
 
 
 def _ranked_entries(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,26 +120,25 @@ def _kept_counts(row: np.ndarray, score: np.ndarray, row_len: np.ndarray, thresh
     return np.minimum(np.minimum(np.maximum(cleared, int(fallback_top1)), row_len), k_cap)
 
 
-def apply_top_k(matrix: ScoreMatrix, cfg: TopKConfig) -> dict[int, frozenset[int]]:
-    """Threshold Top-K over every row of a score matrix."""
+def apply_top_k(matrix: ScoreMatrix, cfg: TopKConfig) -> RowSets:
+    """Threshold Top-K over every row of a score matrix: row i holds survey ``matrix.ids[i]``'s picks, best first."""
     row, species, score = _ranked_entries(matrix)
     kept = _kept_counts(row, score, np.diff(matrix.indptr), cfg.threshold, cfg.k_cap, cfg.fallback_top1)
     keep = np.arange(row.size) - matrix.indptr[row] < kept[row]
-    return dict(zip(matrix.survey_ids(), _row_sets(matrix.indptr, species, keep)))
+    return RowSets(np.concatenate(([0], np.cumsum(keep)))[matrix.indptr], species[keep])
 
 
-def side_predictions(matrix: ScoreMatrix, test: Dataset, reference: Dataset, top_k: TopKConfig, vote: VoteConfig) -> dict[int, frozenset[int]]:
+def side_predictions(matrix: ScoreMatrix, test: Dataset, reference: Dataset, top_k: TopKConfig, vote: VoteConfig) -> RowSets:
     """Threshold Top-K over the scores united with neighbour votes over ``reference``.
 
-    The result holds exactly the surveys of ``test``. Score rows for other
+    Row i of the result is survey ``test.ids[i]``. Score rows for other
     surveys are an error; a test survey without a score row gets its votes only.
     """
-    ids = test.ids.tolist()
-    extra = set(matrix.survey_ids()).difference(ids)
-    if extra:
-        raise ValueError(f"scores for surveys absent from the test set: {preview_ids(extra)}")
+    extra = np.setdiff1d(matrix.ids, test.ids)
+    if extra.size:
+        raise ValueError(f"scores for surveys absent from the test set: {preview_ids(extra.tolist())}")
     votes = neighbor_vote_many(test.lats, test.lons, reference, vote)
-    return finalize(apply_top_k(matrix, top_k), dict(zip(ids, votes)))
+    return finalize(votes, apply_top_k(matrix, top_k), np.searchsorted(test.ids, matrix.ids))
 
 
 def grid_search_top_k(
@@ -157,8 +151,8 @@ def grid_search_top_k(
     strict improvement moves the winner, so the result is deterministic.
     Every point is scored from the ranking ``apply_top_k`` takes prefixes of:
     a running count of true species within each row gives TP for any prefix
-    length. Each point's F1 equals ``samples_f1`` of ``apply_top_k`` bit for
-    bit: same per-survey expression, summed in survey-id order.
+    length. Each point's F1 equals ``samples_f1`` of ``apply_top_k``'s rows by
+    survey id bit for bit: same per-survey expression, summed in survey-id order.
     """
     thresholds, k_caps = sorted(thresholds), sorted(k_caps)
     grid = [TopKConfig(thr, k_cap, fallback_top1) for thr in thresholds for k_cap in k_caps]
@@ -193,12 +187,15 @@ def grid_search_top_k(
     return grid[best], float(f1.flat[best])
 
 
-def write_submission(predictions: Mapping[int, Iterable[int]], path: str, catalog: SpeciesCatalog) -> None:
-    """Write surveyId,predictions rows; species as ascending raw ids."""
+def write_submission(ids: np.ndarray, sets: RowSets, path: str, catalog: SpeciesCatalog) -> None:
+    """Write surveyId,predictions rows in the given order, survey ``ids[i]`` predicting ``sets[i]`` as raw ids.
+
+    Each row must ascend, as ``union_rows`` makes it, so that its raw ids ascend."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("surveyId,predictions\n")
-        for sid in sorted(predictions):
-            f.write(f"{sid},{' '.join(map(str, catalog.raw_ids(predictions[sid])))}\n")
+        raw, ptr = catalog.dense_to_raw[sets.indices].tolist(), sets.indptr.tolist()
+        for sid, a, b in zip(np.asarray(ids).tolist(), ptr[:-1], ptr[1:], strict=True):
+            f.write(f"{sid},{' '.join(map(str, raw[a:b]))}\n")
 
 
 def read_submission(path: str) -> dict[int, frozenset[int]]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from geoflora.ingest import Dataset
+from geoflora.ingest import Dataset, RowSets
 
 settings.register_profile(
     "geoflora",
@@ -25,6 +25,12 @@ def make_dataset(rows) -> Dataset:
         np.array([r[2] for r in rows], dtype=np.float64),
         [frozenset(r[3]) for r in rows],
     )
+
+
+def row_sets(sets) -> RowSets:
+    """RowSets with one row per species iterable, items in iteration order."""
+    sets = [list(s) for s in sets]
+    return RowSets(np.cumsum([0] + [len(s) for s in sets]), np.array([x for s in sets for x in s], dtype=np.int64))
 
 
 def random_points(rng: np.random.Generator, n: int, *, lat_span=(-89.0, 89.0), lon_span=(-180.0, 180.0), duplicate_fraction=0.1):

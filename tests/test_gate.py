@@ -1,13 +1,11 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
-from conftest import make_dataset
-from geoflora.gate import GateAssignment, RoutingError, Side, assign, moe_merge, read_assignments, write_assignments
+from conftest import make_dataset, row_sets
+from geoflora.gate import Gate, Side, assign, moe_merge, write_assignments
 from geoflora.geo import GeoPoint, haversine_km
-from geoflora.ingest import ParseError
 from geoflora.synth import uniform_surveys
 
 
@@ -38,11 +36,13 @@ class TestAssign:
         (a,) = assign(test, pa, gate_radius_km=d)
         assert a.side is Side.IN_DISTRIBUTION
 
-    def test_empty_pa_routes_everything_ood(self):
+    def test_empty_pa_routes_everything_ood(self, tmp_path):
         test = coords_only([(1, 0.0, 0.0), (2, 10.0, 10.0)])
         pa = make_dataset([])
         got = assign(test, pa)
         assert all(a.side is Side.OUT_OF_DISTRIBUTION and math.isinf(a.nearest_pa_km) for a in got)
+        write_assignments(got, str(tmp_path / "gate.csv"))
+        assert (tmp_path / "gate.csv").read_text() == "surveyId,side,nearestPaKm\n1,out_of_distribution,inf\n2,out_of_distribution,inf\n"
 
     def test_nan_radius_is_rejected(self):
         test = coords_only([(1, 48.0, 2.0)])
@@ -91,65 +91,27 @@ class TestAssign:
 
 class TestMoeMerge:
     def test_all_in_distribution_passthrough(self):
-        assignments = [GateAssignment(1, Side.IN_DISTRIBUTION, 1.0), GateAssignment(2, Side.IN_DISTRIBUTION, 2.0)]
-        in_preds = {1: frozenset({5}), 2: frozenset({6, 7})}
-        assert moe_merge(assignments, in_preds, {}) == in_preds
+        gate = Gate(np.array([1, 2]), np.array([1.0, 2.0]), np.array([True, True]))
+        in_preds = [frozenset({5}), frozenset({6, 7})]
+        assert list(moe_merge(gate, row_sets(in_preds), row_sets([]))) == in_preds
 
     def test_disjoint_halves_routed(self):
-        assignments = [GateAssignment(1, Side.IN_DISTRIBUTION, 1.0), GateAssignment(2, Side.OUT_OF_DISTRIBUTION, 99.0)]
-        got = moe_merge(assignments, {1: frozenset({5})}, {2: frozenset({9})})
-        assert got == {1: frozenset({5}), 2: frozenset({9})}
+        gate = Gate(np.array([1, 2]), np.array([1.0, 99.0]), np.array([True, False]))
+        got = moe_merge(gate, row_sets([{5}]), row_sets([{9}]))
+        assert list(got) == [frozenset({5}), frozenset({9})]
 
     def test_random_routing_matches_table_lookup(self, rng):
-        assignments = []
+        gate = Gate(np.arange(1, 101), rng.uniform(0, 20, 100), rng.random(100) < 0.5)
         in_preds, ood_preds = {}, {}
         for sid in range(1, 101):
-            side = Side.IN_DISTRIBUTION if rng.random() < 0.5 else Side.OUT_OF_DISTRIBUTION
-            assignments.append(GateAssignment(sid, side, float(rng.uniform(0, 20))))
             in_preds[sid] = frozenset(rng.choice(30, 3, replace=False).tolist())
             ood_preds[sid] = frozenset(rng.choice(30, 3, replace=False).tolist())
-        got = moe_merge(assignments, in_preds, ood_preds)
-        for a in assignments:
+        # each expert predicts its own side's surveys only, in gate order
+        got = moe_merge(
+            gate,
+            row_sets(in_preds[a.survey_id] for a in gate if a.side is Side.IN_DISTRIBUTION),
+            row_sets(ood_preds[a.survey_id] for a in gate if a.side is Side.OUT_OF_DISTRIBUTION),
+        )
+        for a, row in zip(gate, got, strict=True):
             expected = in_preds[a.survey_id] if a.side is Side.IN_DISTRIBUTION else ood_preds[a.survey_id]
-            assert got[a.survey_id] == expected
-
-    def test_missing_survey_error_names_it(self):
-        assignments = [GateAssignment(123, Side.OUT_OF_DISTRIBUTION, 50.0)]
-        with pytest.raises(RoutingError, match="123"):
-            moe_merge(assignments, {123: frozenset()}, {})
-
-
-def test_assignment_csv_round_trip(tmp_path, rng):
-    test = uniform_surveys(20, 5, rng, mean_extra_species=0)
-    pa = uniform_surveys(10, 5, rng, id_start=1000)
-    original = assign(test, pa, 100.0)
-    path = str(tmp_path / "gate.csv")
-    write_assignments(original, path)
-    assert read_assignments(path) == original
-
-
-@pytest.mark.parametrize(
-    "row, reason",
-    [
-        ("1,in_distribution", "expected 3 fields, got 2"),
-        ("1,inside,3.0", "malformed row: 'inside' is not a valid Side"),
-        ("x1,in_distribution,3.0", "malformed row: invalid literal for int"),
-        ("1_0,in_distribution,nan", "malformed row: ids must be ASCII digits"),
-        ("1,in_distribution,nan", r"malformed row: nearestPaKm must be >= 0 or inf, got nan$"),
-        ("1,in_distribution,-0.5", r"malformed row: nearestPaKm must be >= 0 or inf, got -0.5$"),
-        ("1,in_distribution,-inf", r"malformed row: nearestPaKm must be >= 0 or inf, got -inf$"),
-        ("99999999999999999999,in_distribution,1.0", "survey or species id outside the 64-bit integer range"),
-    ],
-)
-def test_bad_assignment_row_names_its_location(tmp_path, row, reason):
-    path = tmp_path / "gate.csv"
-    path.write_text(f"surveyId,side,nearestPaKm\n2,out_of_distribution,inf\n{row}\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: {reason}"):
-        read_assignments(str(path))
-
-
-def test_assignment_csv_round_trip_with_infinity(tmp_path):
-    original = [GateAssignment(1, Side.OUT_OF_DISTRIBUTION, math.inf)]
-    path = str(tmp_path / "gate.csv")
-    write_assignments(original, path)
-    assert read_assignments(path) == original
+            assert row == expected

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, row_sets
 from geoflora.ingest import (
     Dataset,
     DatasetKind,
@@ -12,6 +12,7 @@ from geoflora.ingest import (
     decode_species,
     parse_occurrences,
     reindex_dataset,
+    union_rows,
     write_dataset,
 )
 
@@ -334,3 +335,28 @@ class TestDataset:
         rows = np.sort(rng.choice(100, size=40, replace=False))
         assert ds.take(rows) == Dataset(ds.ids[rows], ds.lats[rows], ds.lons[rows], [sets[i] for i in rows])
         assert len(ds.take(np.arange(0))) == 0
+
+
+class TestUnionRows:
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_equals_set_union(self, rng, n):
+        for _ in range(30):
+            parts, expected = [], [set() for _ in range(n)]
+            for _ in range(int(rng.integers(0, 4))):  # no part at all, too
+                # rows may repeat (overlapping sets) or be missed (untouched rows); sets may be empty or repeat items
+                rows = rng.integers(0, max(n, 1), int(rng.integers(0, 2 * n + 1)))
+                items = [rng.integers(0, 12, int(rng.integers(0, 5))).tolist() for _ in rows]
+                parts.append((rows, row_sets(items)))
+                for row, sp in zip(rows, items):
+                    expected[row] |= set(sp)
+            got = union_rows(n, *parts)
+            assert [got.row(i).tolist() for i in range(len(got))] == [sorted(sp) for sp in expected]
+
+    def test_empty_parts(self):
+        none = (np.empty(0, dtype=np.int64), row_sets([]))
+        assert len(union_rows(0)) == 0 and len(union_rows(0, none, none)) == 0  # a test file with only a header
+        assert list(union_rows(3, none, (np.array([1]), row_sets([set()])))) == [frozenset()] * 3
+
+    def test_one_row_position_per_set(self):
+        with pytest.raises(ValueError, match="one row position per set"):
+            union_rows(2, (np.array([0, 1]), row_sets([{1}])))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, query_coordinates, random_surveys
-from geoflora.ingest import ParseError, SpeciesCatalog
+from conftest import make_dataset, query_coordinates, random_surveys, row_sets
+from geoflora.ingest import Dataset, ParseError, SpeciesCatalog, union_rows
 from geoflora.losses import samples_f1
 from geoflora.postprocess import (
     OOD_VOTE,
@@ -18,6 +18,7 @@ from geoflora.postprocess import (
     neighbor_vote,
     neighbor_vote_many,
     read_submission,
+    side_predictions,
     threshold_top_k,
     write_submission,
 )
@@ -51,13 +52,18 @@ def scored_surveys(draw):
     return matrix, truth
 
 
+def top_k_by_id(matrix, cfg):
+    """``apply_top_k``'s rows keyed by the matrix's survey ids."""
+    return dict(zip(matrix.survey_ids(), apply_top_k(matrix, cfg), strict=True))
+
+
 def reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1):
     """Every grid point scored by ``apply_top_k`` + ``samples_f1``; first strict maximum wins."""
     best_cfg, best_f1 = None, -1.0
     for thr in sorted(thresholds):
         for k_cap in sorted(k_caps):
             cfg = TopKConfig(thr, k_cap, fallback_top1)
-            f1 = samples_f1(truth, apply_top_k(matrix, cfg))
+            f1 = samples_f1(truth, top_k_by_id(matrix, cfg))
             if f1 > best_f1:
                 best_cfg, best_f1 = cfg, f1
     return best_cfg, best_f1
@@ -98,7 +104,7 @@ class TestThresholdTopK:
     def test_apply_top_k_equals_threshold_top_k_per_row(self, surveys, threshold, k_cap, fallback_top1):
         matrix, _ = surveys
         cfg = TopKConfig(threshold, k_cap, fallback_top1)
-        assert apply_top_k(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+        assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
 
     @pytest.mark.parametrize("fallback_top1", [False, True])
     def test_apply_top_k_equals_threshold_top_k_on_random_matrices(self, rng, fallback_top1):
@@ -110,7 +116,7 @@ class TestThresholdTopK:
             matrix = ScoreMatrix(num_species, rng.permutation(10 * n)[:n], np.concatenate(([0], np.cumsum(row_len))), species, scores)
             for threshold in (0.0, 0.5, 0.6, 1.0):
                 cfg = TopKConfig(threshold, int(rng.integers(1, 8)), fallback_top1)
-                assert apply_top_k(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+                assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -173,7 +179,7 @@ class TestNeighborVote:
             lats, lons = query_coordinates(rng, reference, 30)
             for min_frequency in (0.25, 0.5, 1.0):
                 got = neighbor_vote_many(lats, lons, reference, VoteConfig(neighbor_count, min_frequency, vote_inclusive=not strictly_greater))
-                assert got == neighbor_vote_oracle(reference, lats, lons, neighbor_count, min_frequency, strictly_greater)
+                assert list(got) == neighbor_vote_oracle(reference, lats, lons, neighbor_count, min_frequency, strictly_greater)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -184,26 +190,64 @@ class TestNeighborVote:
 
 class TestFinalize:
     def test_empty_votes_passthrough(self):
-        assert finalize({1: {2, 3}}, {1: set()}) == {1: frozenset({2, 3})}
+        assert list(finalize(row_sets([set()]), row_sets([{2, 3}]), [0])) == [frozenset({2, 3})]
 
     def test_disjoint_union(self):
-        assert finalize({1: {1, 2}}, {1: {3}}) == {1: frozenset({1, 2, 3})}
+        assert list(finalize(row_sets([{3}]), row_sets([{1, 2}]), [0])) == [frozenset({1, 2, 3})]
 
     def test_overlap_deduplicates(self):
-        assert finalize({1: {1, 2}}, {1: {2, 3}}) == {1: frozenset({1, 2, 3})}
+        got = finalize(row_sets([{2, 3}]), row_sets([{1, 2}]), [0])
+        assert got.row(0).tolist() == [1, 2, 3]
 
     @given(
-        st.dictionaries(st.integers(0, 5), st.frozensets(st.integers(0, 10), max_size=5), max_size=4),
+        st.lists(st.frozensets(st.integers(0, 10), max_size=5), max_size=6),
         st.dictionaries(st.integers(0, 5), st.frozensets(st.integers(0, 10), max_size=5), max_size=4),
         st.integers(0, 10),
     )
-    def test_adding_votes_never_removes_predictions(self, preds, votes, extra):
-        base = finalize(preds, votes)
-        grown = {k: v | {extra} for k, v in votes.items()}
-        bigger = finalize(preds, grown)
-        assert set(bigger) == set(base)
-        for sid, species in base.items():
-            assert species <= bigger[sid]  # monotone per survey
+    def test_adding_votes_never_removes_predictions(self, votes, picks, extra):
+        picks = {row: sp for row, sp in picks.items() if row < len(votes)}  # picks go to vote rows
+        base = finalize(row_sets(votes), row_sets(picks.values()), list(picks))
+        bigger = finalize(row_sets(v | {extra} for v in votes), row_sets(picks.values()), list(picks))
+        assert len(base) == len(bigger) == len(votes)
+        for row, species in enumerate(base):
+            assert species == votes[row] | picks.get(row, frozenset())
+            assert species <= bigger[row]  # monotone per survey
+
+
+class TestSidePredictions:
+    @pytest.mark.parametrize("reference_size", [0, 3, 40])
+    def test_rows_equal_top_k_united_with_votes(self, rng, reference_size):
+        # a reference of 0 or 3 surveys is smaller than most neighbour counts drawn below
+        for _ in range(8):
+            num_species = int(rng.integers(4, 12))  # random_surveys draws up to 4 species per survey
+            reference = random_surveys(rng, reference_size, num_species)
+            m = int(rng.integers(0, 30))
+            lats, lons = query_coordinates(rng, reference, m)
+            ids = np.sort(rng.choice(np.arange(1, 10 * m + 2), m, replace=False))
+            test = Dataset(ids, lats, lons, [frozenset()] * m)
+            scored = rng.permutation(ids)[: int(rng.integers(0, m + 1))]  # some test surveys get no score row
+            row_len = rng.integers(0, num_species + 1, scored.size)  # empty rows included
+            species = np.concatenate([rng.choice(num_species, r, replace=False) for r in row_len] + [np.empty(0, np.int64)])
+            scores = rng.integers(0, 5, species.size) / 4  # ties within rows and with the thresholds
+            matrix = ScoreMatrix(num_species, scored, np.concatenate(([0], np.cumsum(row_len))), species, scores)
+            top_k = TopKConfig(float(rng.choice([0.0, 0.5, 0.6])), int(rng.integers(1, 5)), bool(rng.integers(2)))
+            vote = VoteConfig(int(rng.integers(1, 8)), float(rng.choice([0.25, 0.5, 1.0])), bool(rng.integers(2)))
+            got = side_predictions(matrix, test, reference, top_k, vote)
+            expected = [
+                (threshold_top_k(matrix.row(rec.survey_id), top_k) if rec.survey_id in matrix else frozenset())
+                | neighbor_vote(rec, reference, vote)
+                for rec in test
+            ]
+            assert list(got) == expected
+            assert all(np.all(np.diff(got.row(i)) > 0) for i in range(m))  # ascending, as write_submission needs
+
+    def test_score_row_outside_the_test_set_is_an_error(self):
+        test = make_dataset([(1, 0.0, 0.0, set())])
+        matrix = ScoreMatrix(2)
+        matrix.add_row(1, {0: 0.9})
+        matrix.add_row(7, {1: 0.9})
+        with pytest.raises(ValueError, match=re.escape("scores for surveys absent from the test set: [7]")):
+            side_predictions(matrix, test, reference_dataset([{0}]), TopKConfig(), VoteConfig())
 
 
 class TestGridSearch:
@@ -230,7 +274,7 @@ class TestGridSearch:
             for k_cap in k_caps[:2]:
                 cfg = TopKConfig(thr, k_cap, fallback_top1)
                 one_point = grid_search_top_k(matrix, truth, [thr], [k_cap], fallback_top1=fallback_top1)
-                assert one_point == (cfg, samples_f1(truth, apply_top_k(matrix, cfg)))
+                assert one_point == (cfg, samples_f1(truth, top_k_by_id(matrix, cfg)))
 
     def test_f1_adds_surveys_in_id_order(self):
         # 15 per-survey F1 values whose pairwise total (numpy.sum) differs from the sequential one
@@ -240,7 +284,7 @@ class TestGridSearch:
             m.add_row(sid, {sp: 0.9 for sp in range(int(kept))})
             truth[sid] = frozenset(range(int(first_true), 4))
         cfg = TopKConfig(0.5, 3)
-        assert grid_search_top_k(m, truth, [0.5], [3]) == (cfg, samples_f1(truth, apply_top_k(m, cfg)))
+        assert grid_search_top_k(m, truth, [0.5], [3]) == (cfg, samples_f1(truth, top_k_by_id(m, cfg)))
 
     def test_id_mismatch_raises_the_samples_f1_message(self):
         m = ScoreMatrix(2)
@@ -248,7 +292,7 @@ class TestGridSearch:
         m.add_row(2, {1: 0.9})
         truth = {1: frozenset({0}), 3: frozenset()}
         with pytest.raises(ValueError) as expected:
-            samples_f1(truth, apply_top_k(m, TopKConfig(0.5, 1)))
+            samples_f1(truth, top_k_by_id(m, TopKConfig(0.5, 1)))
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             grid_search_top_k(m, truth, thresholds=(0.5,), k_caps=(1,))
         with pytest.raises(ValueError, match="no surveys to score"):
@@ -277,19 +321,21 @@ class TestGridSearch:
         m = ScoreMatrix(3)
         m.add_row(5, {0: 1.0})
         m.add_row(2, {})
-        got = apply_top_k(m, TopKConfig(0.5, 2))
-        assert got == {2: frozenset(), 5: frozenset({0})}
+        assert top_k_by_id(m, TopKConfig(0.5, 2)) == {2: frozenset(), 5: frozenset({0})}
 
 
 class TestSubmissionIO:
     def test_round_trip_and_raw_id_order(self, tmp_path):
         catalog = SpeciesCatalog(np.array([100, 205, 309], dtype=np.int64))
-        preds = {7: frozenset({2, 0}), 3: frozenset(), 10: frozenset({1})}
+        ids = np.array([3, 7, 10])
+        preds = union_rows(3, (np.array([1, 2]), row_sets([[2, 0], [1]])))  # unordered input, ascending rows
         path = str(tmp_path / "sub.csv")
-        write_submission(preds, path, catalog)
+        write_submission(ids, preds, path, catalog)
         text = (tmp_path / "sub.csv").read_text()
         assert text == "surveyId,predictions\n3,\n7,100 309\n10,205\n"
         assert read_submission(path) == {3: frozenset(), 7: frozenset({100, 309}), 10: frozenset({205})}
+        with pytest.raises(ValueError):
+            write_submission(ids[:2], preds, path, catalog)  # one id per row
 
     def test_read_rejects_duplicates(self, tmp_path):
         path = tmp_path / "sub.csv"
