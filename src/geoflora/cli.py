@@ -252,8 +252,7 @@ def _cmd_postprocess(args) -> int:
     test, _ = _parse_file(args.test, kind="test")
     matrix = load_scores(args.scores, catalog)
     if args.tune_truth:
-        truth_ds, _ = parse_occurrences(args.tune_truth, catalog=catalog)
-        truth = dict(zip(truth_ds.ids.tolist(), truth_ds.species))
+        truth, _ = parse_occurrences(args.tune_truth, catalog=catalog)
         top_cfg, best = grid_search_top_k(matrix, truth, args.grid_thresholds, args.grid_kcaps, fallback_top1=top_cfg.fallback_top1)
         print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
 

@@ -9,13 +9,21 @@ Two comma-delimited, UTF-8 file shapes are supported (header row required):
 
 Raw species identifiers are remapped to dense indices [0, S) at ingestion;
 all downstream math runs on dense indices and submissions map back to raw
-ids. A catalog holds its raw ids in strictly ascending order and dense index
-d is the d-th of them, so any two files covering the same species produce
-identical mappings and ascending dense indices decode to ascending raw ids.
+ids. A catalog is only its raw ids in strictly ascending order (``lookup``
+maps many with one ``searchsorted``), dense index d being the d-th of them, so
+any two files covering the same species produce identical mappings and
+ascending dense indices decode to ascending raw ids.
 A ``Dataset`` stores species sets only as CSR arrays: parsing builds them,
 re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 The same CSR pair, ``RowSets``, carries Top-K picks, votes and the routed
 submission, rows aligned with the test ids; ``union_rows`` unites them.
+
+A reader makes one ``csv`` row pass that only checks and converts fields into
+typed arrays; grouping, conflict checks and catalog lookups then run once on
+numpy arrays. So a file with several faults reports its row-local format
+faults first, then, each at its first row in the file: non-finite and
+out-of-range coordinates, coordinate conflicts, species missing from the
+catalog (lowest survey id, then smallest raw id) and the emptiness checks.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
-import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,32 +123,31 @@ class SpeciesCatalog:
     raw ids, and the catalog over a given set of raw ids is unique.
     """
 
-    __slots__ = ("raw_to_dense", "dense_to_raw", "_raw")
+    __slots__ = ("dense_to_raw",)
 
     def __init__(self, dense_to_raw):
         self.dense_to_raw = np.asarray(dense_to_raw, dtype=np.int64)
-        if np.any(np.diff(self.dense_to_raw) <= 0):
+        if np.any(self.dense_to_raw[1:] <= self.dense_to_raw[:-1]):  # np.diff would wrap around int64
             raise ValueError("raw species ids must be strictly ascending, without duplicates")
-        self._raw = self.dense_to_raw.tolist()
-        self.raw_to_dense = {raw: d for d, raw in enumerate(self._raw)}
 
     @staticmethod
     def union(catalogs: Sequence["SpeciesCatalog"]) -> "SpeciesCatalog":
         """The catalog over every raw id of ``catalogs``."""
         return SpeciesCatalog(np.unique(np.concatenate([c.dense_to_raw for c in catalogs])))
 
-    def to_dense(self, raw: int) -> int:
-        return self.raw_to_dense[raw]
+    def lookup(self, raw) -> tuple[np.ndarray, np.ndarray]:
+        """The dense index of each raw id in the 1-D ``raw`` and whether the catalog holds it; an unknown id's index means nothing."""
+        raw = np.asarray(raw, dtype=np.int64)
+        dense = np.searchsorted(self.dense_to_raw, raw)
+        known = dense < self.dense_to_raw.size
+        known[known] = self.dense_to_raw[dense[known]] == raw[known]
+        return dense, known
 
     def to_raw(self, dense: int) -> int:
-        return self._raw[dense]
-
-    def raw_ids(self, species: Iterable[int]) -> list[int]:
-        """A set of dense indices as its raw ids, ascending."""
-        return [self._raw[d] for d in sorted(species)]
+        return int(self.dense_to_raw[dense])
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return int(self.dense_to_raw.size)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpeciesCatalog) and np.array_equal(self.dense_to_raw, other.dense_to_raw)
@@ -239,7 +246,7 @@ class Dataset:
             self.indptr[0] != 0 or self.indptr[-1] != self.indices.size or np.any(np.diff(self.indptr) < 0)
         ):
             raise ValueError("column lengths disagree")
-        if n > 1 and np.any(np.diff(self.ids) <= 0):
+        if np.any(self.ids[1:] <= self.ids[:-1]):  # np.diff would wrap around int64
             raise ValueError("survey ids must be unique and sorted ascending")
 
     @property
@@ -267,21 +274,6 @@ class Dataset:
         return np.bincount(self.indices, minlength=num_species or 0)
 
 
-@dataclass
-class _Group:
-    lat: float
-    lon: float
-    line: int
-    raw_species: set[int] = field(default_factory=set)
-
-
-def _check_coords(lat: float, lon: float, line: int, path: str) -> None:
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        raise ParseError(f"{path}:{line}: non-finite coordinate")
-    if abs(lat) > 90.0 or abs(lon) > 180.0:
-        raise ParseError(f"{path}:{line}: coordinate out of range ({lat}, {lon})")
-
-
 def parse_occurrences(
     path: str,
     *,
@@ -300,7 +292,7 @@ def parse_occurrences(
     ``kind`` enables emptiness checks: TEST surveys must carry no species,
     training surveys must carry at least one.
     """
-    groups: dict[int, _Group] = {}
+    lines, sids, lats, lons, counts, raws = array("q"), array("q"), array("d"), array("d"), array("q"), array("q")
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -325,7 +317,6 @@ def parse_occurrences(
             coords = row[1] + row[2]  # float() also reads "_" separators and non-ASCII digits
             if not coords.isascii() or "_" in coords:
                 raise ParseError(f"{path}:{line}: malformed row: coordinates must be ASCII decimal numbers")
-            _check_coords(lat, lon, line, path)
             try:
                 if long_format:
                     raw_species = [int(row[3])]
@@ -334,42 +325,54 @@ def parse_occurrences(
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed species field: {exc}") from None
             check_ids(path, line, row[0] + row[3], survey_id, *raw_species)
+            lines.append(line)
+            sids.append(survey_id)
+            lats.append(lat)
+            lons.append(lon)
+            counts.append(len(raw_species))
+            raws.extend(raw_species)
 
-            grp = groups.get(survey_id)
-            if grp is None:
-                groups[survey_id] = _Group(lat, lon, line, set(raw_species))
-            else:
-                if (
-                    abs(grp.lat - lat) > COORD_CONFLICT_TOLERANCE_DEG
-                    or abs(grp.lon - lon) > COORD_CONFLICT_TOLERANCE_DEG
-                ):
-                    raise ParseError(
-                        f"{path}:{line}: survey {survey_id} has conflicting coordinates "
-                        f"({lat}, {lon}) vs ({grp.lat}, {grp.lon}) at line {grp.line}"
-                    )
-                grp.raw_species.update(raw_species)
+    sid, lat, lon, raw = np.asarray(sids), np.asarray(lats), np.asarray(lons), np.asarray(raws)
+    for bad, reason in (
+        (~(np.isfinite(lat) & np.isfinite(lon)), "non-finite coordinate"),
+        ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0), "coordinate out of range ({}, {})"),
+    ):
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise ParseError(f"{path}:{lines[r]}: " + reason.format(float(lat[r]), float(lon[r])))
 
-    order = sorted(groups)
-    ids = np.fromiter(order, dtype=np.int64, count=len(order))
-    lats = np.array([groups[i].lat for i in order], dtype=np.float64)
-    lons = np.array([groups[i].lon for i in order], dtype=np.float64)
-    indptr, raw = _flat_rows([groups[i].raw_species for i in order])
+    order = np.argsort(sid, kind="stable")  # each survey's rows in file order, its first row leading
+    starts = np.ones(sid.size, dtype=bool)
+    starts[1:] = sid[order[1:]] != sid[order[:-1]]
+    heads = order[starts]  # each survey's first row, surveys by ascending id
+    survey_of_row = np.empty(sid.size, dtype=np.int64)
+    survey_of_row[order] = np.cumsum(starts) - 1
+    first = heads[survey_of_row]  # the first row of each row's survey
+    far = (np.abs(lat - lat[first]) > COORD_CONFLICT_TOLERANCE_DEG) | (np.abs(lon - lon[first]) > COORD_CONFLICT_TOLERANCE_DEG)
+    if far.any():
+        r = int(np.argmax(far))
+        f0 = int(first[r])
+        where = f"({float(lat[r])}, {float(lon[r])}) vs ({float(lat[f0])}, {float(lon[f0])}) at line {lines[f0]}"
+        raise ParseError(f"{path}:{lines[r]}: survey {sid[r]} has conflicting coordinates {where}")
+
+    ids = sid[heads]
     if catalog is None:
         catalog = SpeciesCatalog(np.unique(raw))
-    missing = np.flatnonzero(~np.isin(raw, catalog.dense_to_raw))
-    if missing.size:
-        survey = ids[np.searchsorted(indptr, missing[0], side="right") - 1]
-        raise ParseError(f"{path}: survey {survey} references species {raw[missing[0]]} not present in the catalog")
+    dense, known = catalog.lookup(raw)
+    row_ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    if not known.all():
+        missing = np.flatnonzero(~known)
+        owner = np.repeat(sid, counts)[missing]
+        j = np.lexsort((raw[missing], owner))[0]  # lowest survey id, then smallest raw id
+        raise ParseError(f"{path}: survey {owner[j]} references species {raw[missing[j]]} not present in the catalog")
 
-    lengths = np.diff(indptr)
-    if kind is DatasetKind.TEST:
-        if lengths.any():
-            raise ParseError(f"{path}: test survey {ids[np.flatnonzero(lengths)[0]]} must not carry species")
-    elif kind is not None and not lengths.all():
+    species = union_rows(ids.size, (survey_of_row, RowSets(row_ptr, dense)))
+    lengths = np.diff(species.indptr)
+    if kind is DatasetKind.TEST and lengths.any():
+        raise ParseError(f"{path}: test survey {ids[np.flatnonzero(lengths)[0]]} must not carry species")
+    if kind not in (None, DatasetKind.TEST) and not lengths.all():
         raise ParseError(f"{path}: {kind.value} survey {ids[np.flatnonzero(lengths == 0)[0]]} carries no species")
-
-    dense = np.searchsorted(catalog.dense_to_raw, raw)
-    return Dataset.from_csr(ids, lats, lons, indptr, _sort_rows(indptr, dense)), catalog
+    return Dataset.from_csr(ids, lat[heads], lon[heads], species.indptr, species.indices), catalog
 
 
 def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
@@ -391,7 +394,9 @@ def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) 
     Every raw id of ``old`` must be in ``new`` (``KeyError`` otherwise); both
     ascend, so the remap is monotone and each row stays ascending.
     """
-    remap = np.array([new.to_dense(raw) for raw in old.dense_to_raw.tolist()], dtype=np.int64)
+    remap, known = new.lookup(old.dense_to_raw)
+    if not known.all():
+        raise KeyError(int(old.dense_to_raw[np.argmin(known)]))
     return Dataset.from_csr(dataset.ids, dataset.lats, dataset.lons, dataset.indptr, remap[dataset.indices])
 
 

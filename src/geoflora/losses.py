@@ -137,23 +137,19 @@ def check_same_surveys(truth, predicted) -> None:
         raise ValueError("no surveys to score")
 
 
-def samples_f1(truth, predicted) -> float:
-    """Mean per-survey F1: TP / (TP + (FP + FN) / 2).
+def mean_f1(tp, predicted, truth):
+    """Mean per-survey F1 along the last, non-empty axis, from arrays of each survey's TP and predicted and true set sizes.
 
-    Both mappings must cover the same survey ids. A survey with empty truth
-    and empty prediction scores 1 (the 0/0 case rewards a correct empty
-    answer).
-    """
+    A survey scores TP / (TP + (FP + FN) / 2), 0/0 scoring 1 (a correct empty answer); the scores
+    are added one after another in axis order, so the mean is bit-reproducible."""
+    denom = tp + ((predicted - tp) + (truth - tp)) / 2.0
+    per_survey = np.divide(tp, denom, out=np.ones(denom.shape), where=denom > 0)
+    return np.cumsum(per_survey, axis=-1)[..., -1] / per_survey.shape[-1]
+
+
+def samples_f1(truth, predicted) -> float:
+    """Mean per-survey F1 (``mean_f1``) of two mappings from the same survey ids to species sets, in survey-id order."""
     check_same_surveys(truth, predicted)
-    total = 0.0
-    for sid in sorted(truth):  # fixed order: the mean is bit-reproducible
-        t = set(truth[sid])
-        q = set(predicted[sid])
-        tp = len(t & q)
-        fp = len(q - t)
-        fn = len(t - q)
-        if tp == 0 and fp == 0 and fn == 0:
-            total += 1.0
-        else:
-            total += tp / (tp + (fp + fn) / 2.0)
-    return total / len(truth)
+    sets = [(set(truth[sid]), set(predicted[sid])) for sid in sorted(truth)]
+    tp, pred, true = np.array([(len(t & q), len(q), len(t)) for t, q in sets], dtype=np.int64).T
+    return float(mean_f1(tp, pred, true))

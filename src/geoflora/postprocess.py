@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ingest import Dataset, ParseError, RangeError, RowSets, SpeciesCatalog, SurveyRecord, check_ids, csv_rows, preview_ids, union_rows
-from .losses import check_same_surveys
+from .losses import check_same_surveys, mean_f1
 from .predictor import ScoreMatrix, neighbor_species_counts
 
 # Grid-search defaults for tuning the in-distribution Threshold Top-K on a
@@ -142,47 +142,44 @@ def side_predictions(matrix: ScoreMatrix, test: Dataset, reference: Dataset, top
 
 
 def grid_search_top_k(
-    matrix: ScoreMatrix, truth: Mapping[int, frozenset[int]], thresholds: Sequence[float] = DEFAULT_GRID_THRESHOLDS,
+    matrix: ScoreMatrix, truth: Dataset, thresholds: Sequence[float] = DEFAULT_GRID_THRESHOLDS,
     k_caps: Sequence[int] = DEFAULT_GRID_KCAPS, *, fallback_top1: bool = False,
 ) -> tuple[TopKConfig, float]:
-    """Pick the (threshold, k_cap) pair maximising samples-averaged F1.
+    """Pick the (threshold, k_cap) pair maximising samples-averaged F1 against ``truth``'s species rows.
 
+    ``truth`` holds the matrix's survey ids; its species indices beyond the
+    matrix's are never predicted but count as true species.
     The grid is scanned in ascending (threshold, k_cap) order and only a
     strict improvement moves the winner, so the result is deterministic.
     Every point is scored from the ranking ``apply_top_k`` takes prefixes of:
     a running count of true species within each row gives TP for any prefix
     length. Each point's F1 equals ``samples_f1`` of ``apply_top_k``'s rows by
-    survey id bit for bit: same per-survey expression, summed in survey-id order.
+    survey id bit for bit: both are ``mean_f1`` over the surveys in id order.
     """
     thresholds, k_caps = sorted(thresholds), sorted(k_caps)
     grid = [TopKConfig(thr, k_cap, fallback_top1) for thr in thresholds for k_cap in k_caps]
     if not grid:
         raise ValueError("empty grid")
-    ids = matrix.survey_ids()
-    check_same_surveys(truth, ids)
-    n = len(ids)
+    check_same_surveys(truth.ids.tolist(), matrix.survey_ids())
+    n = len(matrix)
 
     row, keys, score = _ranked_entries(matrix)  # with the lexsort, at most five entry-sized arrays at once
     width = matrix.num_species
     keys += row * width
     # an entry is a hit when its (row, species) key is among the truth's keys; the
     # sentinel n * width exceeds every key, so searchsorted always lands on a key
-    truth_keys = np.fromiter((i * width + sp for i, sid in enumerate(ids) for sp in set(truth[sid]) if 0 <= sp < width), np.int64)
-    truth_keys = np.sort(np.append(truth_keys, n * width))
+    truth_len = np.diff(truth.indptr)
+    truth_keys = np.repeat(np.arange(n), truth_len) * width + truth.indices
+    truth_keys = np.append(truth_keys[truth.indices < width], n * width)  # already ascending
     hits = np.concatenate(([0], np.cumsum(truth_keys[np.searchsorted(truth_keys, keys)] == keys)))
     del keys
-    truth_len = np.fromiter((len(set(truth[sid])) for sid in ids), np.int64, n)
     row_len, row_start = np.diff(matrix.indptr), matrix.indptr[:-1]
     caps = np.array(k_caps, dtype=np.int64)[:, None]
 
     f1 = np.empty((len(thresholds), len(k_caps)))  # grid order when flattened
     for j, thr in enumerate(thresholds):
         kept = _kept_counts(row, score, row_len, thr, caps, fallback_top1)  # one row per k_cap
-        tp = hits[row_start + kept] - hits[row_start]
-        denom = tp + ((kept - tp) + (truth_len - tp)) / 2.0
-        per_survey = np.divide(tp, denom, out=np.ones(denom.shape), where=denom > 0)
-        # sequential sum, as samples_f1 adds in survey-id order
-        f1[j] = np.cumsum(per_survey, axis=1)[:, -1] / n
+        f1[j] = mean_f1(hits[row_start + kept] - hits[row_start], kept, truth_len)
     best = int(np.argmax(f1))  # first maximum: only a strict improvement moves the winner
     return grid[best], float(f1.flat[best])
 

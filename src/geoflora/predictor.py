@@ -155,9 +155,9 @@ def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None
 
 
 def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
-    """Read a triplet score file back into a matrix; a score outside [0, 1], a species id absent from the
-    catalog or a repeated (survey, species) pair is rejected with its location."""
-    sids, species, scores, lines = array("q"), array("q"), array("d"), array("q")  # 8 bytes a value, unlike a list
+    """Read a triplet score file back into a matrix; a species id absent from the catalog or a score outside [0, 1]
+    (the first such row; in one row, the species), then a repeated (survey, species) pair is rejected with its location."""
+    sids, raws, scores, lines = array("q"), array("q"), array("d"), array("q")  # 8 bytes a value, unlike a list
     for line, row in csv_rows(path, ("surveyId", "speciesId", "score")):
         try:
             sid, raw, val = int(row[0]), int(row[1]), float(row[2])
@@ -166,20 +166,22 @@ def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
         check_ids(path, line, row[0] + row[1], sid, raw)
         if not row[2].isascii() or "_" in row[2]:  # float() also reads "_" separators and non-ASCII digits
             raise ParseError(f"{path}:{line}: malformed row: score must be an ASCII decimal number")
-        dense = catalog.raw_to_dense.get(raw)
-        if dense is None:
-            raise ParseError(f"{path}:{line}: unknown species id {raw}")
-        if not 0.0 <= val <= 1.0:
-            raise ParseError(f"{path}:{line}: score {val} for survey {sid}, species {raw} outside [0, 1]")
         sids.append(sid)
-        species.append(dense)
+        raws.append(raw)
         scores.append(val)
         lines.append(line)
-    sid, dense = np.asarray(sids), np.asarray(species)
+    sid, raw, score = np.asarray(sids), np.asarray(raws), np.asarray(scores)
+    dense, known = catalog.lookup(raw)
+    bad = np.flatnonzero(~known | ~((score >= 0.0) & (score <= 1.0)))
+    if bad.size:
+        e = bad[0]
+        if not known[e]:
+            raise ParseError(f"{path}:{lines[e]}: unknown species id {raw[e]}")
+        raise ParseError(f"{path}:{lines[e]}: score {float(score[e])} for survey {sid[e]}, species {raw[e]} outside [0, 1]")
     order = np.lexsort((dense, sid))  # stable: a repeated pair keeps its file order
     dup = np.flatnonzero((np.diff(sid[order]) == 0) & (np.diff(dense[order]) == 0))
     if dup.size:
         e = order[dup + 1].min()  # the first repeat in the file
-        raise ParseError(f"{path}:{lines[e]}: duplicate score for survey {sid[e]}, species {catalog.to_raw(dense[e])}")
+        raise ParseError(f"{path}:{lines[e]}: duplicate score for survey {sid[e]}, species {raw[e]}")
     ids, row_len = np.unique(sid, return_counts=True)
-    return ScoreMatrix(len(catalog), ids, np.concatenate(([0], np.cumsum(row_len))), dense[order], np.asarray(scores)[order])
+    return ScoreMatrix(len(catalog), ids, np.concatenate(([0], np.cumsum(row_len))), dense[order], score[order])

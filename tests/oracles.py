@@ -9,6 +9,7 @@ implementation.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
@@ -143,4 +144,23 @@ def samples_f1_oracle(truth: dict, predicted: dict) -> float:
         fn = len(t - q)
         denom = tp + (fp + fn) / 2.0
         scores.append(1.0 if denom == 0 else tp / denom)
-    return sum(scores) / len(scores)
+    total = 0.0
+    for score in scores:  # left to right: from Python 3.12 on, sum() of floats is compensated
+        total += score
+    return total / len(scores)
+
+
+def parse_occurrences_oracle(path: str) -> dict[int, tuple[float, float, set[int]]]:
+    """Survey id -> (its first row's lat, lon, the union of its raw species ids), row by row with the csv module.
+
+    Reads long and wide files alike (a long row's species field is a one-id list); the file must be valid.
+    """
+    out: dict[int, tuple[float, float, set[int]]] = {}
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        rows = csv.reader(f)
+        next(rows)
+        for row in rows:
+            if row:
+                survey = out.setdefault(int(row[0]), (float(row[1]), float(row[2]), set()))
+                survey[2].update(int(tok) for tok in row[3].split())
+    return out

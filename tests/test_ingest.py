@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset, row_sets
+from oracles import parse_occurrences_oracle
 from geoflora.ingest import (
     Dataset,
     DatasetKind,
@@ -101,6 +102,11 @@ class TestParsing:
         ds, catalog = parse_occurrences(path)
         assert int(ds.ids[0]) == 2**63 - 1 and catalog.to_raw(0) == -(2**63)
 
+    def test_ids_spanning_the_int64_range_are_accepted(self, tmp_path):
+        rows = ["surveyId,lat,lon,speciesIds", "9223372036854775807,45.0,5.0,5", "-9223372036854775808,45.0,5.0,-9223372036854775808 5"]
+        ds, catalog = parse_occurrences(write_lines(tmp_path, "a.csv", rows))
+        assert ds.ids.tolist() == [-(2**63), 2**63 - 1] and catalog.dense_to_raw.tolist() == [-(2**63), 5]
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,45.0,5.0"])
         with pytest.raises(ParseError, match=":2"):
@@ -153,6 +159,63 @@ class TestParsing:
         assert parse_occurrences(base) == parse_occurrences(shuffled)
 
 
+@st.composite
+def survey_files(draw):
+    """A long or wide survey file's lines and, or not, an explicit catalog covering its species.
+
+    Surveys repeat over rows, the rows come in id order or shuffled, coordinates of a
+    survey's later rows jitter by under 1e-6 degrees and blank lines fall in between.
+    """
+    wide = draw(st.booleans())
+    ids = st.integers(-5, 5) | st.sampled_from([-(2**63), 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
+    pool = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    rows = []
+    for sid in draw(st.lists(ids, max_size=8, unique=True)):
+        lat, lon = draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0))
+        for repeat in range(draw(st.integers(1, 3))):
+            jitter = st.floats(-4e-7, 4e-7) if repeat else st.just(0.0)
+            row_lat, row_lon = min(max(lat + draw(jitter), -90.0), 90.0), min(max(lon + draw(jitter), -180.0), 180.0)
+            species = draw(st.lists(st.sampled_from(pool), max_size=4) if wide else st.lists(st.sampled_from(pool), min_size=1, max_size=1))
+            rows.append(f"{sid},{row_lat!r},{row_lon!r},{' '.join(map(str, species))}")
+    rows = draw(st.permutations(rows) | st.just(sorted(rows, key=lambda r: int(r.split(",")[0]))))
+    lines = ["surveyId,lat,lon,speciesIds" if wide else "surveyId,lat,lon,speciesId"]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [row]
+    catalog = None
+    if draw(st.booleans()):
+        catalog = SpeciesCatalog(np.unique(pool + draw(st.lists(ids, max_size=3))))
+    return lines, catalog
+
+
+class TestAgainstOracle:
+    @given(survey_files())
+    def test_parse_matches_the_row_by_row_oracle(self, tmp_path_factory, drawn):
+        lines, catalog = drawn
+        path = write_lines(tmp_path_factory.mktemp("oracle"), "a.csv", lines)
+        ds, got_catalog = parse_occurrences(path, catalog=catalog)
+        species = decode_species(ds, got_catalog)
+        got = {sid: (lat, lon, species[sid]) for sid, lat, lon in zip(ds.ids.tolist(), ds.lats.tolist(), ds.lons.tolist())}
+        expected = parse_occurrences_oracle(path)
+        assert got == expected
+        if catalog is None:
+            assert got_catalog.dense_to_raw.tolist() == sorted(set().union(*(s for _, _, s in expected.values())))
+        else:
+            assert got_catalog is catalog
+
+    def test_conflict_names_the_first_conflicting_line_and_the_surveys_first_line(self, tmp_path):
+        rows = ["1,10.0,20.0,5", "2,0.0,0.0,5", "1,10.0000004,20.0,6", "3,1.0,1.0,5", "1,10.5,20.0,7", "0,0.0,0.0,5", "0,3.0,0.0,5"]
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId"] + rows)
+        message = r"a\.csv:6: survey 1 has conflicting coordinates \(10\.5, 20\.0\) vs \(10\.0, 20\.0\) at line 2$"
+        with pytest.raises(ParseError, match=message):
+            parse_occurrences(path)
+
+    def test_survey_with_two_unknown_species_names_the_smaller(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([5, 7], dtype=np.int64))
+        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "8,0.0,0.0,96", "4,0.0,0.0,99 5 98"])
+        with pytest.raises(ParseError, match=r": survey 4 references species 98 not present in the catalog$"):
+            parse_occurrences(path, catalog=catalog)
+
+
 class TestCatalog:
     def test_inverse_mapping_and_counts(self, tmp_path):
         path = write_lines(
@@ -161,15 +224,15 @@ class TestCatalog:
             ["surveyId,lat,lon,speciesId", "1,0.0,0.0,50", "1,0.0,0.0,20", "2,1.0,1.0,50", "3,2.0,2.0,20"],
         )
         ds, catalog = parse_occurrences(path)
-        for raw in (20, 50):
-            assert catalog.to_raw(catalog.to_dense(raw)) == raw
+        dense, known = catalog.lookup([20, 50])
+        assert known.all() and [catalog.to_raw(d) for d in dense] == [20, 50]
 
     def test_explicit_catalog_is_reused_and_strict(self, tmp_path):
         catalog = SpeciesCatalog(np.array([5, 7], dtype=np.int64))
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,0.0,0.0,7"])
         ds, same = parse_occurrences(path, catalog=catalog)
         assert same is catalog
-        assert ds.record(0).species == frozenset({catalog.to_dense(7)})
+        assert ds.record(0).species == frozenset(catalog.lookup([7])[0].tolist())
         bad = write_lines(tmp_path, "b.csv", ["surveyId,lat,lon,speciesId", "1,0.0,0.0,99"])
         with pytest.raises(ParseError, match="99"):
             parse_occurrences(bad, catalog=catalog)
@@ -207,15 +270,16 @@ class TestCatalog:
         with pytest.raises(ValueError, match="ascending"):
             SpeciesCatalog(np.array(raws, dtype=np.int64))
 
-    def test_raw_ids_decode_sets_ascending(self, rng):
+    def test_lookup_knows_exactly_the_catalog_ids(self, rng):
         raws = np.unique(rng.integers(-(2**62), 2**62, size=300))  # no affine map from dense to raw
         catalog = SpeciesCatalog(raws)
-        assert catalog.raw_ids([]) == []
-        for _ in range(200):
-            dense = rng.choice(raws.size, size=rng.integers(1, 12), replace=False).tolist()
-            decoded = catalog.raw_ids(frozenset(dense))
-            assert decoded == sorted(int(raws[d]) for d in dense)
-            assert all(type(r) is int for r in decoded)
+        dense, known = catalog.lookup(raws)
+        assert dense.tolist() == list(range(raws.size)) and known.all()
+        extremes = [-(2**63), 2**63 - 1]
+        absent = np.setdiff1d(np.concatenate((rng.integers(-(2**62), 2**62, size=300), raws - 1, raws + 1, extremes)), raws)
+        assert set(extremes) <= set(absent.tolist())
+        assert not catalog.lookup(absent)[1].any()
+        assert not SpeciesCatalog([]).lookup(absent)[1].any()
 
     def test_union_is_the_sorted_union(self, rng):
         sets = [np.unique(rng.integers(-50, 50, size=rng.integers(0, 30))) for _ in range(4)]

@@ -57,6 +57,11 @@ def top_k_by_id(matrix, cfg):
     return dict(zip(matrix.survey_ids(), apply_top_k(matrix, cfg), strict=True))
 
 
+def truth_dataset(truth):
+    """The truth mapping as the ``Dataset`` that ``grid_search_top_k`` reads; coordinates are unused."""
+    return make_dataset([(sid, 0.0, 0.0, species) for sid, species in truth.items()])
+
+
 def reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1):
     """Every grid point scored by ``apply_top_k`` + ``samples_f1``; first strict maximum wins."""
     best_cfg, best_f1 = None, -1.0
@@ -256,7 +261,7 @@ class TestGridSearch:
         m.add_row(1, {0: 0.9, 1: 0.7, 2: 0.3})
         m.add_row(2, {0: 0.8, 3: 0.6})
         truth = {1: frozenset({0, 1}), 2: frozenset({0, 3})}
-        cfg, f1 = grid_search_top_k(m, truth, thresholds=(0.2, 0.5, 0.8), k_caps=(1, 2))
+        cfg, f1 = grid_search_top_k(m, truth_dataset(truth), thresholds=(0.2, 0.5, 0.8), k_caps=(1, 2))
         assert f1 == 1.0
         assert (cfg.threshold, cfg.k_cap) == (0.2, 2)  # first perfect combination in scan order
 
@@ -268,12 +273,12 @@ class TestGridSearch:
     )
     def test_matches_per_point_reference(self, surveys, thresholds, k_caps, fallback_top1):
         matrix, truth = surveys
-        got = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=fallback_top1)
+        got = grid_search_top_k(matrix, truth_dataset(truth), thresholds, k_caps, fallback_top1=fallback_top1)
         assert got == reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1)  # F1 bit-equal
         for thr in thresholds[:2]:
             for k_cap in k_caps[:2]:
                 cfg = TopKConfig(thr, k_cap, fallback_top1)
-                one_point = grid_search_top_k(matrix, truth, [thr], [k_cap], fallback_top1=fallback_top1)
+                one_point = grid_search_top_k(matrix, truth_dataset(truth), [thr], [k_cap], fallback_top1=fallback_top1)
                 assert one_point == (cfg, samples_f1(truth, top_k_by_id(matrix, cfg)))
 
     def test_f1_adds_surveys_in_id_order(self):
@@ -284,7 +289,7 @@ class TestGridSearch:
             m.add_row(sid, {sp: 0.9 for sp in range(int(kept))})
             truth[sid] = frozenset(range(int(first_true), 4))
         cfg = TopKConfig(0.5, 3)
-        assert grid_search_top_k(m, truth, [0.5], [3]) == (cfg, samples_f1(truth, top_k_by_id(m, cfg)))
+        assert grid_search_top_k(m, truth_dataset(truth), [0.5], [3]) == (cfg, samples_f1(truth, top_k_by_id(m, cfg)))
 
     def test_id_mismatch_raises_the_samples_f1_message(self):
         m = ScoreMatrix(2)
@@ -294,27 +299,27 @@ class TestGridSearch:
         with pytest.raises(ValueError) as expected:
             samples_f1(truth, top_k_by_id(m, TopKConfig(0.5, 1)))
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            grid_search_top_k(m, truth, thresholds=(0.5,), k_caps=(1,))
+            grid_search_top_k(m, truth_dataset(truth), thresholds=(0.5,), k_caps=(1,))
         with pytest.raises(ValueError, match="no surveys to score"):
-            grid_search_top_k(ScoreMatrix(2), {}, thresholds=(0.5,), k_caps=(1,))
+            grid_search_top_k(ScoreMatrix(2), truth_dataset({}), thresholds=(0.5,), k_caps=(1,))
 
     @pytest.mark.parametrize("thresholds, k_caps", [((), (1, 2)), ((0.5,), ()), ((), ())])
     def test_empty_grid_raises(self, thresholds, k_caps):
         m = ScoreMatrix(1)
         m.add_row(1, {0: 0.9})
         with pytest.raises(ValueError, match="empty grid"):
-            grid_search_top_k(m, {1: frozenset({0})}, thresholds, k_caps)
+            grid_search_top_k(m, truth_dataset({1: frozenset({0})}), thresholds, k_caps)
 
     def test_out_of_range_grid_threshold_raises(self):
         m = ScoreMatrix(1)
         m.add_row(1, {0: 0.9})
         with pytest.raises(ValueError, match=re.escape("threshold must be in [0, 1], got 1.5")):
-            grid_search_top_k(m, {1: frozenset({0})}, thresholds=(0.5, 1.5), k_caps=(1,))
+            grid_search_top_k(m, truth_dataset({1: frozenset({0})}), thresholds=(0.5, 1.5), k_caps=(1,))
 
     def test_returns_a_python_float(self):
         m = ScoreMatrix(2)
         m.add_row(1, {0: 0.9, 1: 0.6})
-        _, f1 = grid_search_top_k(m, {1: frozenset({0})}, thresholds=(0.5,), k_caps=(1, 2))
+        _, f1 = grid_search_top_k(m, truth_dataset({1: frozenset({0})}), thresholds=(0.5,), k_caps=(1, 2))
         assert type(f1) is float and f1 == 1.0
 
     def test_apply_top_k_covers_all_rows(self):

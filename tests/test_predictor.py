@@ -195,6 +195,19 @@ class TestScoreMatrix:
         with pytest.raises(ParseError, match="unknown species id 8"):
             load_scores(str(path), catalog)
 
+    def test_load_reports_the_first_bad_row_and_a_rows_species_first(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_text("surveyId,speciesId,score\n1,7,0.5\n2,7,1.5\n3,8,0.5\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: score 1\.5 for survey 2, species 7 outside \[0, 1\]$"):
+            load_scores(str(path), catalog)
+        path.write_text("surveyId,speciesId,score\n1,7,0.5\n3,8,0.5\n2,7,1.5\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: unknown species id 8$"):
+            load_scores(str(path), catalog)
+        path.write_text("surveyId,speciesId,score\n1,7,0.5\n3,8,1.5\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: unknown species id 8$"):
+            load_scores(str(path), catalog)
+
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("a,b,c\n")
