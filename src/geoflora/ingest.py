@@ -18,22 +18,30 @@ re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 The same CSR pair, ``RowSets``, carries Top-K picks, votes and the routed
 submission, rows aligned with the test ids; ``union_rows`` unites them.
 
-A reader makes one ``csv`` row pass that only checks and converts fields into
-typed arrays; grouping, conflict checks and catalog lookups then run once on
-numpy arrays. So a file with several faults reports its row-local format
-faults first, then, each at its first row in the file: non-finite and
-out-of-range coordinates, coordinate conflicts, species missing from the
-catalog (lowest survey id, then smallest raw id) and the emptiness checks.
+``read_table`` reads survey, score and submission files into typed arrays.
+A valid file is read in bulk by numpy's C parser; a file holding anything
+else (a byte outside digits, ``-.eE``, commas, spaces and newlines, a field
+numpy rejects, another field count) goes to the format's ``csv`` row pass,
+which returns the same arrays and is the only place that names a fault.
+Grouping, conflict checks and catalog lookups then run once on numpy arrays.
+So a file with several faults reports bytes that are not UTF-8 first (the
+line of the first), then its row-local format faults, then, each at its first
+row in the file: non-finite and out-of-range coordinates, coordinate
+conflicts, species missing from the catalog (lowest survey id, then smallest
+raw id) and the emptiness checks.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
+import io
 import itertools
+import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -72,20 +80,119 @@ def check_ids(path: str, line: int, text: str, *ids: int) -> None:
         raise ParseError(f"{path}:{line}: survey or species id outside the 64-bit integer range")
 
 
+def _csv_reader(path: str) -> Iterator[list[str]]:
+    """A ``csv`` reader over the file's text, a UTF-8 BOM dropped; bytes that are not UTF-8 are a ``ParseError``
+    at the line of the first."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not valid UTF-8") from None
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """The line number and fields of each non-blank row of a CSV file that must start with ``header``
     and hold as many fields in every row."""
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != list(header):
-            raise ParseError(f"{path}:1: expected header {','.join(header)}, got {got!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            yield line, row
+    reader = _csv_reader(path)
+    got = next(reader, None)
+    if got is None or [h.strip() for h in got] != list(header):
+        raise ParseError(f"{path}:1: expected header {','.join(header)}, got {got!r}")
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        yield line, row
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A file shape ``read_table`` reads in bulk: its header and the dtype of each scalar column.
+
+    ``ids`` is ``None`` when every column is scalar, ``"one"`` when the last
+    column is one id (the last of ``dtypes``) and ``"list"`` when it is a
+    space-separated list of ids (it has no dtype).
+    """
+
+    header: tuple[str, ...]
+    dtypes: tuple[type, ...]
+    ids: Literal["one", "list"] | None = None
+
+
+# The bytes a file read in bulk may hold after its header line; numpy's int and float parsers read such fields exactly as
+# ``int`` and ``float`` do, and its loadtxt rejects what they reject. Other bytes (a sign, "_", "\r", quotes, letters
+# such as "nan", anything outside ASCII) send the file to the row pass.
+_BULK_BYTES = b"0123456789-.eE, \n"
+
+
+def read_table(path: str, layouts: Sequence[Layout], row_pass: Callable[[str], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The columns of a file in one of ``layouts``, then with an id column each row's id count and the ids in file
+    order, then each row's line number (the header's is 1; empty lines are skipped but counted).
+
+    A valid file is read in bulk. Any file the bulk pass cannot vouch for goes to ``row_pass(path)``, which returns
+    the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.24's loadtxt only warns when it reads "1.0" as an int
+            table = _bulk_table(data.removeprefix(codecs.BOM_UTF8), layouts)
+    except (ValueError, OverflowError, Warning):
+        table = None
+    return row_pass(path) if table is None else table
+
+
+def _loadtxt(buffer, names: Sequence[str], dtypes: Sequence[type]) -> list[np.ndarray]:
+    """The comma-separated columns of ``buffer``'s non-empty lines, with numpy's C parser."""
+    table = np.loadtxt(io.BytesIO(buffer), dtype=list(zip(names, dtypes)), delimiter=",", comments=None, ndmin=1, encoding="latin1")
+    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+
+
+def _bulk_table(data: bytes, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...] | None:
+    """``read_table``'s arrays, or ``None`` where the row pass might read the file otherwise."""
+    header, _, body = data.partition(b"\n")
+    layout = next((t for t in layouts if header == ",".join(t.header).encode()), None)
+    if layout is None or not body or body.translate(None, _BULK_BYTES):
+        return None
+    u = np.frombuffer(body, dtype=np.uint8)
+    newline = u == 10
+    ends = np.flatnonzero(newline)  # where each line ends; a last line without a newline ends at the file's end
+    if u[-1] != 10:
+        ends = np.append(ends, u.size)
+    filled = np.diff(ends, prepend=-1) > 1
+    lines = np.flatnonzero(filled) + 2
+    if layout.ids != "list":
+        columns = _loadtxt(body, layout.header, layout.dtypes)
+        if layout.ids == "one":
+            columns[-1:] = [np.ones(lines.size, dtype=np.int64), columns[-1]]
+    else:
+        # Cut each row at its last comma: the scalar fields go to loadtxt, the id list to a buffer of one id per line.
+        width = len(layout.dtypes)
+        commas = np.flatnonzero(u == 44)
+        if not np.array_equal(np.bincount(np.searchsorted(ends, commas), minlength=ends.size), width * filled):
+            return None  # a row with another field count
+        marks = np.zeros(u.size, dtype=np.int8)  # +1 where a row starts, -1 at its last comma
+        marks[np.concatenate(([0], ends[:-1] + 1))[filled]] += 1
+        marks[commas[width - 1 :: width]] -= 1
+        scalar = np.cumsum(marks, dtype=np.int8).view(bool)
+        columns = _loadtxt(u[scalar | newline], layout.header, layout.dtypes)
+        ids = u[~scalar]  # each row's last comma, then its id list, then the newline
+        line_ends = np.flatnonzero(ids == 10)
+        ids[(ids == 32) | (ids == 44)] = 10
+        sep = ids == 10
+        first = ~sep  # the first byte of each id
+        first[1:] &= sep[:-1]
+        counts = np.bincount(np.searchsorted(line_ends, np.flatnonzero(first)), minlength=ends.size)[filled]
+        columns += [counts, _loadtxt(ids, ["id"], [np.int64])[0] if counts.any() else np.empty(0, np.int64)]
+        if columns[-1].size != counts.sum():
+            return None
+    if columns[0].size != lines.size:
+        return None  # numpy skipped a line the row pass reads, such as one of spaces
+    return (*columns, lines)
 
 
 def preview_ids(ids: Iterable) -> str:
@@ -104,6 +211,10 @@ class DatasetKind(enum.Enum):
 
 _LONG_HEADER = ["surveyId", "lat", "lon", "speciesId"]
 _WIDE_HEADER = ["surveyId", "lat", "lon", "speciesIds"]
+_SURVEY_LAYOUTS = (
+    Layout(tuple(_LONG_HEADER), (np.int64, np.float64, np.float64, np.int64), ids="one"),
+    Layout(tuple(_WIDE_HEADER), (np.int64, np.float64, np.float64), ids="list"),
+)
 
 
 @dataclass(frozen=True)
@@ -274,6 +385,50 @@ class Dataset:
         return np.bincount(self.indices, minlength=num_species or 0)
 
 
+def _survey_rows(path: str) -> tuple[np.ndarray, ...]:
+    """``parse_occurrences``' row pass: ``read_table``'s arrays of a survey file, converted row by row with the
+    ``csv`` module, or the ``ParseError`` that names its first row-local fault."""
+    lines, sids, lats, lons, counts, raws = array("q"), array("q"), array("d"), array("d"), array("q"), array("q")
+    reader = _csv_reader(path)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}:1: empty file, header row required")
+    header = [h.strip() for h in header]
+    if header not in (_LONG_HEADER, _WIDE_HEADER):
+        raise ParseError(f"{path}:1: unrecognised header {header!r}; expected {_LONG_HEADER} or {_WIDE_HEADER}")
+    long_format = header == _LONG_HEADER
+
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{path}:{line}: expected 4 fields, got {len(row)}")
+        try:
+            survey_id = int(row[0])
+            lat = float(row[1])
+            lon = float(row[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+        coords = row[1] + row[2]  # float() also reads "_" separators and non-ASCII digits
+        if not coords.isascii() or "_" in coords:
+            raise ParseError(f"{path}:{line}: malformed row: coordinates must be ASCII decimal numbers")
+        try:
+            if long_format:
+                raw_species = [int(row[3])]
+            else:
+                raw_species = [int(tok) for tok in row[3].split()]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: malformed species field: {exc}") from None
+        check_ids(path, line, row[0] + row[3], survey_id, *raw_species)
+        lines.append(line)
+        sids.append(survey_id)
+        lats.append(lat)
+        lons.append(lon)
+        counts.append(len(raw_species))
+        raws.extend(raw_species)
+    return tuple(map(np.asarray, (sids, lats, lons, counts, raws, lines)))
+
+
 def parse_occurrences(
     path: str,
     *,
@@ -292,47 +447,7 @@ def parse_occurrences(
     ``kind`` enables emptiness checks: TEST surveys must carry no species,
     training surveys must carry at least one.
     """
-    lines, sids, lats, lons, counts, raws = array("q"), array("q"), array("d"), array("d"), array("q"), array("q")
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}:1: empty file, header row required")
-        header = [h.strip() for h in header]
-        if header not in (_LONG_HEADER, _WIDE_HEADER):
-            raise ParseError(f"{path}:1: unrecognised header {header!r}; expected {_LONG_HEADER} or {_WIDE_HEADER}")
-        long_format = header == _LONG_HEADER
-
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{line}: expected 4 fields, got {len(row)}")
-            try:
-                survey_id = int(row[0])
-                lat = float(row[1])
-                lon = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-            coords = row[1] + row[2]  # float() also reads "_" separators and non-ASCII digits
-            if not coords.isascii() or "_" in coords:
-                raise ParseError(f"{path}:{line}: malformed row: coordinates must be ASCII decimal numbers")
-            try:
-                if long_format:
-                    raw_species = [int(row[3])]
-                else:
-                    raw_species = [int(tok) for tok in row[3].split()]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line}: malformed species field: {exc}") from None
-            check_ids(path, line, row[0] + row[3], survey_id, *raw_species)
-            lines.append(line)
-            sids.append(survey_id)
-            lats.append(lat)
-            lons.append(lon)
-            counts.append(len(raw_species))
-            raws.extend(raw_species)
-
-    sid, lat, lon, raw = np.asarray(sids), np.asarray(lats), np.asarray(lons), np.asarray(raws)
+    sid, lat, lon, counts, raw, lines = read_table(path, _SURVEY_LAYOUTS, _survey_rows)
     for bad, reason in (
         (~(np.isfinite(lat) & np.isfinite(lon)), "non-finite coordinate"),
         ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0), "coordinate out of range ({}, {})"),

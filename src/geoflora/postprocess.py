@@ -16,12 +16,26 @@ the order ``write_submission`` writes) are ``RowSets``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, ParseError, RangeError, RowSets, SpeciesCatalog, SurveyRecord, check_ids, csv_rows, preview_ids, union_rows
+from .ingest import (
+    Dataset,
+    Layout,
+    ParseError,
+    RangeError,
+    RowSets,
+    SpeciesCatalog,
+    SurveyRecord,
+    check_ids,
+    csv_rows,
+    preview_ids,
+    read_table,
+    union_rows,
+)
 from .losses import check_same_surveys, mean_f1
 from .predictor import ScoreMatrix, neighbor_species_counts
 
@@ -29,6 +43,8 @@ from .predictor import ScoreMatrix, neighbor_species_counts
 # held-out split.
 DEFAULT_GRID_THRESHOLDS = tuple(round(0.1 + 0.05 * i, 2) for i in range(17))  # 0.1 .. 0.9
 DEFAULT_GRID_KCAPS = tuple(range(5, 51, 5))
+
+_SUBMISSION_LAYOUT = Layout(("surveyId", "predictions"), (np.int64,), ids="list")
 
 
 @dataclass(frozen=True)
@@ -195,17 +211,30 @@ def write_submission(ids: np.ndarray, sets: RowSets, path: str, catalog: Species
             f.write(f"{sid},{' '.join(map(str, raw[a:b]))}\n")
 
 
-def read_submission(path: str) -> dict[int, frozenset[int]]:
-    """Read a submission file into per-survey raw-id sets."""
-    out: dict[int, frozenset[int]] = {}
-    for line, row in csv_rows(path, ("surveyId", "predictions")):
+def _submission_rows(path: str) -> tuple[np.ndarray, ...]:
+    """``read_submission``'s row pass: survey ids, each row's prediction count, the raw species ids and line numbers,
+    converted row by row with the ``csv`` module, or the ``ParseError`` that names the first row-local fault."""
+    sids, counts, raws, lines = array("q"), array("q"), array("q"), array("q")
+    for line, row in csv_rows(path, _SUBMISSION_LAYOUT.header):
         try:
             sid = int(row[0])
             species = [int(tok) for tok in row[1].split()]
         except ValueError as exc:
             raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
         check_ids(path, line, row[0] + row[1], sid, *species)
-        if sid in out:
-            raise ParseError(f"{path}:{line}: duplicate survey id {sid}")
-        out[sid] = frozenset(species)
-    return out
+        sids.append(sid)
+        counts.append(len(species))
+        raws.extend(species)
+        lines.append(line)
+    return tuple(map(np.asarray, (sids, counts, raws, lines)))
+
+
+def read_submission(path: str) -> dict[int, frozenset[int]]:
+    """Read a submission file into per-survey raw-id sets; a survey id seen before is rejected at its first repeat."""
+    sid, counts, raw, lines = read_table(path, [_SUBMISSION_LAYOUT], _submission_rows)
+    order = np.argsort(sid, kind="stable")  # a repeated id keeps its file order
+    dup = np.flatnonzero(sid[order[1:]] == sid[order[:-1]])
+    if dup.size:
+        e = order[dup + 1].min()  # the first repeat in the file
+        raise ParseError(f"{path}:{lines[e]}: duplicate survey id {sid[e]}")
+    return dict(zip(sid.tolist(), RowSets(np.concatenate(([0], np.cumsum(counts))), raw)))

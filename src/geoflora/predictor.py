@@ -18,10 +18,12 @@ import numpy as np
 from scipy import sparse
 
 from .geo import GeoIndex
-from .ingest import Dataset, ParseError, RangeError, SpeciesCatalog, check_ids, csv_rows
+from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, check_ids, csv_rows, read_table
 
 # Rows formatted per write in ``save_scores``; one join over the whole matrix costs tens of MB.
 _SAVE_CHUNK_ROWS = 256
+
+_SCORE_LAYOUT = Layout(("surveyId", "speciesId", "score"), (np.int64, np.int64, np.float64))
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,11 @@ class ScoreMatrix:
         bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
         if bad.size:
             raise ValueError(f"score {scores[bad[0]]} for survey {sid[bad[0]]}, species {species[bad[0]]} outside [0, 1]")
-        order = np.lexsort((species, sid))
+        rank = np.empty(ids.size, dtype=np.int64)
+        rank[by_id] = np.arange(ids.size)
+        # one (survey id, species) key per entry: a stable argsort of it is lexsort's order, and takes linear time on
+        # entries already in that order, as a saved score file holds them
+        order = np.argsort(np.repeat(rank, row_len) * self.num_species + species, kind="stable")
         sid, species, scores = sid[order], species[order], scores[order]
         dup = np.flatnonzero((sid[1:] == sid[:-1]) & (species[1:] == species[:-1]))
         if dup.size:
@@ -154,11 +160,11 @@ def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None
             f.write("".join(np.column_stack((sid_txt, raw_txt[matrix.species[entry]], score_txt)).ravel().tolist()))
 
 
-def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
-    """Read a triplet score file back into a matrix; a species id absent from the catalog or a score outside [0, 1]
-    (the first such row; in one row, the species), then a repeated (survey, species) pair is rejected with its location."""
+def _score_rows(path: str) -> tuple[np.ndarray, ...]:
+    """``load_scores``' row pass: survey ids, raw species ids, scores and line numbers, converted row by row with the
+    ``csv`` module, or the ``ParseError`` that names the first row-local fault."""
     sids, raws, scores, lines = array("q"), array("q"), array("d"), array("q")  # 8 bytes a value, unlike a list
-    for line, row in csv_rows(path, ("surveyId", "speciesId", "score")):
+    for line, row in csv_rows(path, _SCORE_LAYOUT.header):
         try:
             sid, raw, val = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
@@ -170,7 +176,13 @@ def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
         raws.append(raw)
         scores.append(val)
         lines.append(line)
-    sid, raw, score = np.asarray(sids), np.asarray(raws), np.asarray(scores)
+    return tuple(map(np.asarray, (sids, raws, scores, lines)))
+
+
+def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
+    """Read a triplet score file back into a matrix; a species id absent from the catalog or a score outside [0, 1]
+    (the first such row; in one row, the species), then a repeated (survey, species) pair is rejected with its location."""
+    sid, raw, score, lines = read_table(path, [_SCORE_LAYOUT], _score_rows)
     dense, known = catalog.lookup(raw)
     bad = np.flatnonzero(~known | ~((score >= 0.0) & (score <= 1.0)))
     if bad.size:
@@ -178,10 +190,11 @@ def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
         if not known[e]:
             raise ParseError(f"{path}:{lines[e]}: unknown species id {raw[e]}")
         raise ParseError(f"{path}:{lines[e]}: score {float(score[e])} for survey {sid[e]}, species {raw[e]} outside [0, 1]")
-    order = np.lexsort((dense, sid))  # stable: a repeated pair keeps its file order
-    dup = np.flatnonzero((np.diff(sid[order]) == 0) & (np.diff(dense[order]) == 0))
+    ids, survey, row_len = np.unique(sid, return_inverse=True, return_counts=True)
+    key = survey * len(catalog) + dense  # the (survey id, species) pair as one number
+    order = np.argsort(key, kind="stable")  # stable: a repeated pair keeps its file order
+    dup = np.flatnonzero(np.diff(key[order]) == 0)
     if dup.size:
         e = order[dup + 1].min()  # the first repeat in the file
         raise ParseError(f"{path}:{lines[e]}: duplicate score for survey {sid[e]}, species {raw[e]}")
-    ids, row_len = np.unique(sid, return_counts=True)
     return ScoreMatrix(len(catalog), ids, np.concatenate(([0], np.cumsum(row_len))), dense[order], score[order])

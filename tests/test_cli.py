@@ -182,6 +182,12 @@ class TestErrors:
         assert run(["ingest", "--input", str(bad), "--output", str(tmp_path / "o.csv")]) == 1
         assert ":2" in capsys.readouterr().err
 
+    def test_bytes_that_are_not_utf8_are_one_error_line_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfes\x00u\x00r\x00")  # UTF-16 with its byte order mark
+        assert run(["stats", "--input", str(bad), "--outdir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:1: not valid UTF-8\n"
+
     def test_ids_beyond_ascii_digits_are_a_malformed_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("surveyId,lat,lon,speciesId\n1_000,45.0,5.0,\u0663\n", encoding="utf-8")

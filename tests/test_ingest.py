@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,17 +7,24 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, row_sets
 from oracles import parse_occurrences_oracle
+from geoflora import ingest, postprocess, predictor
 from geoflora.ingest import (
+    _SURVEY_LAYOUTS,
     Dataset,
     DatasetKind,
     ParseError,
     SpeciesCatalog,
+    _survey_rows,
+    csv_rows,
     decode_species,
     parse_occurrences,
+    read_table,
     reindex_dataset,
     union_rows,
     write_dataset,
 )
+from geoflora.postprocess import _SUBMISSION_LAYOUT, _submission_rows, read_submission, write_submission
+from geoflora.predictor import _SCORE_LAYOUT, ScoreMatrix, _score_rows, load_scores, save_scores
 
 
 def write_lines(tmp_path, name, lines):
@@ -92,6 +101,22 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"a\.csv:3: malformed row: coordinates must be ASCII"):
             parse_occurrences(path)
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff\xfesurveyId,lat,lon,speciesId\n1,45.0,5.0,7\n", 1),
+            (b"surveyId,lat,lon,speciesId\n1,45.0,5.0,7\n\n2,45.0,5.0,\xe97\n", 4),
+            (b"\xef\xbb\xbfsurveyId,lat,lon,speciesId\n1,45.0,5.0,\xc3\n", 2),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line_of_the_first(self, tmp_path, data, line):
+        path = tmp_path / "a.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"a\.csv:{line}: not valid UTF-8$"):
+            parse_occurrences(str(path))
+        with pytest.raises(ParseError, match=rf"a\.csv:{line}: not valid UTF-8$"):
+            list(csv_rows(str(path), ["surveyId", "lat", "lon", "speciesId"]))
+
     def test_coordinates_keep_signs_and_exponents(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,4.5e+01,+5.0,7", "2,-4.5E1,-5e-1,7"])
         ds, _ = parse_occurrences(path)
@@ -159,14 +184,48 @@ class TestParsing:
         assert parse_occurrences(base) == parse_occurrences(shuffled)
 
 
+def blank_lines(draw, faults: bool) -> list[str]:
+    """None or one empty line; with ``faults`` the line may hold a space, a row of one field."""
+    return [draw(st.sampled_from(["", " "] if faults else [""]))] * draw(st.integers(0, 1))
+
+
+def padded(draw, text: str) -> str:
+    """``text`` with or without a space on either side, as ``int`` and ``float`` accept it."""
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+
+
 @st.composite
-def survey_files(draw):
+def id_field(draw, value: int, faults: bool = False):
+    """``value`` written as an id field: plain or with leading zeros, ``-0`` for 0; with ``faults`` at times ``1.0``
+    or ``1e3``, which ``int`` rejects, or with a comma, which adds a field."""
+    sign, digits = ("-", str(-value)) if value < 0 else ("", str(value))
+    text = draw(st.sampled_from([sign + digits, sign + "00" + digits] + (["-0"] if value == 0 else [])))
+    if faults and draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from([f"{value}.0", "1e3", f"{value},0"]))
+    return padded(draw, text)
+
+
+@st.composite
+def number_field(draw, value: float, faults: bool = False, plus: bool = False):
+    """``value`` written so that ``float`` reads it back exactly: its repr or 17 digits with an exponent (``e``,
+    ``E``, with ``plus`` also ``e+``), ``-0`` for 0; with ``faults`` at times ``1e999``, which reads as infinity."""
+    exp = f"{value:.16e}"
+    forms = [repr(value), exp.replace("e+", "e"), exp.replace("e+", "e").upper()] + [exp] * plus + ["-0"] * (value == 0)
+    text = draw(st.sampled_from(forms))
+    if faults and draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from(["1e999", "-1e999"]))
+    return padded(draw, text)
+
+
+@st.composite
+def survey_files(draw, faults: bool = False):
     """A long or wide survey file's lines and, or not, an explicit catalog covering its species.
 
     Surveys repeat over rows, the rows come in id order or shuffled, coordinates of a
     survey's later rows jitter by under 1e-6 degrees and blank lines fall in between.
+    Fields are written as ``id_field`` and ``number_field`` write them; with ``faults``, half the files hold faults.
     """
-    wide = draw(st.booleans())
+    wide, plus, faults = draw(st.booleans()), draw(st.booleans()), faults and draw(st.booleans())
     ids = st.integers(-5, 5) | st.sampled_from([-(2**63), 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
     pool = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
     rows = []
@@ -176,11 +235,12 @@ def survey_files(draw):
             jitter = st.floats(-4e-7, 4e-7) if repeat else st.just(0.0)
             row_lat, row_lon = min(max(lat + draw(jitter), -90.0), 90.0), min(max(lon + draw(jitter), -180.0), 180.0)
             species = draw(st.lists(st.sampled_from(pool), max_size=4) if wide else st.lists(st.sampled_from(pool), min_size=1, max_size=1))
-            rows.append(f"{sid},{row_lat!r},{row_lon!r},{' '.join(map(str, species))}")
-    rows = draw(st.permutations(rows) | st.just(sorted(rows, key=lambda r: int(r.split(",")[0]))))
+            fields = [draw(id_field(sid, faults)), draw(number_field(row_lat, faults, plus)), draw(number_field(row_lon, faults, plus))]
+            rows.append((sid, ",".join(fields) + "," + " ".join(draw(id_field(sp, faults)) for sp in species)))
+    rows = draw(st.permutations(rows) | st.just(sorted(rows, key=lambda r: r[0])))
     lines = ["surveyId,lat,lon,speciesIds" if wide else "surveyId,lat,lon,speciesId"]
-    for row in rows:
-        lines += [""] * draw(st.integers(0, 1)) + [row]
+    for _, row in rows:
+        lines += blank_lines(draw, faults) + [row]
     catalog = None
     if draw(st.booleans()):
         catalog = SpeciesCatalog(np.unique(pool + draw(st.lists(ids, max_size=3))))
@@ -214,6 +274,159 @@ class TestAgainstOracle:
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "8,0.0,0.0,96", "4,0.0,0.0,99 5 98"])
         with pytest.raises(ParseError, match=r": survey 4 references species 98 not present in the catalog$"):
             parse_occurrences(path, catalog=catalog)
+
+
+@st.composite
+def score_files(draw):
+    """A score file's lines and a catalog of its species: ids and scores written as ``id_field`` and ``number_field``
+    write them, in half the files with faults, a (survey, species) pair at times repeated and blank lines in between."""
+    ids = st.integers(-5, 5) | st.integers(-(2**63), 2**63 - 1)
+    plus, faults = draw(st.booleans()), draw(st.booleans())
+    pool = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+    lines = ["surveyId,speciesId,score"]
+    for sid in draw(st.lists(ids, max_size=6)):
+        for raw in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            fields = [draw(id_field(sid, faults)), draw(id_field(raw, faults)), draw(number_field(draw(st.floats(0.0, 1.0)), faults, plus))]
+            lines += blank_lines(draw, faults) + [",".join(fields)]
+    return lines, SpeciesCatalog(np.unique(pool))
+
+
+@st.composite
+def submission_files(draw):
+    """A submission file's lines: id lists written as ``id_field`` writes them, in half the files with faults, a survey
+    at times repeated."""
+    ids = st.integers(-5, 5) | st.integers(-(2**63), 2**63 - 1)
+    faults = draw(st.booleans())
+    lines = ["surveyId,predictions"]
+    for sid in draw(st.lists(ids, max_size=6)):
+        species = draw(st.lists(ids, max_size=4))
+        lines += blank_lines(draw, faults) + [draw(id_field(sid, faults)) + "," + " ".join(draw(id_field(sp, faults)) for sp in species)]
+    return lines
+
+
+@st.composite
+def file_bytes(draw, lines):
+    """``lines`` as a file's bytes: LF (three times in four) or CRLF line endings, a UTF-8 BOM or none, a last line
+    ending or none."""
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+
+
+def outcome(read):
+    """What ``read()`` returns, or the text of the ``ParseError`` it raises."""
+    try:
+        return read()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def assert_same_arrays(got, expected):
+    """Equal outcomes of two readers: the same error text, or arrays of the same dtypes and bits."""
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+    else:
+        assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in expected]
+
+
+def row_pass_only():
+    """Within this context every file goes to its format's row pass."""
+    return mock.patch.object(ingest, "_bulk_table", return_value=None)
+
+
+class TestBulkReader:
+    """``read_table`` returns what a format's row pass returns, or raises its error, on files valid or not."""
+
+    @given(st.data())
+    def test_survey_files_read_as_the_row_pass_reads_them(self, tmp_path_factory, data):
+        lines, catalog = data.draw(survey_files(faults=True))
+        path = tmp_path_factory.mktemp("bulk") / "a.csv"
+        path.write_bytes(data.draw(file_bytes(lines)))
+        assert_same_arrays(outcome(lambda: read_table(str(path), _SURVEY_LAYOUTS, _survey_rows)), outcome(lambda: _survey_rows(str(path))))
+        got = outcome(lambda: parse_occurrences(str(path), catalog=catalog))
+        with row_pass_only():
+            assert got == outcome(lambda: parse_occurrences(str(path), catalog=catalog))
+
+    @given(st.data())
+    def test_score_files_read_as_the_row_pass_reads_them(self, tmp_path_factory, data):
+        lines, catalog = data.draw(score_files())
+        path = tmp_path_factory.mktemp("bulk") / "scores.csv"
+        path.write_bytes(data.draw(file_bytes(lines)))
+        assert_same_arrays(outcome(lambda: read_table(str(path), [_SCORE_LAYOUT], _score_rows)), outcome(lambda: _score_rows(str(path))))
+        got = outcome(lambda: load_scores(str(path), catalog))
+        with row_pass_only():
+            assert got == outcome(lambda: load_scores(str(path), catalog))
+
+    @given(st.data())
+    def test_submission_files_read_as_the_row_pass_reads_them(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("bulk") / "sub.csv"
+        path.write_bytes(data.draw(file_bytes(data.draw(submission_files()))))
+        assert_same_arrays(
+            outcome(lambda: read_table(str(path), [_SUBMISSION_LAYOUT], _submission_rows)), outcome(lambda: _submission_rows(str(path)))
+        )
+        got = outcome(lambda: read_submission(str(path)))
+        with row_pass_only():
+            assert got == outcome(lambda: read_submission(str(path)))
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("1,0.5,0.5,7\n2,1e999,0.5,7\n", 3),  # parses to inf, caught after the read
+            ("1,0.5,0.5,7\n\n2,0.5,-1e999,7\n", 4),
+        ],
+    )
+    def test_an_infinite_coordinate_is_non_finite_at_its_line(self, tmp_path, body, line):
+        path = tmp_path / "a.csv"
+        path.write_text("surveyId,lat,lon,speciesId\n" + body)
+        with pytest.raises(ParseError, match=rf"a\.csv:{line}: non-finite coordinate$"):
+            parse_occurrences(str(path))
+
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [
+            (parse_occurrences, "surveyId,lat,lon,speciesIds\n1,0.5,0.5,4\n2,0.5,0.5,4,0 5", "expected 4 fields, got 5"),
+            (read_submission, "surveyId,predictions\n1,4\n2,4,0 5", "expected 2 fields, got 3"),
+            (read_submission, "surveyId,predictions\n1,4\n,5 6\n", "malformed row: invalid literal for int\\(\\) with base 10: ''"),
+        ],
+    )
+    def test_a_last_row_the_bulk_pass_cannot_cut_reaches_the_row_pass(self, tmp_path, read, text, message):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=rf"a\.csv:3: {message}$"):
+            read(str(path))
+
+    def test_clean_benchmark_sized_files_never_reach_the_row_pass(self, tmp_path, monkeypatch, rng):
+        def refuse(path):
+            raise AssertionError(f"{path} was read by the row pass")
+
+        for module, name in ((ingest, "_survey_rows"), (predictor, "_score_rows"), (postprocess, "_submission_rows")):
+            monkeypatch.setattr(module, name, refuse)
+        # the sizes of the benchmark's pipeline inputs: 20 k wide surveys of ~10 species, a long file of 138 k rows
+        n, num_species = 20_000, 5_000
+        catalog = SpeciesCatalog(np.arange(num_species, dtype=np.int64) * 7 + 11)
+        lats, lons = np.round(rng.uniform(-90, 90, n), 7), np.round(rng.uniform(-180, 180, n), 7)
+        counts = rng.integers(1, 20, n)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        picks = np.unique(np.repeat(np.arange(n), counts) * num_species + rng.integers(0, num_species, indptr[-1]))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(picks // num_species, minlength=n))))
+        pa = Dataset.from_csr(np.arange(1, n + 1), lats, lons, indptr, picks % num_species)
+        write_dataset(pa, str(tmp_path / "pa.csv"), catalog)
+        assert parse_occurrences(str(tmp_path / "pa.csv"), kind=DatasetKind.PA_TRAIN, catalog=catalog) == (pa, catalog)
+        test = Dataset.from_csr(pa.ids, lats, lons, np.zeros(n + 1, dtype=np.int64), [])
+        write_dataset(test, str(tmp_path / "test.csv"), catalog)
+        assert parse_occurrences(str(tmp_path / "test.csv"), kind=DatasetKind.TEST)[0] == test
+
+        rows = rng.integers(0, n, 138_000)
+        long_lines = [f"{pa.ids[r]},{lats[r]:.7f},{lons[r]:.7f},{catalog.dense_to_raw[pa.indices[pa.indptr[r]]]}" for r in rows.tolist()]
+        (tmp_path / "po.csv").write_text("surveyId,lat,lon,speciesId\n" + "\n".join(long_lines) + "\n")
+        po, _ = parse_occurrences(str(tmp_path / "po.csv"), kind=DatasetKind.PO_TRAIN, catalog=catalog)
+        assert po.ids.tolist() == np.unique(pa.ids[rows]).tolist()
+
+        scores = ScoreMatrix(num_species, pa.ids, pa.indptr, pa.indices, rng.integers(1, 11, pa.indices.size) / 10)
+        save_scores(scores, str(tmp_path / "scores.csv"), catalog)
+        assert load_scores(str(tmp_path / "scores.csv"), catalog) == scores
+        write_submission(pa.ids, pa.species, str(tmp_path / "sub.csv"), catalog)
+        assert read_submission(str(tmp_path / "sub.csv")) == decode_species(pa, catalog)
 
 
 class TestCatalog:

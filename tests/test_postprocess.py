@@ -348,6 +348,18 @@ class TestSubmissionIO:
         with pytest.raises(ValueError, match="duplicate"):
             read_submission(str(path))
 
+    def test_read_rejects_bytes_that_are_not_utf8_at_their_line(self, tmp_path):
+        path = tmp_path / "sub.csv"
+        path.write_bytes(b"surveyId,predictions\n1,5\n2,5 \x80\n")
+        with pytest.raises(ParseError, match=r"sub\.csv:3: not valid UTF-8$"):
+            read_submission(str(path))
+
+    def test_read_reports_the_first_repeated_survey_in_file_order(self, tmp_path):
+        path = tmp_path / "sub.csv"
+        path.write_text("surveyId,predictions\n9,5\n1,5\n\n1,6\n9,7\n")
+        with pytest.raises(ParseError, match=r"sub\.csv:5: duplicate survey id 1$"):
+            read_submission(str(path))
+
     @pytest.mark.parametrize(
         "row, reason",
         [

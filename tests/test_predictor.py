@@ -174,6 +174,13 @@ class TestScoreMatrix:
         with pytest.raises(ParseError, match=r"scores\.csv:3: malformed row: score must be an ASCII"):
             load_scores(str(path), catalog)
 
+    def test_load_rejects_bytes_that_are_not_utf8_at_their_line(self, tmp_path):
+        catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"surveyId,speciesId,score\n1,7,0.5\n2,7,0.\xb5\n")
+        with pytest.raises(ParseError, match=r"scores\.csv:3: not valid UTF-8$"):
+            load_scores(str(path), catalog)
+
     def test_load_keeps_signs_and_exponents_in_scores(self, tmp_path):
         catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
         path = tmp_path / "scores.csv"
