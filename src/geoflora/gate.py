@@ -61,17 +61,20 @@ class Gate(Sequence[GateAssignment]):
         return GateAssignment(int(self.ids[i]), side, float(self.nearest_km[i]))
 
 
-def assign(test_dataset: Dataset, pa_dataset: Dataset, gate_radius_km: float = GateConfig.gate_radius_km) -> Gate:
+def assign(
+    test_dataset: Dataset, pa_dataset: Dataset, gate_radius_km: float = GateConfig.gate_radius_km, *, index: GeoIndex | None = None
+) -> Gate:
     """Per test survey: its side and the distance to the nearest PA survey.
 
     An empty PA dataset routes everything out-of-distribution with an
     infinite nearest distance. Rows follow the test dataset, i.e. survey id.
+    ``index`` may carry a prebuilt index over ``pa_dataset``.
     """
     GateConfig(gate_radius_km)
     if len(pa_dataset) == 0:
         nearest = np.full(len(test_dataset), math.inf)
     else:
-        index = GeoIndex.from_dataset(pa_dataset)
+        index = GeoIndex.from_dataset(pa_dataset) if index is None else index
         _, dists = index.knn_query_many(np.radians(test_dataset.lats), np.radians(test_dataset.lons), 1)
         nearest = dists[:, 0]
     return Gate(test_dataset.ids, nearest, nearest <= gate_radius_km)

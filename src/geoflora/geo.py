@@ -8,6 +8,13 @@ yields a candidate superset which is then re-checked with the exact
 haversine distance. Query results therefore match a brute-force scan point
 for point while staying fast on millions of entries.
 
+A k-NN query asks the tree for k + 1 chord neighbours. A row whose
+(k + 1)-th chord lies beyond its inflated k-th chord by one more inflation
+step has no near-tie at the k-th rank: the ball of that inflated radius
+would hold exactly its k chord neighbours, so they are its complete
+candidate set. Only the other rows gather that ball; every row is then
+re-ranked exactly.
+
 Determinism rules, fixed for reproducibility:
   * radius boundaries are inclusive (d <= radius),
   * k-NN ties at equal distance are broken by ascending survey id.
@@ -93,10 +100,22 @@ def _embed(lat_rad, lon_rad) -> np.ndarray:
     return np.column_stack((cp * np.cos(lon_rad), cp * np.sin(lon_rad), np.sin(lat_rad)))
 
 
+def _inflate(chord):
+    """A chord-space bound widened so that rounding in the embedding can never exclude a point at ``chord``."""
+    return chord * (1.0 + _CHORD_REL) + _CHORD_ABS
+
+
 def _chord_radius(radius_km):
-    """Inflated chord length on the unit sphere subtending ``radius_km`` of arc."""
-    ang = np.minimum(np.asarray(radius_km, dtype=np.float64) / EARTH_RADIUS_KM, np.pi)
-    return 2.0 * np.sin(ang * 0.5) * (1.0 + _CHORD_REL) + _CHORD_ABS
+    """Inflated chord length on the unit sphere subtending ``radius_km`` of arc; a negative or NaN radius is an error."""
+    radius_km = np.asarray(radius_km, dtype=np.float64)
+    if not np.all(radius_km >= 0):  # written so that NaN fails too
+        raise ValueError("radius_km must be >= 0")
+    return _inflate(2.0 * np.sin(np.minimum(radius_km / EARTH_RADIUS_KM, np.pi) * 0.5))
+
+
+def _needs_ball(chord_k, chord_next):
+    """Rows whose (k + 1)-th chord may tie with the k-th: within two inflation steps of it, or NaN."""
+    return ~(chord_next > _inflate(_inflate(chord_k)))
 
 
 class GeoIndex:
@@ -114,8 +133,12 @@ class GeoIndex:
         lons = np.asarray(lons_deg, dtype=np.float64)
         if ids.ndim != 1 or ids.shape != lats.shape or ids.shape != lons.shape:
             raise ValueError("survey_ids, lats_deg and lons_deg must be 1-D and equally long")
-        if lats.size and (np.abs(lats).max() > 90.0 or np.abs(lons).max() > 180.0):
-            raise ValueError("coordinate out of range")
+        if lats.size:
+            lat_max, lon_max = np.abs(lats).max(), np.abs(lons).max()  # NaN if any coordinate is NaN
+            if not (math.isfinite(lat_max) and math.isfinite(lon_max)):
+                raise ValueError("non-finite coordinate")
+            if lat_max > 90.0 or lon_max > 180.0:
+                raise ValueError("coordinate out of range")
         self.survey_ids = ids
         self.lat_rad = np.radians(lats)
         self.lon_rad = np.radians(lons)
@@ -135,8 +158,6 @@ class GeoIndex:
 
         Returns (survey_id, distance_km) pairs sorted by (distance, survey_id).
         """
-        if radius_km < 0:
-            raise ValueError("radius_km must be >= 0")
         _, pos, d = self.radius_query_many(center.lat_rad, center.lon_rad, radius_km)
         order = np.lexsort((self.survey_ids[pos], d))
         return [(int(i), float(x)) for i, x in zip(self.survey_ids[pos[order]], d[order])]
@@ -152,31 +173,50 @@ class GeoIndex:
         """k-NN for many query points at once.
 
         Returns (positions, distances_km), each of shape (m, min(k, n)), rows
-        sorted by (distance, survey_id). Near-ties are resolved by gathering
-        every point whose chord distance falls within an inflated bound of the
-        k-th neighbour and re-ranking the candidates exactly: the candidates
-        of all rows are flattened into one array, measured with one haversine
-        call and ordered by one ``lexsort`` on (row, distance, survey id), of
-        which each row keeps its first min(k, n) entries.
+        sorted by (distance, survey_id); the first j columns of a query at k
+        are the query at j <= k, as the re-rank is a total order.
+
+        The tree gives each row its k + 1 chord neighbours (all n when
+        k >= n). Near-ties are resolved by gathering every point whose chord
+        distance falls within an inflated bound of the k-th neighbour: only
+        rows whose (k + 1)-th chord is within that bound plus one more
+        inflation step (``_needs_ball``) gather this ball. For the others
+        every point beyond the k chord neighbours lies outside the ball, so
+        the k chord neighbours are the candidates the ball would hold, and
+        they are measured and ordered by (distance, survey id) within their
+        row. The balls of the rows that gather one are flattened into one array,
+        measured with one haversine call and ordered by one ``lexsort`` on
+        (row, distance, survey id), of which each row keeps its first
+        min(k, n) entries.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
-        m = lat_rad.size
-        kk = min(k, len(self))
+        m, n = lat_rad.size, len(self)
+        kk = min(k, n)
         if kk == 0 or m == 0:
             return np.empty((m, kk), dtype=np.intp), np.empty((m, kk), dtype=np.float64)
         q = _embed(lat_rad, lon_rad)
-        chord, _ = self._tree.query(q, k=kk, workers=-1)
-        chord = np.reshape(chord, (m, kk))
-        offsets, flat = self._ball_candidates(q, chord[:, -1] * (1.0 + _CHORD_REL) + _CHORD_ABS)
-        # the ball holds the kk chord neighbours, so every row has at least kk candidates
-        row = np.repeat(np.arange(m), np.diff(offsets))
-        d = haversine_km_arrays(lat_rad[row], lon_rad[row], self.lat_rad[flat], self.lon_rad[flat])
-        order = np.lexsort((self.survey_ids[flat], d, row))
-        first = order[(offsets[:-1, None] + np.arange(kk)).ravel()]
-        return flat[first].reshape(m, kk), d[first].reshape(m, kk)
+        width = min(kk + 1, n)
+        chord, near = (np.reshape(a, (m, width)) for a in self._tree.query(q, k=width, workers=-1))
+        ball = _needs_ball(chord[:, kk - 1], chord[:, kk]) if width > kk else np.zeros(m, dtype=bool)
+        pos, dist = np.empty((m, kk), dtype=np.intp), np.empty((m, kk), dtype=np.float64)
+        clear = np.flatnonzero(~ball)
+        cand = near[clear, :kk]
+        d = haversine_km_arrays(lat_rad[clear, None], lon_rad[clear, None], self.lat_rad[cand], self.lon_rad[cand])
+        order = np.lexsort((self.survey_ids[cand], d), axis=-1)
+        pos[clear], dist[clear] = np.take_along_axis(cand, order, -1), np.take_along_axis(d, order, -1)
+        if ball.any():
+            rows = np.flatnonzero(ball)
+            offsets, flat = self._ball_candidates(q[rows], _inflate(chord[rows, kk - 1]))
+            # the ball holds the kk chord neighbours, so every row has at least kk candidates
+            row = np.repeat(rows, np.diff(offsets))
+            d = haversine_km_arrays(lat_rad[row], lon_rad[row], self.lat_rad[flat], self.lon_rad[flat])
+            order = np.lexsort((self.survey_ids[flat], d, row))
+            first = order[(offsets[:-1, None] + np.arange(kk)).ravel()]
+            pos[rows], dist[rows] = flat[first].reshape(-1, kk), d[first].reshape(-1, kk)
+        return pos, dist
 
     def _ball_candidates(self, q: np.ndarray, chord_r) -> tuple[np.ndarray, np.ndarray]:
         """Positions within chord distance ``chord_r`` of each embedded query, CSR-style (offsets, positions)."""
@@ -197,9 +237,9 @@ class GeoIndex:
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
         m = lat_rad.size
+        r = _chord_radius(radius_km)
         if self._tree is None or m == 0:
             return np.zeros(m + 1, dtype=np.int64), np.empty(0, dtype=np.intp)
-        r = _chord_radius(radius_km)
         if r.ndim:
             r = np.broadcast_to(r, (m,))
         return self._ball_candidates(_embed(lat_rad, lon_rad), r)
@@ -211,9 +251,10 @@ class GeoIndex:
         haversine pairs (one chord-space self-join with inflation, no
         re-check); callers apply their own definitive filter.
         """
+        r = float(_chord_radius(radius_km))
         if self._tree is None:
             return np.empty((0, 2), dtype=np.intp)
-        return self._tree.query_pairs(float(_chord_radius(radius_km)), output_type="ndarray")
+        return self._tree.query_pairs(r, output_type="ndarray")
 
     def radius_query_many(self, lat_rad, lon_rad, radius_km) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact inclusive radius memberships for many query points.

@@ -4,6 +4,10 @@ Presence-only surveys are patch-merged; each test survey is routed by its
 distance to the nearest presence-absence survey; the in-distribution expert
 scores and votes over the PA surveys, the out-of-distribution expert over the
 merged PO surveys, each with its own Threshold Top-K and vote settings.
+Each reference set is indexed once (PA for the gate and the in-distribution
+expert, merged PO for the other) and each side's surveys are queried once,
+at the larger of ``predict_k`` and the side's ``vote_neighbors``: the scores
+and the votes take prefixes of that one answer.
 
 ``PipelineConfig`` holds the chain's settings: its field names are the
 config-file keys, the ``geoflora pipeline`` flags and the manifest's
@@ -26,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .gate import GateConfig, Side, assign, moe_merge, write_assignments
+from .geo import GeoIndex
 from .ingest import DatasetKind, RangeError, RowSets, SpeciesCatalog, parse_occurrences, reindex_dataset, write_dataset
 from .postprocess import OOD_TOP_K, OOD_VOTE, TopKConfig, VoteConfig, side_predictions, write_submission
 from .predictor import PredictConfig, ScoreMatrix, neighbor_frequency_predict, save_scores
@@ -130,7 +135,9 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         f"mean species/survey {report.mean_species_in:.3f} -> {report.mean_species_out:.3f}"
     )
 
-    gate = assign(test_ds, pa_ds, config.gate_radius_km)
+    # one index per reference set (the merge builds its own over PO) and one kNN query per side
+    pa_index = GeoIndex.from_dataset(pa_ds)
+    gate = assign(test_ds, pa_ds, config.gate_radius_km, index=pa_index)
     write_assignments(gate, str(outdir / "gate.csv"))
     n_in = int(gate.in_mask.sum())
     print(f"gate: {n_in} in-distribution, {len(gate) - n_in} out-of-distribution")
@@ -145,8 +152,14 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         if len(test_side):
             if len(train) == 0:
                 raise ValueError(f"no training data for the {side.value.replace('_', '-')} expert")
-            matrix = neighbor_frequency_predict(train, test_side, config.predict_k, num_species=len(catalog))
-            predictions[side] = side_predictions(matrix, test_side, train, *config.side_configs(side))
+            top_k, vote = config.side_configs(side)
+            index = pa_index if side is Side.IN_DISTRIBUTION else GeoIndex.from_dataset(train)
+            k = max(config.predict_k, vote.vote_neighbors)
+            neighbors, _ = index.knn_query_many(np.radians(test_side.lats), np.radians(test_side.lons), k)
+            matrix = neighbor_frequency_predict(train, test_side, config.predict_k, num_species=len(catalog), neighbors=neighbors)
+            predictions[side] = side_predictions(matrix, test_side, train, top_k, vote, neighbors=neighbors)
+            del index, neighbors
+        pa_index = None  # each side's index and neighbours go once the side is done
         save_scores(matrix, str(outdir / scores_name), catalog)
 
     final = moe_merge(gate, predictions[Side.IN_DISTRIBUTION], predictions[Side.OUT_OF_DISTRIBUTION])

@@ -37,7 +37,7 @@ from .ingest import (
     union_rows,
 )
 from .losses import check_same_surveys, mean_f1
-from .predictor import ScoreMatrix, neighbor_species_counts
+from .predictor import ScoreMatrix, nearest, neighbor_species_counts
 
 # Grid-search defaults for tuning the in-distribution Threshold Top-K on a
 # held-out split.
@@ -108,10 +108,14 @@ def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> 
     return neighbor_vote_many(np.array([survey.lat]), np.array([survey.lon]), reference, cfg)[0]
 
 
-def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig) -> RowSets:
-    """Vectorised ``neighbor_vote`` over many query coordinates: row i holds query i's votes."""
-    counts, denom = neighbor_species_counts(reference, lats_deg, lons_deg, cfg.vote_neighbors)
-    freq = counts.data / denom
+def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig, *, neighbors: np.ndarray | None = None) -> RowSets:
+    """Vectorised ``neighbor_vote`` over many query coordinates: row i holds query i's votes.
+
+    ``neighbors`` may carry the queries' kNN positions over ``reference`` at any k >= ``vote_neighbors`` (see ``nearest``).
+    """
+    pos = nearest(reference, lats_deg, lons_deg, cfg.vote_neighbors, neighbors)
+    counts = neighbor_species_counts(reference, pos)
+    freq = counts.data / pos.shape[1]
     keep = freq >= cfg.vote_min_freq if cfg.vote_inclusive else freq > cfg.vote_min_freq
     return RowSets(np.concatenate(([0], np.cumsum(keep)))[counts.indptr], counts.indices[keep])
 
@@ -144,16 +148,19 @@ def apply_top_k(matrix: ScoreMatrix, cfg: TopKConfig) -> RowSets:
     return RowSets(np.concatenate(([0], np.cumsum(keep)))[matrix.indptr], species[keep])
 
 
-def side_predictions(matrix: ScoreMatrix, test: Dataset, reference: Dataset, top_k: TopKConfig, vote: VoteConfig) -> RowSets:
+def side_predictions(
+    matrix: ScoreMatrix, test: Dataset, reference: Dataset, top_k: TopKConfig, vote: VoteConfig, *, neighbors: np.ndarray | None = None
+) -> RowSets:
     """Threshold Top-K over the scores united with neighbour votes over ``reference``.
 
     Row i of the result is survey ``test.ids[i]``. Score rows for other
     surveys are an error; a test survey without a score row gets its votes only.
+    ``neighbors`` may carry the test surveys' kNN positions over ``reference`` (see ``neighbor_vote_many``).
     """
     extra = np.setdiff1d(matrix.ids, test.ids)
     if extra.size:
         raise ValueError(f"scores for surveys absent from the test set: {preview_ids(extra.tolist())}")
-    votes = neighbor_vote_many(test.lats, test.lons, reference, vote)
+    votes = neighbor_vote_many(test.lats, test.lons, reference, vote, neighbors=neighbors)
     return finalize(votes, apply_top_k(matrix, top_k), np.searchsorted(test.ids, matrix.ids))
 
 

@@ -5,7 +5,8 @@ k nearest training surveys containing each species, following the prior that
 geographic proximity implies ecological similarity) and score files produced
 by external models. Either way the result is a sparse score matrix with
 values in [0, 1]; absent entries are zero. The baseline fills the matrix's
-CSR arrays from one sparse product (``neighbor_species_counts``).
+CSR arrays from one sparse product (``neighbor_species_counts``) over the
+rows of a kNN query, which the neighbour votes may share (``nearest``).
 """
 
 from __future__ import annotations
@@ -110,34 +111,51 @@ class ScoreMatrix:
         return same and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in ("ids", "indptr", "species", "scores"))
 
 
-def neighbor_species_counts(reference: Dataset, lats_deg, lons_deg, k: int) -> tuple[sparse.csr_matrix, int]:
-    """How many of each query point's k nearest reference surveys hold each species.
+def nearest(reference: Dataset, lats_deg, lons_deg, k: int, neighbors: np.ndarray | None = None) -> np.ndarray:
+    """Positions in ``reference`` of each query point's min(k, n) nearest surveys, nearest first.
 
-    Returns the counts as a queries x species CSR matrix and the denominator
-    min(k, len(reference)); the counts are a selection matrix with a 1 per
-    neighbour of each query times the reference's species CSR.
+    ``neighbors`` may carry the positions of a query at a larger k over the
+    same reference and points; its first columns are the answer, as
+    ``GeoIndex.knn_query_many`` guarantees. Otherwise one index is built and
+    queried.
     """
-    pos, _ = GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats_deg), np.radians(lons_deg), k)
+    if neighbors is None:
+        return GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats_deg), np.radians(lons_deg), k)[0]
+    if len(neighbors) != np.size(lats_deg) or neighbors.shape[1] < min(k, len(reference)):
+        raise ValueError(f"neighbors must have one row per query point and at least {min(k, len(reference))} columns")
+    return neighbors[:, :k]
+
+
+def neighbor_species_counts(reference: Dataset, pos: np.ndarray) -> sparse.csr_matrix:
+    """How many of the reference surveys at each row of kNN positions ``pos`` hold each species.
+
+    Returns the counts as a rows x species CSR matrix: a selection matrix
+    with a 1 per neighbour of each row times the reference's species CSR.
+    """
     (m, kk), n = pos.shape, len(reference)
     select = sparse.csr_matrix((np.ones(pos.size, dtype=np.int32), pos.ravel(), np.arange(m + 1) * kk), shape=(m, n))
     sp_idx = reference.indices
     species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=np.int32), sp_idx, reference.indptr), shape=(n, int(sp_idx.max(initial=-1)) + 1))
-    return select @ species, kk
+    return select @ species
 
 
-def neighbor_frequency_predict(train: Dataset, test: Dataset, k: int, *, num_species: int | None = None) -> ScoreMatrix:
+def neighbor_frequency_predict(
+    train: Dataset, test: Dataset, k: int, *, num_species: int | None = None, neighbors: np.ndarray | None = None
+) -> ScoreMatrix:
     """Score species by their frequency among each test point's k nearest trains.
 
     score(t, s) = (# of t's k nearest training surveys containing s) / k,
     with neighbours resolved deterministically (distance, then survey id).
     When the training set holds fewer than k surveys, all of them vote and
-    the denominator shrinks to match.
+    the denominator shrinks to match. ``neighbors`` may carry the test
+    points' kNN positions over ``train`` at any k' >= k (see ``nearest``).
     """
     if len(train) == 0:
         raise ValueError("training dataset is empty")
-    counts, denom = neighbor_species_counts(train, test.lats, test.lons, k)
+    pos = nearest(train, test.lats, test.lons, k, neighbors)
+    counts = neighbor_species_counts(train, pos)
     num_species = counts.shape[1] if num_species is None else num_species
-    return ScoreMatrix(num_species, test.ids, counts.indptr, counts.indices, counts.data / denom)
+    return ScoreMatrix(num_species, test.ids, counts.indptr, counts.indices, counts.data / pos.shape[1])
 
 
 def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None:

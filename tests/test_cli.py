@@ -9,6 +9,7 @@ import pytest
 from conftest import FIXTURES
 from geoflora import pipeline
 from geoflora.cli import build_parser, run
+from geoflora.geo import GeoIndex
 from geoflora.ingest import parse_occurrences
 from geoflora.postprocess import read_submission
 from geoflora.pseudolabel import MergeConfig
@@ -354,6 +355,24 @@ class TestPipeline:
         assert run(pipeline_argv(outdir)) == 0
         assert capsys.readouterr().out == library_out
         assert len(library_out.splitlines()) == 4
+
+
+    def test_one_index_per_reference_set_and_one_query_per_side(self, tmp_path, monkeypatch):
+        calls = {"__init__": 0, "knn_query_many": 0}
+        for name in calls:
+            method = getattr(GeoIndex, name)
+
+            def counted(*args, _method=method, _name=name, **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(GeoIndex, name, counted)
+        pipeline.run(f"{FIXTURES}/pa_train.csv", f"{FIXTURES}/po_train.csv", f"{FIXTURES}/test.csv", tmp_path)
+        # PO for the merge, PA for the gate and the in-distribution side, merged PO for the other side;
+        # kNN calls: the gate, the in-distribution side, the out-of-distribution side
+        assert calls == {"__init__": 3, "knn_query_many": 3}
+        for name in GOLDEN_FILES:
+            assert (tmp_path / name).read_bytes() == (Path(FIXTURES) / "golden" / name).read_bytes(), name
 
 
 def command_options(name):

@@ -6,11 +6,36 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import random_points
-from geoflora.geo import EARTH_RADIUS_KM, GeoIndex, GeoPoint, haversine_km, haversine_km_arrays
+from geoflora import geo
+from geoflora.geo import _CHORD_ABS, _CHORD_REL, EARTH_RADIUS_KM, GeoIndex, GeoPoint, _needs_ball, haversine_km, haversine_km_arrays
 from oracles import brute_knn, brute_radius, reference_haversine_km
 
 LAT = st.floats(min_value=-90.0, max_value=90.0)
 LON = st.floats(min_value=-180.0, max_value=180.0)
+
+# Coordinates where k-NN ties and near-ties gather: the four points 0.5 degrees from (0, 0) are equidistant from it,
+# +-180 is one meridian, every point at a pole is the same point, and a drawn point may repeat any earlier one.
+TIE_POOL = [
+    (0.0, 0.0), (0.0, 0.5), (0.0, -0.5), (0.5, 0.0), (-0.5, 0.0), (45.0, 7.0), (45.001, 7.0),
+    (0.0, 180.0), (0.0, -180.0), (12.5, 179.9999999), (12.5, -179.9999999),
+    (90.0, 0.0), (90.0, 77.0), (-90.0, 180.0), (89.9999999, 10.0), (-89.9999999, -170.0),
+]
+
+
+@st.composite
+def tie_heavy_knn(draw):
+    """(ids, lats, lons, query lats, query lons, k): points and queries from ``TIE_POOL``, repeats and anywhere;
+    ids are a permutation, so the tree's order among ties is not id order; k is 1, n - 1, n or n + 1."""
+    n = draw(st.integers(2, 24))
+    point = st.one_of(st.sampled_from(TIE_POOL), st.tuples(LAT, LON))
+    coords = []
+    for _ in range(n):
+        coords.append(draw(st.sampled_from(coords) if coords and draw(st.booleans()) else point))
+    queries = draw(st.lists(st.one_of(point, st.sampled_from(coords)), min_size=1, max_size=6))
+    ids = np.array(draw(st.permutations(range(1, n + 1))), dtype=np.int64)
+    k = draw(st.sampled_from([1, n - 1, n, n + 1]))
+    (lats, lons), (q_lat, q_lon) = (np.array(c, dtype=np.float64).T for c in (coords, queries))
+    return ids, lats, lons, q_lat, q_lon, k
 
 
 def P(lat, lon):
@@ -107,6 +132,27 @@ class TestGeoIndex:
         with pytest.raises(ValueError):
             GeoIndex(np.array([1]), np.array([99.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lats, lons", [([0.0, math.nan], [0.0, 0.0]), ([0.0, 0.0], [math.nan, 0.0]), ([math.inf], [0.0]), ([0.0], [-math.inf])])
+    def test_non_finite_coordinates_are_rejected(self, lats, lons):
+        with pytest.raises(ValueError, match="^non-finite coordinate$"):
+            GeoIndex(np.arange(len(lats)), np.array(lats), np.array(lons))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("radius_km", [-1.0, math.nan, np.array([1.0, -1.0]), np.array([1.0, math.nan])])
+    @pytest.mark.parametrize("method", ["radius_query_many", "radius_candidates_many"])
+    def test_bulk_radius_rejects_negative_or_nan(self, rng, n, radius_km, method):
+        idx = GeoIndex(*random_points(rng, n))
+        with pytest.raises(ValueError, match="radius_km must be >= 0"):
+            getattr(idx, method)(np.radians([10.0, 20.0]), np.radians([5.0, 6.0]), radius_km)
+
+    @pytest.mark.parametrize("radius_km", [-1.0, math.nan])
+    def test_single_radius_and_pairs_reject_negative_or_nan(self, rng, radius_km):
+        idx = GeoIndex(*random_points(rng, 3))
+        with pytest.raises(ValueError, match="radius_km must be >= 0"):
+            idx.radius_query(P(0, 0), radius_km)
+        with pytest.raises(ValueError, match="radius_km must be >= 0"):
+            idx.pairs_within(radius_km)
+
     def test_queries_are_pure(self, rng):
         ids, lats, lons = random_points(rng, 200)
         idx = GeoIndex(ids, lats, lons)
@@ -188,3 +234,60 @@ class TestGeoIndex:
         assert set(zip(i.tolist(), j.tolist())) <= got
         assert len(got) == len(pairs)
         assert GeoIndex(np.array([], dtype=np.int64), np.array([]), np.array([])).pairs_within(1.0).shape == (0, 2)
+
+
+class TestKnnBallSkip:
+    """``knn_query_many`` gathers the near-tie ball only for rows that may tie at the k-th neighbour."""
+
+    @given(tie_heavy_knn())
+    @example((np.array([9, 8, 7, 6]), np.array([45.0, 45.0, 45.0, -30.0]), np.array([7.0, 7.0, 7.0, 100.0]), np.array([45.0]), np.array([7.0]), 1))
+    @example((np.array([3, 2, 1]), np.array([0.0, 0.0, 0.5]), np.array([0.5, -0.5, 0.0]), np.array([0.0]), np.array([0.0]), 2))
+    def test_matches_brute_force_on_ties(self, case):
+        ids, lats, lons, q_lat, q_lon, k = case
+        pos, dist = GeoIndex(ids, lats, lons).knn_query_many(np.radians(q_lat), np.radians(q_lon), k)
+        assert pos.shape == dist.shape == (q_lat.size, min(k, ids.size))
+        for i in range(q_lat.size):
+            got = [(int(ids[p]), float(d)) for p, d in zip(pos[i], dist[i])]
+            assert got == brute_knn(ids, lats, lons, P(q_lat[i], q_lon[i]), k)
+
+    @given(tie_heavy_knn(), st.integers(0, 3))
+    def test_prefix_of_a_larger_query(self, case, extra):
+        ids, lats, lons, q_lat, q_lon, k = case
+        idx = GeoIndex(ids, lats, lons)
+        pos, dist = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), k)
+        wide_pos, wide_dist = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), k + extra)
+        assert np.array_equal(wide_pos[:, :k], pos)
+        assert np.array_equal(wide_dist[:, :k], dist)
+
+    def test_only_rows_tied_at_the_kth_neighbour_gather_the_ball(self, monkeypatch):
+        # position order is the reverse of id order; three points at (45, 7), one far apart
+        idx = GeoIndex(np.array([9, 8, 7, 6]), np.array([45.0, 45.0, 45.0, -30.0]), np.array([7.0, 7.0, 7.0, 100.0]))
+        seen, measured = [], []
+        ball = GeoIndex._ball_candidates
+        monkeypatch.setattr(GeoIndex, "_ball_candidates", lambda self, q, r: seen.append(len(q)) or ball(self, q, r))
+        monkeypatch.setattr(geo, "haversine_km_arrays", lambda *a: measured.append(np.size(a[2])) or haversine_km_arrays(*a))
+        # at k = 1 only the row on the three co-located points ties; the rows at and near the lone point do not
+        q_lat, q_lon = np.array([45.0, -30.0, -20.0]), np.array([7.0, 100.0, 90.0])
+        pos, _ = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), 1)
+        assert seen == [1]
+        assert idx.survey_ids[pos].tolist() == [[7], [6], [6]]
+        seen.clear()
+        pos, _ = idx.knn_query_many(np.radians(q_lat[:1]), np.radians(q_lon[:1]), 3)  # its 4th neighbour is far away
+        assert seen == [] and idx.survey_ids[pos].tolist() == [[7, 8, 9]]
+        assert measured[-1] == 3  # a row clear of ties re-ranks its k chord neighbours only
+
+    @pytest.mark.parametrize(
+        "chord_k, chord_next, tied",
+        [
+            (0.25, 0.25, True),  # equal chords
+            (0.0, 0.0, True),
+            (0.25, 0.25 * (1 + _CHORD_REL) + _CHORD_ABS, True),  # at the ball's inflated bound
+            (0.25, (0.25 * (1 + _CHORD_REL) + _CHORD_ABS) * (1 + _CHORD_REL / 2), True),  # beyond it, within the margin
+            (0.0, 1.5 * _CHORD_ABS, True),
+            (0.25, 0.25 * (1 + 4 * _CHORD_REL), False),  # clearly beyond the margin
+            (0.0, 3 * _CHORD_ABS, False),
+            (0.25, math.nan, True),
+        ],
+    )
+    def test_needs_ball_rule(self, chord_k, chord_next, tied):
+        assert _needs_ball(np.array([chord_k]), np.array([chord_next])).tolist() == [tied]

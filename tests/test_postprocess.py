@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset, query_coordinates, random_surveys, row_sets
+from geoflora.geo import GeoIndex
 from geoflora.ingest import Dataset, ParseError, SpeciesCatalog, union_rows
 from geoflora.losses import samples_f1
 from geoflora.postprocess import (
@@ -182,9 +183,13 @@ class TestNeighborVote:
         for size in (0, 1, 5, 60, 150):
             reference = random_surveys(rng, size, 8)
             lats, lons = query_coordinates(rng, reference, 30)
+            wide, _ = GeoIndex.from_dataset(reference).knn_query_many(np.radians(lats), np.radians(lons), neighbor_count + 4)
             for min_frequency in (0.25, 0.5, 1.0):
-                got = neighbor_vote_many(lats, lons, reference, VoteConfig(neighbor_count, min_frequency, vote_inclusive=not strictly_greater))
+                cfg = VoteConfig(neighbor_count, min_frequency, vote_inclusive=not strictly_greater)
+                got = neighbor_vote_many(lats, lons, reference, cfg)
                 assert list(got) == neighbor_vote_oracle(reference, lats, lons, neighbor_count, min_frequency, strictly_greater)
+                # the first columns of a wider query, as the pipeline shares one query between scores and votes
+                assert list(neighbor_vote_many(lats, lons, reference, cfg, neighbors=wide)) == list(got)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, query_coordinates, random_surveys
+from geoflora.geo import GeoIndex
 from geoflora.ingest import Dataset, ParseError, SpeciesCatalog
 from geoflora.predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, save_scores
 from geoflora.synth import identity_catalog, uniform_surveys
@@ -79,6 +80,17 @@ class TestNeighborFrequency:
             m = neighbor_frequency_predict(train, test, k, num_species=12)
             assert m.survey_ids() == test.ids.tolist()
             assert {sid: m.row(sid) for sid in m.survey_ids()} == neighbor_frequency_oracle(train, test, k)
+            # the first k columns of a wider query, as the pipeline shares one query between scores and votes
+            wide, _ = GeoIndex.from_dataset(train).knn_query_many(np.radians(lats), np.radians(lons), k + 3)
+            assert neighbor_frequency_predict(train, test, k, num_species=12, neighbors=wide) == m
+
+    def test_too_few_neighbor_columns_are_rejected(self):
+        train = make_dataset([(1, 0.0, 0.0, {3}), (2, 1.0, 0.0, {4}), (3, 2.0, 0.0, {5})])
+        test = query_points([(100, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="at least 3 columns"):
+            neighbor_frequency_predict(train, test, 5, neighbors=np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="one row per query point"):
+            neighbor_frequency_predict(train, test, 1, neighbors=np.array([[0], [1]]))
 
     def test_training_surveys_without_species_give_empty_rows(self):
         train = make_dataset([(1, 0.0, 0.0, set()), (2, 0.01, 0.0, {4})])
