@@ -113,6 +113,14 @@ def _chord_radius(radius_km):
     return _inflate(2.0 * np.sin(np.minimum(radius_km / EARTH_RADIUS_KM, np.pi) * 0.5))
 
 
+def _finite_extent(lat, lon) -> tuple[float, float]:
+    """The largest |lat| and |lon| (0 if empty); a NaN or infinite coordinate is an error."""
+    extent = float(np.abs(lat).max(initial=0.0)), float(np.abs(lon).max(initial=0.0))  # NaN if any coordinate is NaN
+    if not all(map(math.isfinite, extent)):
+        raise ValueError("non-finite coordinate")
+    return extent
+
+
 def _needs_ball(chord_k, chord_next):
     """Rows whose (k + 1)-th chord may tie with the k-th: within two inflation steps of it, or NaN."""
     return ~(chord_next > _inflate(_inflate(chord_k)))
@@ -133,12 +141,9 @@ class GeoIndex:
         lons = np.asarray(lons_deg, dtype=np.float64)
         if ids.ndim != 1 or ids.shape != lats.shape or ids.shape != lons.shape:
             raise ValueError("survey_ids, lats_deg and lons_deg must be 1-D and equally long")
-        if lats.size:
-            lat_max, lon_max = np.abs(lats).max(), np.abs(lons).max()  # NaN if any coordinate is NaN
-            if not (math.isfinite(lat_max) and math.isfinite(lon_max)):
-                raise ValueError("non-finite coordinate")
-            if lat_max > 90.0 or lon_max > 180.0:
-                raise ValueError("coordinate out of range")
+        lat_max, lon_max = _finite_extent(lats, lons)
+        if lat_max > 90.0 or lon_max > 180.0:
+            raise ValueError("coordinate out of range")
         self.survey_ids = ids
         self.lat_rad = np.radians(lats)
         self.lon_rad = np.radians(lons)
@@ -193,6 +198,7 @@ class GeoIndex:
             raise ValueError("k must be >= 1")
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
+        _finite_extent(lat_rad, lon_rad)
         m, n = lat_rad.size, len(self)
         kk = min(k, n)
         if kk == 0 or m == 0:
@@ -236,6 +242,7 @@ class GeoIndex:
         """
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
+        _finite_extent(lat_rad, lon_rad)
         m = lat_rad.size
         r = _chord_radius(radius_km)
         if self._tree is None or m == 0:

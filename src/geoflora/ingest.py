@@ -29,6 +29,11 @@ line of the first), then its row-local format faults, then, each at its first
 row in the file: non-finite and out-of-range coordinates, coordinate
 conflicts, species missing from the catalog (lowest survey id, then smallest
 raw id) and the emptiness checks.
+
+The writers share one text kernel (``int_text``, ``text_table``, ``join_text``,
+``write_id_lists``): a text column is a ``uint8`` matrix, one row per value,
+padded with NUL bytes. NUL never occurs in the files, so ``m[m != 0]`` in
+row-major order is the rows' text concatenated.
 """
 
 from __future__ import annotations
@@ -490,17 +495,98 @@ def parse_occurrences(
     return Dataset.from_csr(ids, lat[heads], lon[heads], species.indptr, species.indices), catalog
 
 
+_POW10 = np.array([10**p for p in range(20)], dtype=np.uint64)  # 10**19 < 2**64
+_WRITE_CHUNK = 16384  # text rows (survey rows plus their entries) formatted per write, so memory stays bounded
+
+
+def int_text(values, neg=None, places: int = 1) -> np.ndarray:
+    """Each int64 value in decimal with at least ``places`` digits, '-' before the first where ``neg`` (by default
+    where the value is negative)."""
+    v = np.asarray(values, dtype=np.int64)
+    mag, neg = v.astype(np.uint64), v < 0 if neg is None else neg
+    mag[v < 0] = ~mag[v < 0] + 1  # the magnitude of -2**63 fits uint64, not int64
+    count = np.maximum(np.searchsorted(_POW10, mag, side="right"), places)
+    sign, width = int(neg.any()), int(count.max(initial=places))  # a column for '-' only if one is written
+    first = sign + width - count  # the column of each row's first digit
+    out = np.zeros((v.size, sign + width), dtype=np.uint8)
+    for col in range(sign + width - 1, sign - 1, -1):  # repeated divmod by 10, last digit first
+        quot = mag // 10
+        out[:, col] = np.where(col >= first, mag - quot * 10 + 48, 0)
+        mag = quot
+    out[neg, first[neg] - 1] = 45
+    return out
+
+
+def text_table(strings: list[str]) -> np.ndarray:
+    """ASCII ``strings``, one row each."""
+    table = np.array(strings, dtype=bytes)
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
+
+
+def _fixed7_text(values) -> np.ndarray:
+    """``format(v, '.7f')`` of each float: ``rint(|v|·1e7)``, signed by ``signbit`` (so -1e-9 gives '-0.0000000'), and
+    Python's ``format`` where the product's own rounding (< 2**-22 below 2**31) may cross a half."""
+    x = np.asarray(values, dtype=np.float64)
+    y = np.abs(x) * 1e7
+    y = np.where(y < 2**31, y, 0.5)  # NaN, infinity and |x·1e7| >= 2**31 go to Python, as halves do
+    whole, frac = np.divmod(np.rint(y).astype(np.int64), 10**7)
+    out = join_text(x.size, int_text(whole, np.signbit(x)), b".", int_text(frac, places=7))
+    slow = np.flatnonzero(np.abs(y - np.floor(y) - 0.5) < 1e-6)
+    if slow.size:
+        text = text_table([f"{v:.7f}" for v in x[slow].tolist()])
+        out = join_text(x.size, out, width=text.shape[1])
+        out[slow] = join_text(slow.size, text, width=out.shape[1])
+    return out
+
+
+def join_text(n: int, *columns, width: int = 0) -> np.ndarray:
+    """Text columns side by side in ``n`` rows, NUL-padded on the left to ``width`` bytes if narrower; a ``bytes``
+    column is the same text in every row. (A record array, a field per column: numpy copies 2-D columns row by row.)"""
+    columns = [c for c in columns if (len(c) if isinstance(c, bytes) else c.shape[1])]
+    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
+    out = np.zeros(n, dtype=[("pad", f"V{width - sum(widths)}")] * (width > sum(widths)) + [(f"c{i}", f"V{w}") for i, w in enumerate(widths)])
+    for i, (c, w) in enumerate(zip(columns, widths)):
+        out[f"c{i}"] = c if isinstance(c, bytes) else np.ascontiguousarray(c).view(f"V{w}")[:, 0]
+    return out.view(np.uint8).reshape(n, out.dtype.itemsize)
+
+
+def write_id_lists(path, header: str, ids, coords: Sequence[np.ndarray], sets: RowSets, catalog: SpeciesCatalog) -> None:
+    """Write ``header``, then per row i: ``ids[i]``, each of ``coords``' values as '.7f' and ``sets[i]`` as raw ids,
+    space-separated; fields comma-separated, "\\n" line endings. ``ValueError`` unless there is one id per set.
+
+    Each entry is a text row ending in ' ' or (the row's last) '\\n'; row i's fields, ending in '\\n' if it has no
+    entries, go before them at ``indptr[i] + i``."""
+    ids = np.asarray(ids)
+    if len(ids) != len(sets):
+        raise ValueError(f"{len(ids)} ids for {len(sets)} rows")
+    raw = int_text(catalog.dense_to_raw)
+    text_rows = sets.indptr - sets.indptr[0] + np.arange(len(ids) + 1)  # the text rows before each survey row
+    cuts = np.searchsorted(text_rows, np.arange(_WRITE_CHUNK, text_rows[-1], _WRITE_CHUNK))  # a row goes whole into one chunk
+    cuts = np.unique(np.concatenate(([0], cuts, [len(ids)])))
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            ptr = sets.indptr[start : stop + 1]
+            n, m, filled = ptr.size - 1, ptr[-1] - ptr[0], ptr[1:] > ptr[:-1]
+            fields = [int_text(ids[start:stop]), b","] + [t for c in coords for t in (_fixed7_text(c[start:stop]), b",")]
+            head = join_text(n, *fields, np.where(filled, 0, 10).astype(np.uint8)[:, None])
+            sep = np.full((m, 1), 32, dtype=np.uint8)
+            sep[ptr[1:][filled] - ptr[0] - 1] = 10
+            entries = join_text(m, np.take(raw, sets.indices[ptr[0] : ptr[-1]], axis=0), sep)
+            out = np.empty(n + m, dtype=f"V{max(head.shape[1], entries.shape[1])}")
+            out[text_rows[start:stop] - text_rows[start]] = join_text(n, head, width=out.itemsize).view(out.dtype)[:, 0]
+            out[np.arange(m) + np.repeat(np.arange(1, n + 1), np.diff(ptr))] = join_text(m, entries, width=out.itemsize).view(out.dtype)[:, 0]
+            text = out.view(np.uint8)
+            f.write(text[text != 0])
+
+
 def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
     """Write a dataset in the wide format; re-parsing restores it exactly.
 
     Species are emitted as raw ids sorted ascending, coordinates with 7
     decimal places, rows ordered by survey id, "\\n" line endings.
     """
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("surveyId,lat,lon,speciesIds\n")
-        raw, ptr = catalog.dense_to_raw[dataset.indices].tolist(), dataset.indptr.tolist()
-        for sid, lat, lon, a, b in zip(dataset.ids.tolist(), dataset.lats.tolist(), dataset.lons.tolist(), ptr, ptr[1:]):
-            f.write(f"{sid},{lat:.7f},{lon:.7f},{' '.join(map(str, raw[a:b]))}\n")
+    write_id_lists(path, ",".join(_WIDE_HEADER), dataset.ids, (dataset.lats, dataset.lons), dataset.species, catalog)
 
 
 def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) -> Dataset:

@@ -35,6 +35,7 @@ from .ingest import (
     preview_ids,
     read_table,
     union_rows,
+    write_id_lists,
 )
 from .losses import check_same_surveys, mean_f1
 from .predictor import ScoreMatrix, nearest, neighbor_species_counts
@@ -211,11 +212,7 @@ def write_submission(ids: np.ndarray, sets: RowSets, path: str, catalog: Species
     """Write surveyId,predictions rows in the given order, survey ``ids[i]`` predicting ``sets[i]`` as raw ids.
 
     Each row must ascend, as ``union_rows`` makes it, so that its raw ids ascend."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("surveyId,predictions\n")
-        raw, ptr = catalog.dense_to_raw[sets.indices].tolist(), sets.indptr.tolist()
-        for sid, a, b in zip(np.asarray(ids).tolist(), ptr[:-1], ptr[1:], strict=True):
-            f.write(f"{sid},{' '.join(map(str, raw[a:b]))}\n")
+    write_id_lists(path, ",".join(_SUBMISSION_LAYOUT.header), ids, (), sets, catalog)
 
 
 def _submission_rows(path: str) -> tuple[np.ndarray, ...]:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .geo import GeoIndex
-from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, check_ids, csv_rows, read_table
+from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, check_ids, csv_rows, int_text, join_text, read_table, text_table
 
 # Rows formatted per write in ``save_scores``; one join over the whole matrix costs tens of MB.
 _SAVE_CHUNK_ROWS = 256
@@ -165,17 +165,17 @@ def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None
     shortest ``repr``); rows holding no entries have nothing to serialise and
     are dropped.
     """
-    raw_txt = np.array([f",{r}," for r in catalog.dense_to_raw.tolist()], dtype=object)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("surveyId,speciesId,score\n")
+    raw = join_text(len(catalog), b",", int_text(catalog.dense_to_raw), b",")
+    with open(path, "wb") as f:
+        f.write(b"surveyId,speciesId,score\n")
         for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
             ids, ptr = matrix.ids[start : start + _SAVE_CHUNK_ROWS], matrix.indptr[start : start + _SAVE_CHUNK_ROWS + 1]
-            row_len = np.diff(ptr)
             entry = slice(ptr[0], ptr[-1])  # species ascend within each row, so their raw ids do too
             bits, inv = np.unique(matrix.scores[entry].view(np.int64), return_inverse=True)  # one repr per bit pattern
-            sid_txt = np.repeat(np.array([str(i) for i in ids.tolist()], dtype=object), row_len)
-            score_txt = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)[inv]
-            f.write("".join(np.column_stack((sid_txt, raw_txt[matrix.species[entry]], score_txt)).ravel().tolist()))
+            score = text_table([f"{v!r}\n" for v in bits.view(np.float64).tolist()])
+            survey = np.repeat(np.arange(ids.size), np.diff(ptr))
+            text = join_text(survey.size, *(np.take(t, i, axis=0) for t, i in ((int_text(ids), survey), (raw, matrix.species[entry]), (score, inv))))
+            f.write(text[text != 0])
 
 
 def _score_rows(path: str) -> tuple[np.ndarray, ...]:

@@ -16,7 +16,8 @@ from collections import Counter
 import numpy as np
 
 from geoflora.geo import GeoPoint, haversine_km_arrays
-from geoflora.ingest import Dataset
+from geoflora.ingest import Dataset, RowSets, SpeciesCatalog
+from geoflora.predictor import _SAVE_CHUNK_ROWS, ScoreMatrix
 from geoflora.pseudolabel import LAT_KM_PER_DEG, LON_KM_PER_DEG_AT_EQUATOR, MergeConfig, MergeMode
 
 
@@ -164,3 +165,39 @@ def parse_occurrences_oracle(path: str) -> dict[int, tuple[float, float, set[int
                 survey = out.setdefault(int(row[0]), (float(row[1]), float(row[2]), set()))
                 survey[2].update(int(tok) for tok in row[3].split())
     return out
+
+
+# The writers as one f-string or repr per row; the library formats the same bytes from whole columns.
+
+
+def write_dataset_oracle(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
+    """``ingest.write_dataset``'s file, one f-string per survey."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("surveyId,lat,lon,speciesIds\n")
+        raw, ptr = catalog.dense_to_raw[dataset.indices].tolist(), dataset.indptr.tolist()
+        for sid, lat, lon, a, b in zip(dataset.ids.tolist(), dataset.lats.tolist(), dataset.lons.tolist(), ptr, ptr[1:]):
+            f.write(f"{sid},{lat:.7f},{lon:.7f},{' '.join(map(str, raw[a:b]))}\n")
+
+
+def save_scores_oracle(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None:
+    """``predictor.save_scores``' file, one ``repr`` per distinct score bit pattern and a string join per chunk."""
+    raw_txt = np.array([f",{r}," for r in catalog.dense_to_raw.tolist()], dtype=object)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("surveyId,speciesId,score\n")
+        for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
+            ids, ptr = matrix.ids[start : start + _SAVE_CHUNK_ROWS], matrix.indptr[start : start + _SAVE_CHUNK_ROWS + 1]
+            row_len = np.diff(ptr)
+            entry = slice(ptr[0], ptr[-1])  # species ascend within each row, so their raw ids do too
+            bits, inv = np.unique(matrix.scores[entry].view(np.int64), return_inverse=True)  # one repr per bit pattern
+            sid_txt = np.repeat(np.array([str(i) for i in ids.tolist()], dtype=object), row_len)
+            score_txt = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)[inv]
+            f.write("".join(np.column_stack((sid_txt, raw_txt[matrix.species[entry]], score_txt)).ravel().tolist()))
+
+
+def write_submission_oracle(ids: np.ndarray, sets: RowSets, path: str, catalog: SpeciesCatalog) -> None:
+    """``postprocess.write_submission``'s file, one f-string per survey."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("surveyId,predictions\n")
+        raw, ptr = catalog.dense_to_raw[sets.indices].tolist(), sets.indptr.tolist()
+        for sid, a, b in zip(np.asarray(ids).tolist(), ptr[:-1], ptr[1:], strict=True):
+            f.write(f"{sid},{' '.join(map(str, raw[a:b]))}\n")

@@ -138,6 +138,14 @@ class TestGeoIndex:
             GeoIndex(np.arange(len(lats)), np.array(lats), np.array(lons))
 
     @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("lat, lon", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, -math.inf)])
+    @pytest.mark.parametrize("method, arg", [("knn_query_many", 2), ("radius_query_many", 100.0), ("radius_candidates_many", 100.0)])
+    def test_bulk_queries_reject_non_finite_coordinates(self, rng, n, lat, lon, method, arg):
+        idx = GeoIndex(*random_points(rng, n))
+        with pytest.raises(ValueError, match="^non-finite coordinate$"):
+            getattr(idx, method)(np.array([0.2, lat]), np.array([0.3, lon]), arg)
+
+    @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("radius_km", [-1.0, math.nan, np.array([1.0, -1.0]), np.array([1.0, math.nan])])
     @pytest.mark.parametrize("method", ["radius_query_many", "radius_candidates_many"])
     def test_bulk_radius_rejects_negative_or_nan(self, rng, n, radius_km, method):

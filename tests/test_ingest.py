@@ -1,12 +1,13 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_dataset, row_sets
-from oracles import parse_occurrences_oracle
+from oracles import parse_occurrences_oracle, save_scores_oracle, write_dataset_oracle, write_submission_oracle
 from geoflora import ingest, postprocess, predictor
 from geoflora.ingest import (
     _SURVEY_LAYOUTS,
@@ -637,3 +638,95 @@ class TestUnionRows:
     def test_one_row_position_per_set(self):
         with pytest.raises(ValueError, match="one row position per set"):
             union_rows(2, (np.array([0, 1]), row_sets([{1}])))
+
+
+INT64 = st.integers(-5, 5) | st.sampled_from([-(2**63), 2**63 - 1, 0]) | st.integers(-(2**63), 2**63 - 1)
+SCORES = st.sampled_from([0.0, -0.0, 1.0, 1e-05, 0.30000000000000004]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def coordinates(draw, limit: int):
+    """A coordinate as the writers may meet it: an edge value, an exact half k/256, a float within a few ulps of
+    (j + 0.5)·1e-7 (where x·1e7 may round across the half), any value in range, or one the fast path leaves to
+    Python (x·1e7 beyond 2**31, NaN, infinity)."""
+    kind = draw(st.sampled_from(["edge", "half", "near half", "any", "wild"]))
+    if kind == "edge":
+        return draw(st.sampled_from([limit, -limit, 0.0, -0.0, 5e-8, -5e-8, -1e-9, 3.55e-6]))
+    if kind == "half":
+        return draw(st.integers(-256 * limit, 256 * limit)) / 256
+    if kind == "near half":
+        x = (draw(st.integers(0, 10**7 * limit - 1)) + 0.5) * 1e-7 * draw(st.sampled_from([1, -1]))
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(0, 3))):
+            x = math.nextafter(x, toward)
+        return x
+    if kind == "wild":
+        return draw(st.sampled_from([215.0, -1e20, math.nan, math.inf, -math.inf]))
+    return draw(st.floats(-limit, limit))
+
+
+@st.composite
+def writer_inputs(draw):
+    """A catalog of int64 raw ids; unique int64 survey ids, each with a latitude, a longitude, a species row (empty at
+    times) and a score per species; and a chunk size of 1 to 4 (rows for ``save_scores``, text rows for the id-list
+    writers), so that chunks end between rows and, for the id lists, a row's entries straddle a chunk's budget."""
+    catalog = SpeciesCatalog(np.sort(np.array(draw(st.lists(INT64, min_size=1, max_size=6, unique=True)), dtype=np.int64)))
+    ids = draw(st.lists(INT64, max_size=8, unique=True))
+    lats = draw(st.lists(coordinates(90), min_size=len(ids), max_size=len(ids)))
+    lons = draw(st.lists(coordinates(180), min_size=len(ids), max_size=len(ids)))
+    rows = [sorted(draw(st.sets(st.integers(0, len(catalog) - 1)))) for _ in ids]
+    scores = draw(st.lists(SCORES, min_size=sum(map(len, rows)), max_size=sum(map(len, rows))))
+    return catalog, ids, lats, lons, rows, scores, draw(st.integers(1, 4))
+
+
+WRITER_EDGES = (
+    SpeciesCatalog(np.array([-(2**63), -7, 0, 12, 2**63 - 1])),
+    [-(2**63), -1, 0, 5, 2**63 - 1],
+    [-1e-9, -0.0, 5e-08, 3.55e-06, 90.0],
+    [-180.0, -5e-08, 0.00390625, 215.0, math.nan],
+    [[0, 4], [], [1, 2, 3], [], [4]],
+    [0.0, -0.0, 1.0, 1e-05, 0.30000000000000004, -0.0],
+    2,
+)
+
+
+def written(tmp_path_factory, write, *args) -> bytes:
+    """The bytes of the file ``write(*args[:-1], path, args[-1])`` writes; every writer takes the path before the catalog."""
+    path = tmp_path_factory.mktemp("writer") / "out.csv"
+    write(*args[:-1], str(path), args[-1])
+    return path.read_bytes()
+
+
+class TestWritersMatchOracles:
+    """Each writer's file equals, byte for byte, that of its oracle, which formats one row at a time."""
+
+    @given(writer_inputs())
+    @example(WRITER_EDGES)
+    def test_write_dataset(self, tmp_path_factory, drawn):
+        catalog, ids, lats, lons, rows, _, chunk = drawn
+        order = np.argsort(ids)
+        ds = Dataset(np.array(ids, dtype=np.int64)[order], np.array(lats)[order], np.array(lons)[order], [rows[i] for i in order])
+        with mock.patch.object(ingest, "_WRITE_CHUNK", chunk):
+            got = written(tmp_path_factory, write_dataset, ds, catalog)
+        assert got == written(tmp_path_factory, write_dataset_oracle, ds, catalog)
+
+    @given(writer_inputs())
+    @example(WRITER_EDGES)
+    def test_save_scores(self, tmp_path_factory, drawn):
+        catalog, ids, _, _, rows, scores, chunk = drawn
+        matrix = ScoreMatrix(len(catalog), ids, np.cumsum([0] + [len(r) for r in rows]), [d for r in rows for d in r], scores)
+        with mock.patch.object(predictor, "_SAVE_CHUNK_ROWS", chunk):
+            got = written(tmp_path_factory, save_scores, matrix, catalog)
+        assert got == written(tmp_path_factory, save_scores_oracle, matrix, catalog)
+
+    @given(writer_inputs())
+    @example(WRITER_EDGES)
+    def test_write_submission(self, tmp_path_factory, drawn):
+        catalog, ids, _, _, rows, _, chunk = drawn
+        ids, sets = np.array(ids, dtype=np.int64), row_sets(rows)
+        with mock.patch.object(ingest, "_WRITE_CHUNK", chunk):
+            got = written(tmp_path_factory, write_submission, ids, sets, catalog)
+        assert got == written(tmp_path_factory, write_submission_oracle, ids, sets, catalog)
+        if len(ids):
+            with pytest.raises(ValueError):
+                write_submission(ids[1:], sets, str(tmp_path_factory.mktemp("writer") / "short.csv"), catalog)
