@@ -251,18 +251,6 @@ class GeoIndex:
             r = np.broadcast_to(r, (m,))
         return self._ball_candidates(_embed(lat_rad, lon_rad), r)
 
-    def pairs_within(self, radius_km: float) -> np.ndarray:
-        """Candidate pairs of positions at most ``radius_km`` apart, shape (m, 2), each pair once with i < j.
-
-        Like ``radius_candidates_many`` the result is a superset of the exact
-        haversine pairs (one chord-space self-join with inflation, no
-        re-check); callers apply their own definitive filter.
-        """
-        r = float(_chord_radius(radius_km))
-        if self._tree is None:
-            return np.empty((0, 2), dtype=np.intp)
-        return self._tree.query_pairs(r, output_type="ndarray")
-
     def radius_query_many(self, lat_rad, lon_rad, radius_km) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact inclusive radius memberships for many query points.
 

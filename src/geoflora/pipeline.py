@@ -135,7 +135,7 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         f"mean species/survey {report.mean_species_in:.3f} -> {report.mean_species_out:.3f}"
     )
 
-    # one index per reference set (the merge builds its own over PO) and one kNN query per side
+    # one index per reference set and one kNN query per side
     pa_index = GeoIndex.from_dataset(pa_ds)
     gate = assign(test_ds, pa_ds, config.gate_radius_km, index=pa_index)
     write_assignments(gate, str(outdir / "gate.csv"))

@@ -26,13 +26,14 @@ record under every mode.
 
 ``merge_points`` computes this walk as an array program, record for record
 equal to running it survey by survey:
-  members  one k-d tree self-join at the largest covering radius of the
-           dataset (``GeoIndex.pairs_within``), mirrored, joined by the self
-           pairs and cut by the exact box test, gives every survey's patch
-           members as a CSR matrix (row = anchor);
-  anchors  a plain loop walks the processing order and marks the members of
-           each anchor consumed; it builds no union and no record (loose mode
-           needs no loop: every survey anchors);
+  members  a band sweep gives every survey's patch members as a CSR matrix
+           (row = anchor): surveys sorted by latitude band (one half-side
+           high) and longitude, three ``searchsorted`` ranges per survey, cut
+           by the exact box test;
+  anchors  rounds over the edges from each survey to the members of its box
+           later in processing order decide the anchors; surveys still open
+           after ``_MAX_ROUNDS`` rounds are walked one by one (loose mode needs
+           no walk: every survey anchors);
   unions   the anchors' member rows times the species CSR, a boolean sparse
            product, give every union at once.
 The result, ``MergedSet``, keeps those arrays and builds a ``MergedRecord``
@@ -49,12 +50,15 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .geo import EARTH_RADIUS_KM, GeoIndex
+from .geo import EARTH_RADIUS_KM, GeoIndex, _finite_extent
 from .ingest import Dataset, RangeError, RowSets, SurveyRecord, take_rows
 
 # Degree-to-km scales of the patch box.
 LAT_KM_PER_DEG = 111.4
 LON_KM_PER_DEG_AT_EQUATOR = 111.32
+
+# Rounds of the anchor walk before it finishes the surveys still open one by one.
+_MAX_ROUNDS = 64
 
 
 class MergeMode(enum.Enum):
@@ -106,7 +110,7 @@ def _wrapped_dlon_deg(lon_a, lon_b) -> np.ndarray:
 
 
 def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
-    """Haversine radius guaranteed to contain the whole patch box per latitude.
+    """Haversine radius guaranteed to contain the whole patch box per latitude (``neighbors_in_patch``'s pre-query).
 
     Bounds the great-circle distance to any point satisfying the box
     predicate: latitude offsets up to a1, longitude offsets up to a2(lat),
@@ -122,6 +126,16 @@ def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
     cos_far = np.cos(np.maximum(phi - a1, 0.0))
     h = np.sin(a1 / 2.0) ** 2 + cosphi * cos_far * np.sin(a2 / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def _padded_deg(deg):
+    """A band height or window half-width of the member sweep (degrees), padded so that rounding drops no member.
+
+    The box test passes offsets up to (1 + 3u) times the bound (u = 2**-53). A band index ``floor(lat / h)`` is
+    off by at most 90u / h bands, a window end or a wrapped longitude difference by 2**-45 degrees: the pad of
+    1e-7 covers both once ``h`` and ``w`` are at least 2**-20 degrees, a floor that also keeps int64 keys exact.
+    """
+    return np.maximum(deg * (1.0 + 1e-7), 2.0**-20)
 
 
 def _in_box(cfg: MergeConfig, anchor_lats, anchor_lons, lats, lons) -> np.ndarray:
@@ -167,35 +181,71 @@ def neighbors_in_patch(
 def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
     """Every survey's patch members as a boolean n x n CSR, row = anchor, columns ascending.
 
-    One self-join at the largest covering radius gives candidate pairs; mirrored
-    and joined by the self pairs, they cover each anchor's box, and the exact
-    box test keeps the members.
+    Surveys sorted by the exact int64 key (latitude band, position in longitude
+    order); each anchor's window ``[lon - w, lon + w]`` as bounds on that position,
+    one ``searchsorted`` range in each of bands b - 1, b and b + 1, then the exact
+    box test.
     """
-    n = len(dataset)
-    pairs = GeoIndex.from_dataset(dataset).pairs_within(float(_covering_radius_km(cfg, dataset.lats).max(initial=0.0)))
-    rows = np.concatenate((pairs[:, 0], pairs[:, 1], np.arange(n)))
-    cols = np.concatenate((pairs[:, 1], pairs[:, 0], np.arange(n)))
-    keep = _in_box(cfg, dataset.lats[rows], dataset.lons[rows], dataset.lats[cols], dataset.lons[cols])
-    members = sparse.csr_matrix((np.ones(int(keep.sum()), dtype=bool), (rows[keep], cols[keep])), shape=(n, n))
-    members.sort_indices()
-    return members
+    lats, lons, n = dataset.lats, dataset.lons, len(dataset)
+    if np.greater(_finite_extent(lats, lons), (90.0, 180.0)).any():
+        raise ValueError("coordinate out of range")
+    by_lon = np.argsort(lons).astype(np.int32 if n < 2**31 else np.int64)
+    lon, lat = lons[by_lon], lats[by_lon]
+    key = np.floor(lat / _padded_deg(cfg.box_half_km / LAT_KM_PER_DEG)).astype(np.int64) * (n + 1) + np.arange(n)
+    # window bounds as positions in longitude order, computed in that order, where the needles arrive
+    # nearly sorted; a window across +-180 degrees takes whole bands
+    w = _padded_deg(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lat))))
+    w[np.abs(lon) + w > 180.0] = np.inf
+    r_lo, r_hi = np.searchsorted(lon, lon - w, "left"), np.searchsorted(lon, lon + w, "right")
+    del lat, lon, w
+    by_key = np.argsort(key)
+    key, surv, r_lo, r_hi = key[by_key], by_lon[by_key], r_lo[by_key], r_hi[by_key]
+    band = key // (n + 1)
+    del by_lon, by_key
+    pairs = [np.arange(n, dtype=np.int64) * (n + 1)]  # row * n + col: every survey is in its own box
+    for step in (-1, 0, 1):
+        start = np.searchsorted(key, (band + step) * (n + 1) + r_lo)
+        count = np.searchsorted(key, (band + step) * (n + 1) + r_hi) - start
+        rows = np.repeat(surv, count)
+        cols = surv[np.arange(rows.size) + np.repeat(start + count - np.cumsum(count), count)]
+        del start, count
+        other = rows != cols
+        rows, cols = rows[other], cols[other]
+        keep = _in_box(cfg, lats[rows], lons[rows], lats[cols], lons[cols])
+        pairs.append(rows[keep].astype(np.int64) * n + cols[keep])
+        del rows, cols, other, keep
+    rows, cols = np.divmod(np.sort(np.concatenate(pairs)), n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols.astype(surv.dtype), indptr), shape=(n, n))
 
 
-def _select_anchors(order: np.ndarray, members: sparse.csr_matrix, rescued: np.ndarray | None) -> list[int]:
-    """The sequential walk: in processing order, a survey anchors unless an earlier
-    anchor's box consumed it; a ``rescued`` survey anchors even when consumed."""
-    indptr = members.indptr.tolist()
-    cols = members.indices.tolist()
-    consumed = bytearray(len(order))
-    rescue = bytes(len(order)) if rescued is None else rescued.tobytes()
-    anchors = []
-    for i in order.tolist():
-        if consumed[i] and not rescue[i]:
-            continue
-        anchors.append(i)
-        for j in cols[indptr[i] : indptr[i + 1]]:
-            consumed[j] = 1
-    return anchors
+def _select_anchors(order: np.ndarray, members: sparse.csr_matrix, rescued: np.ndarray | None) -> np.ndarray:
+    """The sequential walk, anchors in processing order: a survey anchors unless an earlier anchor's box
+    consumed it; a ``rescued`` survey anchors even when consumed. Each round over the edges "earlier
+    survey -> later member" consumes the open surveys an anchor holds, keeps the edges between open
+    surveys and anchors every open survey no edge reaches; after ``_MAX_ROUNDS`` the rest go one by one."""
+    n = order.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    src, dst = np.repeat(np.arange(n, dtype=members.indices.dtype), np.diff(members.indptr)), members.indices
+    later = rank[src] < rank[dst]
+    src, dst = src[later], dst[later]
+    state = np.zeros(n, dtype=np.int8) if rescued is None else rescued.astype(np.int8)  # 0 open, 1 anchor, 2 consumed
+    for r in range(_MAX_ROUNDS + 1):
+        state[dst[(state[src] == 1) & (state[dst] == 0)]] = 2
+        live = (state[src] == 0) & (state[dst] == 0)
+        src, dst = src[live], dst[live]
+        fresh = state == 0
+        if r == _MAX_ROUNDS or not fresh.any():
+            break
+        fresh[dst] = False
+        state[fresh] = 1
+    ptr, cols, open_ = members.indptr, members.indices, state == 0
+    for i in order[open_[order]].tolist():  # no earlier anchor holds these: walk them in order
+        if open_[i]:
+            state[i] = 1
+            open_[cols[ptr[i] : ptr[i + 1]]] = False
+    return order[state[order] == 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +291,7 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> MergedSet:
             rare_seen = np.zeros(sp_idx.size + 1, dtype=np.int64)
             np.cumsum(np.bincount(sp_idx)[sp_idx] < cfg.rare_count_threshold, out=rare_seen[1:])
             rescued = rare_seen[sp_ptr[1:]] > rare_seen[sp_ptr[:-1]]
-        anchors = np.array(_select_anchors(order, members, rescued), dtype=np.intp)
+        anchors = _select_anchors(order, members, rescued)
 
     species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=bool), sp_idx, sp_ptr), shape=(len(dataset), int(sp_idx.max(initial=-1)) + 1))
     members = members[anchors]

@@ -368,9 +368,9 @@ class TestPipeline:
 
             monkeypatch.setattr(GeoIndex, name, counted)
         pipeline.run(f"{FIXTURES}/pa_train.csv", f"{FIXTURES}/po_train.csv", f"{FIXTURES}/test.csv", tmp_path)
-        # PO for the merge, PA for the gate and the in-distribution side, merged PO for the other side;
+        # PA for the gate and the in-distribution side, merged PO for the other side (the merge builds none);
         # kNN calls: the gate, the in-distribution side, the out-of-distribution side
-        assert calls == {"__init__": 3, "knn_query_many": 3}
+        assert calls == {"__init__": 2, "knn_query_many": 3}
         for name in GOLDEN_FILES:
             assert (tmp_path / name).read_bytes() == (Path(FIXTURES) / "golden" / name).read_bytes(), name
 

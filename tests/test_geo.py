@@ -154,12 +154,10 @@ class TestGeoIndex:
             getattr(idx, method)(np.radians([10.0, 20.0]), np.radians([5.0, 6.0]), radius_km)
 
     @pytest.mark.parametrize("radius_km", [-1.0, math.nan])
-    def test_single_radius_and_pairs_reject_negative_or_nan(self, rng, radius_km):
+    def test_single_radius_rejects_negative_or_nan(self, rng, radius_km):
         idx = GeoIndex(*random_points(rng, 3))
         with pytest.raises(ValueError, match="radius_km must be >= 0"):
             idx.radius_query(P(0, 0), radius_km)
-        with pytest.raises(ValueError, match="radius_km must be >= 0"):
-            idx.pairs_within(radius_km)
 
     def test_queries_are_pure(self, rng):
         ids, lats, lons = random_points(rng, 200)
@@ -229,19 +227,6 @@ class TestGeoIndex:
         pos, dist = idx.knn_query_many(np.empty(0), np.empty(0), k)
         assert pos.shape == dist.shape == (0, min(k, 20))
         assert pos.dtype == np.intp and dist.dtype == np.float64
-
-    @pytest.mark.parametrize("radius_km", [0.0, 750.0])
-    def test_pairs_within_cover_every_pair_in_the_ball(self, rng, radius_km):
-        ids, lats, lons = random_points(rng, 300)
-        idx = GeoIndex(ids, lats, lons)
-        pairs = idx.pairs_within(radius_km)
-        assert pairs.shape[1] == 2 and np.all(pairs[:, 0] < pairs[:, 1])
-        got = set(map(tuple, pairs.tolist()))
-        d = haversine_km_arrays(idx.lat_rad[:, None], idx.lon_rad[:, None], idx.lat_rad[None, :], idx.lon_rad[None, :])
-        i, j = np.nonzero(np.triu(d <= radius_km, k=1))
-        assert set(zip(i.tolist(), j.tolist())) <= got
-        assert len(got) == len(pairs)
-        assert GeoIndex(np.array([], dtype=np.int64), np.array([]), np.array([])).pairs_within(1.0).shape == (0, 2)
 
 
 class TestKnnBallSkip:

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
+from geoflora import pseudolabel
 from geoflora.ingest import Dataset
 from geoflora.pseudolabel import (
+    LAT_KM_PER_DEG,
+    LON_KM_PER_DEG_AT_EQUATOR,
     MergeConfig,
     MergeMode,
     merge_points,
@@ -24,6 +31,35 @@ def record_key(r):
 
 
 PAIR = [(1, 45.0, 5.0, {1, 2}), (2, 45.0005, 5.0, {3})]  # ~55.7 m apart in latitude
+
+
+@st.composite
+def box_edge_surveys(draw):
+    """(dataset, half-side): surveys around a few centres (the poles, +-180 degrees, anywhere), each on a centre
+    or on its box edges in float (dlat = half / 111.4, dlon = half / (111.32 cos lat)), wrapped at +-180 degrees;
+    the largest half-side makes one latitude band span the globe."""
+    half = draw(st.sampled_from([0.32, 7.5, 1e-7, 25_000.0]))
+    lat = st.one_of(st.sampled_from([-90.0, 90.0, 0.0, -89.9995, 89.99999]), st.floats(-90.0, 90.0))
+    lon = st.one_of(st.sampled_from([-180.0, 180.0, -179.9999, 179.99999, 0.0]), st.floats(-180.0, 180.0))
+    centres = draw(st.lists(st.tuples(lat, lon), min_size=1, max_size=5))
+    coords = []
+    for _ in range(draw(st.integers(1, 30))):
+        c_lat, c_lon = draw(st.sampled_from(centres))
+        on_lat, on_lon = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1), (1, -1)]))
+        p_lat = c_lat + on_lat * (half / LAT_KM_PER_DEG)
+        p_lon = c_lon + on_lon * (half / (LON_KM_PER_DEG_AT_EQUATOR * math.cos(math.radians(c_lat))))
+        if not -180.0 <= p_lon <= 180.0:  # straddles +-180 degrees
+            p_lon = math.fmod(p_lon + 180.0, 360.0) + (180.0 if p_lon < -180.0 else -180.0)
+        coords.append((min(max(p_lat, -90.0), 90.0), p_lon))
+    lats, lons = np.array(coords).T
+    return Dataset(np.arange(1, lats.size + 1), lats, lons, [frozenset({i % 3}) for i in range(lats.size)]), half
+
+
+def assert_member_rows_match_oracle(ds, c):
+    members = pseudolabel._member_matrix(ds, c)
+    for i in range(len(ds)):
+        assert members.indices[members.indptr[i] : members.indptr[i + 1]].tolist() == box_members_oracle(ds, i, c).tolist()
+    return members
 
 
 class TestConfig:
@@ -215,7 +251,45 @@ class TestProperties:
 
 
 class TestMergeRegimes:
-    """Shapes where the member self-join and the selection walk could part from the sequential walk."""
+    """Shapes where the member sweep and the anchor rounds could part from the sequential walk."""
+
+    @settings(max_examples=300)
+    @given(box_edge_surveys())
+    def test_member_rows_match_the_pairwise_box_test(self, case):
+        ds, half = case
+        assert_member_rows_match_oracle(ds, cfg(box_half_km=half))
+
+    def test_member_rows_of_a_sub_nanometre_box_match_the_pairwise_box_test(self, rng):
+        # a box this small would need more latitude bands than int64 sweep keys can count, were there no floor
+        lats, lons = rng.uniform(-90.0, 90.0, 2000), rng.uniform(-180.0, 180.0, 2000)
+        src, dst = rng.integers(0, 2000, 600), rng.integers(0, 2000, 600)
+        lats[dst], lons[dst] = lats[src], np.nextafter(lons[src], rng.choice([-np.inf, 0.0, np.inf], 600))
+        ds = Dataset(np.arange(1, 2001), lats, lons, [frozenset({1})] * 2000)
+        assert assert_member_rows_match_oracle(ds, cfg(box_half_km=1e-12)).nnz > 2000
+
+    @pytest.mark.parametrize("lat, lon", [(math.nan, 0.0), (0.0, math.inf), (90.5, 0.0), (0.0, -180.5)])
+    def test_coordinates_are_checked(self, lat, lon):
+        ds = make_dataset([(1, 10.0, 10.0, {1}), (2, lat, lon, {2})])
+        with pytest.raises(ValueError, match="^(non-finite coordinate|coordinate out of range)$"):
+            merge_points(ds, cfg(MergeMode.STRICT))
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    @pytest.mark.parametrize("cap", [0, 5, pseudolabel._MAX_ROUNDS])
+    def test_chain_longer_than_the_round_cap_matches_oracle(self, monkeypatch, mode, cap):
+        # Boxes 300 m apart on the equator, across +-180 degrees: each holds its two neighbours, so each anchor
+        # consumes its successor and each round anchors one survey per run of the chain. Strict anchors every
+        # other survey, more than the default cap of rounds; at cap 0 the survey-by-survey walk decides every
+        # survey. Balanced rescues every 40th survey (a species of its own) in the middle of the chain.
+        n = 3 * pseudolabel._MAX_ROUNDS
+        monkeypatch.setattr(pseudolabel, "_MAX_ROUNDS", cap)
+        lons = 179.8 + np.arange(n) * (0.3 / 111.32)
+        lons[lons > 180.0] -= 360.0
+        ds = Dataset(np.arange(1, n + 1), np.zeros(n), lons, [frozenset({i if i % 40 == 20 else 0}) for i in range(n)])
+        c = cfg(mode, rare_count_threshold=2)
+        want = merge_points_oracle(ds, c)
+        if mode is MergeMode.STRICT:
+            assert [r[0] for r in want] == list(range(1, n + 1, 2)) and len(want) > cap
+        assert [record_key(r) for r in merge_points(ds, c)] == want
 
     def test_transect_anchors_every_other_survey(self):
         # 300 m apart on the equator: each box holds the two neighbours (300 m) but not the next (600 m);
