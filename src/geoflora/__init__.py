@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .gate import Gate, GateAssignment, Side, assign, moe_merge
-from .geo import EARTH_RADIUS_KM, GeoIndex, GeoPoint, haversine_km
+from .geo import EARTH_RADIUS_KM, GeoIndex, GeoPoint
 from .ingest import (
     Dataset,
     DatasetKind,
@@ -16,7 +16,7 @@ from .ingest import (
     write_dataset,
 )
 from .losses import AslParams, LabeledScores, asl_grad, asl_loss, bce_loss, samples_f1
-from .postprocess import TopKConfig, VoteConfig, finalize, neighbor_vote, threshold_top_k
+from .postprocess import TopKConfig, VoteConfig, finalize
 from .predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, save_scores
 from .pseudolabel import (
     MergeConfig,
@@ -55,18 +55,15 @@ __all__ = [
     "assign",
     "bce_loss",
     "finalize",
-    "haversine_km",
     "load_scores",
     "merge_points",
     "merge_stats",
     "moe_merge",
     "neighbor_frequency_predict",
-    "neighbor_vote",
     "neighbors_in_patch",
     "parse_occurrences",
     "samples_f1",
     "save_scores",
-    "threshold_top_k",
     "union_rows",
     "write_dataset",
 ]

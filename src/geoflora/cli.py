@@ -155,6 +155,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_stats(args) -> int:
     dataset, catalog = _parse_file(args.input, args.kind)
+    if len(dataset) == 0:  # checked before any report is written
+        raise ValueError(f"{args.input}: no surveys")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

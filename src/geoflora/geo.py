@@ -84,15 +84,6 @@ def haversine_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     return d
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km between two points.
-
-    Delegates to the vectorised implementation so that every code path in
-    the package computes bit-identical distances.
-    """
-    return float(haversine_km_arrays(a.lat_rad, a.lon_rad, b.lat_rad, b.lon_rad))
-
-
 def _embed(lat_rad, lon_rad) -> np.ndarray:
     lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
     lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))
@@ -131,8 +122,8 @@ class GeoIndex:
 
     Built once over (survey_id, lat, lon) triples; read-only afterwards, so a
     single index can be queried from many threads without coordination.
-    Positions returned by the bulk methods are row offsets into the arrays
-    the index was built from.
+    Every query takes many points at once; the positions it returns are row
+    offsets into the arrays the index was built from.
     """
 
     def __init__(self, survey_ids, lats_deg, lons_deg):
@@ -155,24 +146,6 @@ class GeoIndex:
 
     def __len__(self) -> int:
         return int(self.survey_ids.size)
-
-    # -- single-point queries ------------------------------------------------
-
-    def radius_query(self, center: GeoPoint, radius_km: float) -> list[tuple[int, float]]:
-        """All indexed points within ``radius_km`` (inclusive) of ``center``.
-
-        Returns (survey_id, distance_km) pairs sorted by (distance, survey_id).
-        """
-        _, pos, d = self.radius_query_many(center.lat_rad, center.lon_rad, radius_km)
-        order = np.lexsort((self.survey_ids[pos], d))
-        return [(int(i), float(x)) for i, x in zip(self.survey_ids[pos[order]], d[order])]
-
-    def knn_query(self, center: GeoPoint, k: int) -> list[tuple[int, float]]:
-        """The min(k, n) nearest points as (survey_id, distance_km) pairs."""
-        pos, d = self.knn_query_many(np.array([center.lat_rad]), np.array([center.lon_rad]), k)
-        return [(int(self.survey_ids[p]), float(x)) for p, x in zip(pos[0], d[0])]
-
-    # -- bulk queries ----------------------------------------------------------
 
     def knn_query_many(self, lat_rad, lon_rad, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k-NN for many query points at once.
@@ -255,8 +228,7 @@ class GeoIndex:
         """Exact inclusive radius memberships for many query points.
 
         Returns (offsets, positions, distances_km) in CSR layout; the order
-        of members within one query's slice is unspecified (the single-point
-        ``radius_query`` is the fully ordered variant).
+        of members within one query's slice is unspecified.
         """
         lat_rad = np.atleast_1d(np.asarray(lat_rad, dtype=np.float64))
         lon_rad = np.atleast_1d(np.asarray(lon_rad, dtype=np.float64))

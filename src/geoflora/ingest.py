@@ -333,7 +333,7 @@ class Dataset:
     Columnar: ``ids``, ``lats``, ``lons`` and the species as CSR, survey i's
     dense indices, strictly ascending, being ``indices[indptr[i]:indptr[i + 1]]``.
     ``Dataset(ids, lats, lons, species_sets)`` converts sets once; ``from_csr``
-    takes the arrays. ``species`` and ``SurveyRecord`` are views made on demand.
+    takes the arrays. ``species`` and ``record(i)``, a ``SurveyRecord``, are views made on demand.
     """
 
     __slots__ = ("ids", "lats", "lons", "indptr", "indices")
@@ -374,9 +374,6 @@ class Dataset:
 
     def record(self, i: int) -> SurveyRecord:
         return SurveyRecord(int(self.ids[i]), float(self.lats[i]), float(self.lons[i]), self.species[i])
-
-    def __iter__(self) -> Iterator[SurveyRecord]:
-        return (self.record(i) for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dataset) and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in Dataset.__slots__)

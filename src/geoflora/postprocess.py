@@ -8,8 +8,8 @@ surveys (5 neighbours, > 80 %), the out-of-distribution side over strictly
 merged PO surveys (6 neighbours, > 50 %). The final prediction is the
 deduplicated union of both.
 
-On CSR arrays, ``apply_top_k`` and ``grid_search_top_k`` share one ranking kernel
-(``threshold_top_k`` is the single-row form); votes threshold ``neighbor_species_counts``.
+On CSR arrays, ``apply_top_k`` and ``grid_search_top_k`` share one ranking kernel;
+votes threshold ``neighbor_species_counts``.
 Top-K picks (rows by score-matrix id), votes and their union (rows by test id,
 the order ``write_submission`` writes) are ``RowSets``.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .ingest import (
     RangeError,
     RowSets,
     SpeciesCatalog,
-    SurveyRecord,
     check_ids,
     csv_rows,
     preview_ids,
@@ -83,35 +82,13 @@ OOD_TOP_K = TopKConfig(threshold=0.475)
 OOD_VOTE = VoteConfig(vote_neighbors=6, vote_min_freq=0.5)
 
 
-def threshold_top_k(scores: Mapping[int, float], cfg: TopKConfig) -> frozenset[int]:
-    """Species whose score clears the threshold, capped at the K best.
-
-    Filtering happens before capping: candidates are everything at or above
-    the threshold, ranked by (descending score, ascending species index) and
-    truncated to ``k_cap``. With ``fallback_top1`` an otherwise empty
-    selection degrades to the single best-scoring species.
-    """
-    ranked = sorted(((sp, val) for sp, val in scores.items() if val >= cfg.threshold), key=lambda e: (-e[1], e[0]))
-    if not ranked and cfg.fallback_top1 and scores:
-        best = min(scores.items(), key=lambda e: (-e[1], e[0]))
-        return frozenset({best[0]})
-    return frozenset(sp for sp, _ in ranked[: cfg.k_cap])
-
-
-def neighbor_vote(survey: SurveyRecord, reference: Dataset, cfg: VoteConfig) -> frozenset[int]:
-    """Species frequent among the nearest reference surveys of one test point.
+def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig, *, neighbors: np.ndarray | None = None) -> RowSets:
+    """Species frequent among the nearest reference surveys of each query point: row i holds query i's votes.
 
     A species is voted in when its frequency among the ``vote_neighbors``
     nearest reference surveys exceeds ``vote_min_freq`` (or meets it when
     ``vote_inclusive`` is on). A reference smaller than the neighbour
     count uses every survey it has, shrinking the denominator.
-    """
-    return neighbor_vote_many(np.array([survey.lat]), np.array([survey.lon]), reference, cfg)[0]
-
-
-def neighbor_vote_many(lats_deg, lons_deg, reference: Dataset, cfg: VoteConfig, *, neighbors: np.ndarray | None = None) -> RowSets:
-    """Vectorised ``neighbor_vote`` over many query coordinates: row i holds query i's votes.
-
     ``neighbors`` may carry the queries' kNN positions over ``reference`` at any k >= ``vote_neighbors`` (see ``nearest``).
     """
     pos = nearest(reference, lats_deg, lons_deg, cfg.vote_neighbors, neighbors)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -80,12 +79,6 @@ class ScoreMatrix:
         for a in (self.ids, self.indptr, self.species, self.scores):
             a.flags.writeable = False
 
-    def add_row(self, survey_id: int, scores: Mapping[int, float]) -> None:
-        """Add one survey's row; it rebuilds the arrays, so build large matrices with the constructor."""
-        ids, indptr = np.append(self.ids, survey_id), np.append(self.indptr, self.indptr[-1] + len(scores))
-        grown = ScoreMatrix(self.num_species, ids, indptr, [*self.species, *scores.keys()], [*self.scores, *scores.values()])
-        self.ids, self.indptr, self.species, self.scores = grown.ids, grown.indptr, grown.species, grown.scores
-
     def row(self, survey_id: int) -> dict[int, float]:
         i = int(np.searchsorted(self.ids, survey_id))
         if i == self.ids.size or self.ids[i] != survey_id:
@@ -99,9 +92,6 @@ class ScoreMatrix:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's entry count, then the species index and score of every entry, rows in survey-id order."""
         return np.diff(self.indptr), self.species, self.scores
-
-    def __contains__(self, survey_id: int) -> bool:
-        return survey_id in self.ids
 
     def __len__(self) -> int:
         return int(self.ids.size)

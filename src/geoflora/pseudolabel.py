@@ -37,20 +37,20 @@ equal to running it survey by survey:
   unions   the anchors' member rows times the species CSR, a boolean sparse
            product, give every union at once.
 The result, ``MergedSet``, keeps those arrays and builds a ``MergedRecord``
-only when one is asked for.
+only when one is asked for. ``neighbors_in_patch`` gives one survey's members
+by the same box test over the whole dataset.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .geo import EARTH_RADIUS_KM, GeoIndex, _finite_extent
+from .geo import _finite_extent
 from .ingest import Dataset, RangeError, RowSets, SurveyRecord, take_rows
 
 # Degree-to-km scales of the patch box.
@@ -109,25 +109,6 @@ def _wrapped_dlon_deg(lon_a, lon_b) -> np.ndarray:
     return np.minimum(d, 360.0 - d)
 
 
-def _covering_radius_km(cfg: MergeConfig, lats_deg: np.ndarray) -> np.ndarray:
-    """Haversine radius guaranteed to contain the whole patch box per latitude (``neighbors_in_patch``'s pre-query).
-
-    Bounds the great-circle distance to any point satisfying the box
-    predicate: latitude offsets up to a1, longitude offsets up to a2(lat),
-    with the partner's cosine bounded by the nearest-to-equator latitude the
-    box can reach. Both offsets are capped at pi, where the haversine terms
-    stop growing.
-    """
-    a1 = min(math.radians(cfg.box_half_km / LAT_KM_PER_DEG), math.pi)
-    phi = np.radians(np.abs(np.asarray(lats_deg, dtype=np.float64)))
-    cosphi = np.cos(phi)
-    a2 = np.radians(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.maximum(cosphi, 1e-300)))
-    a2 = np.minimum(a2, math.pi)
-    cos_far = np.cos(np.maximum(phi - a1, 0.0))
-    h = np.sin(a1 / 2.0) ** 2 + cosphi * cos_far * np.sin(a2 / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
 def _padded_deg(deg):
     """A band height or window half-width of the member sweep (degrees), padded so that rounding drops no member.
 
@@ -145,37 +126,13 @@ def _in_box(cfg: MergeConfig, anchor_lats, anchor_lons, lats, lons) -> np.ndarra
     return (dlat_km <= cfg.box_half_km) & (dlon_km <= cfg.box_half_km)
 
 
-def _patch_members(
-    dataset: Dataset, cfg: MergeConfig, index: GeoIndex, lats: np.ndarray, lons: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Box-filtered dataset positions around every query point (degrees), CSR (offsets, flat)."""
-    n = len(lats)
-    offsets, flat = index.radius_candidates_many(np.radians(lats), np.radians(lons), _covering_radius_km(cfg, lats))
-    if flat.size == 0:
-        return offsets, flat
-    src = np.repeat(np.arange(n), np.diff(offsets))
-    keep = _in_box(cfg, lats[src], lons[src], dataset.lats[flat], dataset.lons[flat])
-    new_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[keep], minlength=n), out=new_offsets[1:])
-    return new_offsets, flat[keep]
+def neighbors_in_patch(dataset: Dataset, primary: SurveyRecord, cfg: MergeConfig, *, index: object = None) -> list[SurveyRecord]:
+    """All surveys inside the primary's patch box, sorted by survey id: the merge's box test applied to every survey.
 
-
-def neighbors_in_patch(
-    dataset: Dataset,
-    primary: SurveyRecord,
-    cfg: MergeConfig,
-    *,
-    index: GeoIndex | None = None,
-) -> list[SurveyRecord]:
-    """All surveys inside the primary's patch box, sorted by survey id.
-
-    The primary itself is always a member. ``index`` may carry a prebuilt
-    spatial index over ``dataset`` to amortise repeated calls.
+    The primary itself is always a member. ``index``, a prebuilt index that callers may pass, is unused.
     """
-    if index is None:
-        index = GeoIndex.from_dataset(dataset)
-    _, members = _patch_members(dataset, cfg, index, np.array([primary.lat]), np.array([primary.lon]))
-    return [dataset.record(p) for p in np.sort(members)]
+    members = np.flatnonzero(_in_box(cfg, primary.lat, primary.lon, dataset.lats, dataset.lons))
+    return [dataset.record(p) for p in members]
 
 
 def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:

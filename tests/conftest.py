@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from geoflora.geo import GeoIndex, GeoPoint, haversine_km_arrays
 from geoflora.ingest import Dataset, RowSets
+from geoflora.predictor import ScoreMatrix
 
 settings.register_profile(
     "geoflora",
@@ -31,6 +33,33 @@ def row_sets(sets) -> RowSets:
     """RowSets with one row per species iterable, items in iteration order."""
     sets = [list(s) for s in sets]
     return RowSets(np.cumsum([0] + [len(s) for s in sets]), np.array([x for s in sets for x in s], dtype=np.int64))
+
+
+def score_matrix(num_species: int, rows) -> ScoreMatrix:
+    """ScoreMatrix through its array constructor, from {survey_id: {species: score}} or (survey_id, {species: score}) pairs."""
+    rows = list(rows.items() if isinstance(rows, dict) else rows)
+    entries = [e for _, row in rows for e in row.items()]
+    return ScoreMatrix(
+        num_species, [sid for sid, _ in rows], np.cumsum([0] + [len(row) for _, row in rows]), [sp for sp, _ in entries], [v for _, v in entries]
+    )
+
+
+def haversine(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle km between two points, through the library's vectorised haversine."""
+    return float(haversine_km_arrays(a.lat_rad, a.lon_rad, b.lat_rad, b.lon_rad))
+
+
+def knn_row(index: GeoIndex, center: GeoPoint, k: int) -> list[tuple[int, float]]:
+    """``knn_query_many`` for one point as the (survey_id, distance_km) list that ``oracles.brute_knn`` returns."""
+    pos, dist = index.knn_query_many(center.lat_rad, center.lon_rad, k)
+    return [(int(index.survey_ids[p]), float(d)) for p, d in zip(pos[0], dist[0])]
+
+
+def radius_row(index: GeoIndex, center: GeoPoint, radius_km: float) -> list[tuple[int, float]]:
+    """``radius_query_many`` for one point as ``oracles.brute_radius``'s list; the bulk form leaves the order open, so
+    the members are sorted by (distance, survey id)."""
+    _, pos, dist = index.radius_query_many(center.lat_rad, center.lon_rad, radius_km)
+    return sorted(((int(index.survey_ids[p]), float(d)) for p, d in zip(pos, dist)), key=lambda e: (e[1], e[0]))
 
 
 def random_points(rng: np.random.Generator, n: int, *, lat_span=(-89.0, 89.0), lon_span=(-180.0, 180.0), duplicate_fraction=0.1):

@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from typing import Mapping
 
 import numpy as np
 
 from geoflora.geo import GeoPoint, haversine_km_arrays
 from geoflora.ingest import Dataset, RowSets, SpeciesCatalog
+from geoflora.postprocess import TopKConfig
 from geoflora.predictor import _SAVE_CHUNK_ROWS, ScoreMatrix
 from geoflora.pseudolabel import LAT_KM_PER_DEG, LON_KM_PER_DEG_AT_EQUATOR, MergeConfig, MergeMode
 
@@ -79,6 +81,21 @@ def neighbor_vote_oracle(reference: Dataset, lats_deg, lons_deg, neighbor_count:
         freq = {sp: c / denom for sp, c in counts.items()}
         out.append(frozenset(sp for sp, f in freq.items() if (f > min_frequency if strictly_greater else f >= min_frequency)))
     return out
+
+
+def threshold_top_k_oracle(scores: Mapping[int, float], cfg: TopKConfig) -> frozenset[int]:
+    """Species whose score clears the threshold, capped at the K best.
+
+    Filtering happens before capping: candidates are everything at or above
+    the threshold, ranked by (descending score, ascending species index) and
+    truncated to ``k_cap``. With ``fallback_top1`` an otherwise empty
+    selection degrades to the single best-scoring species.
+    """
+    ranked = sorted(((sp, val) for sp, val in scores.items() if val >= cfg.threshold), key=lambda e: (-e[1], e[0]))
+    if not ranked and cfg.fallback_top1 and scores:
+        best = min(scores.items(), key=lambda e: (-e[1], e[0]))
+        return frozenset({best[0]})
+    return frozenset(sp for sp, _ in ranked[: cfg.k_cap])
 
 
 def box_members_oracle(dataset: Dataset, i: int, cfg: MergeConfig) -> np.ndarray:

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, make_dataset, random_points
+from conftest import FIXTURES, haversine, knn_row, make_dataset, radius_row, random_points
 from geoflora.cli import run
 from geoflora.fusion import ModalityTriple, init_weights, stack_forward, tri_serial_forward
 from geoflora.gate import Side, assign
-from geoflora.geo import GeoIndex, GeoPoint, haversine_km
+from geoflora.geo import GeoIndex, GeoPoint
 from geoflora.losses import AslParams, LabeledScores, asl_grad, asl_loss, bce_loss, samples_f1
 from geoflora.pseudolabel import MergeConfig, MergeMode, merge_points
 from geoflora.stats import occurrences_per_species_hist, species_per_survey_hist
@@ -41,9 +41,9 @@ def test_c01_spatial_exactness():
         for _ in range(2):
             center = GeoPoint.from_degrees(rng.uniform(-89, 89), rng.uniform(-180, 180))
             radius = float(rng.uniform(0, 2000))
-            assert index.radius_query(center, radius) == brute_radius(ids, lats, lons, center, radius)
+            assert radius_row(index, center, radius) == brute_radius(ids, lats, lons, center, radius)
             k = int(rng.integers(1, 16))
-            assert index.knn_query(center, k) == brute_knn(ids, lats, lons, center, k)
+            assert knn_row(index, center, k) == brute_knn(ids, lats, lons, center, k)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"spatial exactness battery took {elapsed:.1f}s"
     _report(1, f"spatial exactness (200 instances in {elapsed:.1f}s)")
@@ -158,7 +158,7 @@ def test_c07_gate_correctness():
         for i, a in enumerate(assign(test, pa, radius)):
             t = GeoPoint.from_degrees(test.lats[i], test.lons[i])
             nearest = min(
-                haversine_km(t, GeoPoint.from_degrees(pa.lats[j], pa.lons[j])) for j in range(len(pa))
+                haversine(t, GeoPoint.from_degrees(pa.lats[j], pa.lons[j])) for j in range(len(pa))
             )
             assert a.nearest_pa_km == nearest
             assert a.side is (Side.IN_DISTRIBUTION if nearest <= radius else Side.OUT_OF_DISTRIBUTION)
@@ -235,11 +235,11 @@ def test_c10_performance_at_scale():
     for _ in range(80):
         center = GeoPoint.from_degrees(rng.uniform(36, 60), rng.uniform(-10, 30))
         radius = float(rng.uniform(0.5, 15.0))
-        assert index.radius_query(center, radius) == brute_radius(ids, lats, lons, center, radius)
+        assert radius_row(index, center, radius) == brute_radius(ids, lats, lons, center, radius)
     for _ in range(20):
         center = GeoPoint.from_degrees(rng.uniform(36, 60), rng.uniform(-10, 30))
         k = int(rng.integers(1, 8))
-        assert index.knn_query(center, k) == brute_knn(ids, lats, lons, center, k)
+        assert knn_row(index, center, k) == brute_knn(ids, lats, lons, center, k)
     _report(10, f"1M merge in {merge_s:.1f}s; {rate:.0f} radius queries/s")
 
 

@@ -43,6 +43,14 @@ class TestBasicCommands:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["surveys"] == 2 and summary["singletonSpecies"] == 3
 
+    def test_stats_on_a_header_only_file_is_one_error_line_and_writes_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("surveyId,lat,lon,speciesIds\n")
+        outdir = tmp_path / "stats"
+        assert run(["stats", "--input", str(empty), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no surveys\n"
+        assert not outdir.exists()
+
     def test_merge_strict_pair(self, pair_file, tmp_path, capsys):
         out = tmp_path / "merged.csv"
         assert run(["merge", "--input", pair_file, "--output", str(out), "--mode", "strict"]) == 0

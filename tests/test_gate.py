@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_dataset, row_sets
+from conftest import haversine, make_dataset, row_sets
 from geoflora.gate import Gate, Side, assign, moe_merge, write_assignments
-from geoflora.geo import GeoPoint, haversine_km
+from geoflora.geo import GeoPoint
 from geoflora.synth import uniform_surveys
 
 
@@ -32,7 +32,7 @@ class TestAssign:
     def test_exact_boundary_is_inclusive(self):
         test = coords_only([(1, 48.05, 2.0)])
         pa = make_dataset([(10, 48.0, 2.0, {0})])
-        d = haversine_km(GeoPoint.from_degrees(48.05, 2.0), GeoPoint.from_degrees(48.0, 2.0))
+        d = haversine(GeoPoint.from_degrees(48.05, 2.0), GeoPoint.from_degrees(48.0, 2.0))
         (a,) = assign(test, pa, gate_radius_km=d)
         assert a.side is Side.IN_DISTRIBUTION
 
@@ -58,7 +58,7 @@ class TestAssign:
             got = assign(test, pa, radius)
             for i, a in enumerate(got):
                 dists = [
-                    haversine_km(
+                    haversine(
                         GeoPoint.from_degrees(test.lats[i], test.lons[i]),
                         GeoPoint.from_degrees(pa.lats[j], pa.lons[j]),
                     )

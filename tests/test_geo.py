@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_points
+from conftest import haversine, knn_row, radius_row, random_points
 from geoflora import geo
-from geoflora.geo import _CHORD_ABS, _CHORD_REL, EARTH_RADIUS_KM, GeoIndex, GeoPoint, _needs_ball, haversine_km, haversine_km_arrays
+from geoflora.geo import _CHORD_ABS, _CHORD_REL, EARTH_RADIUS_KM, GeoIndex, GeoPoint, _needs_ball, haversine_km_arrays
 from oracles import brute_knn, brute_radius, reference_haversine_km
 
 LAT = st.floats(min_value=-90.0, max_value=90.0)
@@ -44,25 +44,25 @@ def P(lat, lon):
 
 class TestHaversine:
     def test_identity(self):
-        assert haversine_km(P(45.0, 5.0), P(45.0, 5.0)) == 0.0
+        assert haversine(P(45.0, 5.0), P(45.0, 5.0)) == 0.0
 
     def test_quarter_circumference(self):
-        assert haversine_km(P(0, 0), P(90, 0)) == pytest.approx(math.pi * EARTH_RADIUS_KM / 2, abs=1e-3)
+        assert haversine(P(0, 0), P(90, 0)) == pytest.approx(math.pi * EARTH_RADIUS_KM / 2, abs=1e-3)
 
     def test_half_circumference(self):
-        assert haversine_km(P(0, 0), P(0, 180)) == pytest.approx(math.pi * EARTH_RADIUS_KM, abs=1e-3)
+        assert haversine(P(0, 0), P(0, 180)) == pytest.approx(math.pi * EARTH_RADIUS_KM, abs=1e-3)
 
     def test_matches_independent_formula(self, rng):
         for _ in range(500):
             a = rng.uniform(-90, 90), rng.uniform(-180, 180)
             b = rng.uniform(-90, 90), rng.uniform(-180, 180)
             expected = reference_haversine_km(a[0], a[1], b[0], b[1])
-            assert haversine_km(P(*a), P(*b)) == pytest.approx(expected, abs=1e-9)
+            assert haversine(P(*a), P(*b)) == pytest.approx(expected, abs=1e-9)
 
     @given(LAT, LON, LAT, LON)
     def test_symmetric_and_nonnegative(self, lat1, lon1, lat2, lon2):
-        d1 = haversine_km(P(lat1, lon1), P(lat2, lon2))
-        d2 = haversine_km(P(lat2, lon2), P(lat1, lon1))
+        d1 = haversine(P(lat1, lon1), P(lat2, lon2))
+        d2 = haversine(P(lat2, lon2), P(lat1, lon1))
         assert d1 == d2
         assert d1 >= 0.0
 
@@ -70,7 +70,7 @@ class TestHaversine:
     @example(0.015625, 180.0, 1.0, 0.0, 0.0, 0.0)  # a and c nearly antipodal
     def test_triangle_inequality(self, lat1, lon1, lat2, lon2, lat3, lon3):
         a, b, c = P(lat1, lon1), P(lat2, lon2), P(lat3, lon3)
-        assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-9
+        assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + 1e-9
 
     def test_rejects_bad_coordinates(self):
         with pytest.raises(ValueError):
@@ -83,52 +83,52 @@ class TestGeoIndex:
     def test_empty_index(self):
         idx = GeoIndex(np.array([], dtype=np.int64), np.array([]), np.array([]))
         assert len(idx) == 0
-        assert idx.radius_query(P(0, 0), 100.0) == []
-        assert idx.knn_query(P(0, 0), 3) == []
+        assert radius_row(idx, P(0, 0), 100.0) == []
+        assert knn_row(idx, P(0, 0), 3) == []
         with pytest.raises(ValueError, match="k must be >= 1"):
-            idx.knn_query(P(0, 0), 0)
+            knn_row(idx, P(0, 0), 0)
 
     def test_radius_zero_hits_colocated_points(self):
         idx = GeoIndex(np.array([5, 3, 9]), np.array([48.0, 48.0, 50.0]), np.array([2.0, 2.0, 2.0]))
-        assert idx.radius_query(P(48.0, 2.0), 0.0) == [(3, 0.0), (5, 0.0)]
+        assert radius_row(idx, P(48.0, 2.0), 0.0) == [(3, 0.0), (5, 0.0)]
 
     def test_radius_boundary_inclusive(self):
         idx = GeoIndex(np.array([1, 2]), np.array([48.0, 48.05]), np.array([2.0, 2.0]))
-        d = haversine_km(P(48.0, 2.0), P(48.05, 2.0))
-        hits = idx.radius_query(P(48.0, 2.0), d)
+        d = haversine(P(48.0, 2.0), P(48.05, 2.0))
+        hits = radius_row(idx, P(48.0, 2.0), d)
         assert [h[0] for h in hits] == [1, 2]
 
     def test_radius_examples_near_10km(self):
         # ~5.56 km away is inside a 10 km ball, ~14.9 km is not
         idx = GeoIndex(np.array([1, 2]), np.array([48.05, 48.0]), np.array([2.0, 2.2]))
-        hits = idx.radius_query(P(48.0, 2.0), 10.0)
+        hits = radius_row(idx, P(48.0, 2.0), 10.0)
         assert [h[0] for h in hits] == [1]
         assert hits[0][1] == pytest.approx(5.5597, abs=1e-3)
-        assert haversine_km(P(48.0, 2.0), P(48.0, 2.2)) == pytest.approx(14.88, abs=0.01)
+        assert haversine(P(48.0, 2.0), P(48.0, 2.2)) == pytest.approx(14.88, abs=0.01)
 
     def test_knn_k_at_least_n_returns_all_sorted(self):
         ids, lats, lons = np.array([7, 1, 4]), np.array([10.0, 11.0, 12.0]), np.array([0.0, 0.0, 0.0])
         idx = GeoIndex(ids, lats, lons)
-        got = idx.knn_query(P(10.0, 0.0), 10)
+        got = knn_row(idx, P(10.0, 0.0), 10)
         assert [g[0] for g in got] == [7, 1, 4]
         assert got[0][1] == 0.0
 
     def test_knn_tie_breaks_by_survey_id(self):
         # two points symmetric about the query latitude: identical distance
         idx = GeoIndex(np.array([42, 7]), np.array([47.9, 48.1]), np.array([2.0, 2.0]))
-        got = idx.knn_query(P(48.0, 2.0), 1)
+        got = knn_row(idx, P(48.0, 2.0), 1)
         assert got[0][0] == 7
 
     def test_knn_single_point(self):
         idx = GeoIndex(np.array([3]), np.array([0.0]), np.array([0.0]))
-        assert idx.knn_query(P(1.0, 0.0), 1)[0][0] == 3
+        assert knn_row(idx, P(1.0, 0.0), 1)[0][0] == 3
 
     def test_validation(self):
         idx = GeoIndex(np.array([1]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            idx.knn_query(P(0, 0), 0)
+            knn_row(idx, P(0, 0), 0)
         with pytest.raises(ValueError):
-            idx.radius_query(P(0, 0), -1.0)
+            radius_row(idx, P(0, 0), -1.0)
         with pytest.raises(ValueError):
             GeoIndex(np.array([1]), np.array([99.0]), np.array([0.0]))
 
@@ -157,14 +157,14 @@ class TestGeoIndex:
     def test_single_radius_rejects_negative_or_nan(self, rng, radius_km):
         idx = GeoIndex(*random_points(rng, 3))
         with pytest.raises(ValueError, match="radius_km must be >= 0"):
-            idx.radius_query(P(0, 0), radius_km)
+            radius_row(idx, P(0, 0), radius_km)
 
     def test_queries_are_pure(self, rng):
         ids, lats, lons = random_points(rng, 200)
         idx = GeoIndex(ids, lats, lons)
         center = P(10.0, 10.0)
-        assert idx.radius_query(center, 500.0) == idx.radius_query(center, 500.0)
-        assert idx.knn_query(center, 7) == idx.knn_query(center, 7)
+        assert radius_row(idx, center, 500.0) == radius_row(idx, center, 500.0)
+        assert knn_row(idx, center, 7) == knn_row(idx, center, 7)
 
     def test_matches_brute_force_on_random_instances(self, rng):
         for _ in range(30):
@@ -174,9 +174,9 @@ class TestGeoIndex:
             for _ in range(4):
                 center = P(rng.uniform(-89, 89), rng.uniform(-180, 180))
                 radius = float(rng.uniform(0, 3000))
-                assert idx.radius_query(center, radius) == brute_radius(ids, lats, lons, center, radius)
+                assert radius_row(idx, center, radius) == brute_radius(ids, lats, lons, center, radius)
                 k = int(rng.integers(1, 12))
-                assert idx.knn_query(center, k) == brute_knn(ids, lats, lons, center, k)
+                assert knn_row(idx, center, k) == brute_knn(ids, lats, lons, center, k)
 
     def test_bulk_radius_matches_single(self, rng):
         ids, lats, lons = random_points(rng, 300)

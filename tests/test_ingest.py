@@ -556,9 +556,9 @@ class TestDataset:
         with pytest.raises(ValueError, match="sorted"):
             Dataset(np.array([1, 1]), np.zeros(2), np.zeros(2), [frozenset(), frozenset()])
 
-    def test_iteration_yields_records(self):
+    def test_record_views(self):
         ds = make_dataset([(1, 0.0, 0.0, {0}), (2, 1.0, 1.0, {1, 2})])
-        recs = list(ds)
+        recs = [ds.record(i) for i in range(len(ds))]
         assert [r.survey_id for r in recs] == [1, 2]
         assert recs[1].species == frozenset({1, 2})
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, query_coordinates, random_surveys, row_sets
+from conftest import make_dataset, query_coordinates, random_surveys, row_sets, score_matrix
 from geoflora.geo import GeoIndex
 from geoflora.ingest import Dataset, ParseError, SpeciesCatalog, union_rows
 from geoflora.losses import samples_f1
@@ -16,15 +16,13 @@ from geoflora.postprocess import (
     apply_top_k,
     finalize,
     grid_search_top_k,
-    neighbor_vote,
     neighbor_vote_many,
     read_submission,
     side_predictions,
-    threshold_top_k,
     write_submission,
 )
 from geoflora.predictor import ScoreMatrix
-from oracles import neighbor_vote_oracle
+from oracles import neighbor_vote_oracle, threshold_top_k_oracle
 
 SCORES = {0: 0.9, 1: 0.6, 2: 0.4}  # A, B, C
 
@@ -46,9 +44,7 @@ def scored_surveys(draw):
             max_size=24,
         )
     )
-    matrix = ScoreMatrix(num_species)
-    for sid, row in rows.items():
-        matrix.add_row(sid, row)
+    matrix = score_matrix(num_species, rows)
     truth = {sid: draw(st.frozensets(st.integers(0, num_species + 1), max_size=4)) for sid in rows}
     return matrix, truth
 
@@ -56,6 +52,11 @@ def scored_surveys(draw):
 def top_k_by_id(matrix, cfg):
     """``apply_top_k``'s rows keyed by the matrix's survey ids."""
     return dict(zip(matrix.survey_ids(), apply_top_k(matrix, cfg), strict=True))
+
+
+def top_k_row(scores, cfg):
+    """``apply_top_k`` on a one-row score matrix holding ``scores`` (species below 32)."""
+    return apply_top_k(score_matrix(32, {1: scores}), cfg)[0]
 
 
 def truth_dataset(truth):
@@ -77,43 +78,43 @@ def reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1):
 
 class TestThresholdTopK:
     def test_threshold_then_cap(self):
-        assert threshold_top_k(SCORES, TopKConfig(0.5, 2)) == {0, 1}
+        assert top_k_row(SCORES, TopKConfig(0.5, 2)) == {0, 1}
 
     def test_nothing_clears_threshold(self):
-        assert threshold_top_k(SCORES, TopKConfig(0.95, 3)) == frozenset()
+        assert top_k_row(SCORES, TopKConfig(0.95, 3)) == frozenset()
 
     def test_fallback_emits_single_best(self):
-        assert threshold_top_k(SCORES, TopKConfig(0.95, 3, fallback_top1=True)) == {0}
+        assert top_k_row(SCORES, TopKConfig(0.95, 3, fallback_top1=True)) == {0}
 
     def test_fallback_with_empty_row_stays_empty(self):
-        assert threshold_top_k({}, TopKConfig(0.5, 3, fallback_top1=True)) == frozenset()
+        assert top_k_row({}, TopKConfig(0.5, 3, fallback_top1=True)) == frozenset()
 
     def test_score_ties_prefer_lower_species_index(self):
         scores = {5: 0.8, 3: 0.8, 9: 0.8}
-        assert threshold_top_k(scores, TopKConfig(0.5, 2)) == {3, 5}
+        assert top_k_row(scores, TopKConfig(0.5, 2)) == {3, 5}
 
     def test_boundary_score_included(self):
-        assert threshold_top_k({4: 0.5}, TopKConfig(0.5, 1)) == {4}
+        assert top_k_row({4: 0.5}, TopKConfig(0.5, 1)) == {4}
 
     @given(score_dicts, st.floats(0.0, 1.0), st.integers(1, 8))
     def test_members_clear_threshold_and_cap(self, scores, threshold, k_cap):
-        got = threshold_top_k(scores, TopKConfig(threshold, k_cap))
+        got = top_k_row(scores, TopKConfig(threshold, k_cap))
         assert len(got) <= k_cap
         assert all(scores[sp] >= threshold for sp in got)
 
     @given(score_dicts, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 8))
     def test_antitone_in_threshold(self, scores, t1, t2, k_cap):
         lo, hi = min(t1, t2), max(t1, t2)
-        assert threshold_top_k(scores, TopKConfig(hi, k_cap)) <= threshold_top_k(scores, TopKConfig(lo, k_cap))
+        assert top_k_row(scores, TopKConfig(hi, k_cap)) <= top_k_row(scores, TopKConfig(lo, k_cap))
 
     @given(scored_surveys(), tied_scores, st.integers(1, 6), st.booleans())
-    def test_apply_top_k_equals_threshold_top_k_per_row(self, surveys, threshold, k_cap, fallback_top1):
+    def test_apply_top_k_equals_the_oracle_per_row(self, surveys, threshold, k_cap, fallback_top1):
         matrix, _ = surveys
         cfg = TopKConfig(threshold, k_cap, fallback_top1)
-        assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+        assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k_oracle(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
 
     @pytest.mark.parametrize("fallback_top1", [False, True])
-    def test_apply_top_k_equals_threshold_top_k_on_random_matrices(self, rng, fallback_top1):
+    def test_apply_top_k_equals_the_oracle_on_random_matrices(self, rng, fallback_top1):
         for _ in range(10):
             n, num_species = int(rng.integers(1, 300)), int(rng.integers(1, 40))
             row_len = rng.integers(0, num_species + 1, n)  # empty rows included
@@ -122,7 +123,7 @@ class TestThresholdTopK:
             matrix = ScoreMatrix(num_species, rng.permutation(10 * n)[:n], np.concatenate(([0], np.cumsum(row_len))), species, scores)
             for threshold in (0.0, 0.5, 0.6, 1.0):
                 cfg = TopKConfig(threshold, int(rng.integers(1, 8)), fallback_top1)
-                assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+                assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k_oracle(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -138,43 +139,41 @@ def reference_dataset(species_lists, start_lat=0.0):
     )
 
 
+def vote_at_origin(reference, cfg):
+    """``neighbor_vote_many``'s row for one query point at (0, 0)."""
+    return neighbor_vote_many([0.0], [0.0], reference, cfg)[0]
+
+
 class TestNeighborVote:
     def test_majority_of_six(self):
         ref = reference_dataset([{7}, {7}, {7}, {7}, {8}, {8}])
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, OOD_VOTE) == {7}  # 4/6 > 0.5; 2/6 fails
+        assert vote_at_origin(ref, OOD_VOTE) == {7}  # 4/6 > 0.5; 2/6 fails
 
     def test_exact_half_excluded_when_strict(self):
         ref = reference_dataset([{7}, {7}, {7}, {8}, {8}, {8}])
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, OOD_VOTE) == frozenset()
+        assert vote_at_origin(ref, OOD_VOTE) == frozenset()
 
     def test_exact_half_included_when_inclusive(self):
         ref = reference_dataset([{7}, {7}, {7}, {8}, {8}, {8}])
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        got = neighbor_vote(rec, ref, VoteConfig(6, 0.5, vote_inclusive=True))
+        got = vote_at_origin(ref, VoteConfig(6, 0.5, vote_inclusive=True))
         assert got == {7, 8}
 
     def test_unanimous_five_clears_eighty_percent(self):
         ref = reference_dataset([{3}, {3}, {3}, {3}, {3}, {9}])
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, VoteConfig()) == {3}
+        assert vote_at_origin(ref, VoteConfig()) == {3}
 
     def test_four_of_five_fails_strict_eighty_percent(self):
         ref = reference_dataset([{3}, {3}, {3}, {3}, {9}, {9}])
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, VoteConfig()) == frozenset()
-        got = neighbor_vote(rec, ref, VoteConfig(5, 0.8, vote_inclusive=True))
+        assert vote_at_origin(ref, VoteConfig()) == frozenset()
+        got = vote_at_origin(ref, VoteConfig(5, 0.8, vote_inclusive=True))
         assert got == {3}
 
     def test_small_reference_shrinks_denominator(self):
         ref = reference_dataset([{7}, {7}, {8}])
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, ref, VoteConfig(6, 0.5)) == {7}  # 2/3 > 0.5
+        assert vote_at_origin(ref, VoteConfig(6, 0.5)) == {7}  # 2/3 > 0.5
 
     def test_empty_reference_votes_nothing(self):
-        rec = make_dataset([(100, 0.0, 0.0, set())]).record(0)
-        assert neighbor_vote(rec, make_dataset([]), OOD_VOTE) == frozenset()
+        assert vote_at_origin(make_dataset([]), OOD_VOTE) == frozenset()
 
     @pytest.mark.parametrize("strictly_greater", [True, False])
     @pytest.mark.parametrize("neighbor_count", [1, 4, 6, 300])
@@ -243,28 +242,25 @@ class TestSidePredictions:
             top_k = TopKConfig(float(rng.choice([0.0, 0.5, 0.6])), int(rng.integers(1, 5)), bool(rng.integers(2)))
             vote = VoteConfig(int(rng.integers(1, 8)), float(rng.choice([0.25, 0.5, 1.0])), bool(rng.integers(2)))
             got = side_predictions(matrix, test, reference, top_k, vote)
+            scored_ids = set(scored.tolist())
+            votes = neighbor_vote_oracle(reference, test.lats, test.lons, vote.vote_neighbors, vote.vote_min_freq, not vote.vote_inclusive)
             expected = [
-                (threshold_top_k(matrix.row(rec.survey_id), top_k) if rec.survey_id in matrix else frozenset())
-                | neighbor_vote(rec, reference, vote)
-                for rec in test
+                (threshold_top_k_oracle(matrix.row(sid), top_k) if sid in scored_ids else frozenset()) | votes[i]
+                for i, sid in enumerate(test.ids.tolist())
             ]
             assert list(got) == expected
             assert all(np.all(np.diff(got.row(i)) > 0) for i in range(m))  # ascending, as write_submission needs
 
     def test_score_row_outside_the_test_set_is_an_error(self):
         test = make_dataset([(1, 0.0, 0.0, set())])
-        matrix = ScoreMatrix(2)
-        matrix.add_row(1, {0: 0.9})
-        matrix.add_row(7, {1: 0.9})
+        matrix = score_matrix(2, {1: {0: 0.9}, 7: {1: 0.9}})
         with pytest.raises(ValueError, match=re.escape("scores for surveys absent from the test set: [7]")):
             side_predictions(matrix, test, reference_dataset([{0}]), TopKConfig(), VoteConfig())
 
 
 class TestGridSearch:
     def test_picks_the_obvious_optimum(self):
-        m = ScoreMatrix(4)
-        m.add_row(1, {0: 0.9, 1: 0.7, 2: 0.3})
-        m.add_row(2, {0: 0.8, 3: 0.6})
+        m = score_matrix(4, {1: {0: 0.9, 1: 0.7, 2: 0.3}, 2: {0: 0.8, 3: 0.6}})
         truth = {1: frozenset({0, 1}), 2: frozenset({0, 3})}
         cfg, f1 = grid_search_top_k(m, truth_dataset(truth), thresholds=(0.2, 0.5, 0.8), k_caps=(1, 2))
         assert f1 == 1.0
@@ -288,18 +284,16 @@ class TestGridSearch:
 
     def test_f1_adds_surveys_in_id_order(self):
         # 15 per-survey F1 values whose pairwise total (numpy.sum) differs from the sequential one
-        m = ScoreMatrix(4)
-        truth = {}
+        rows, truth = {}, {}
         for sid, (kept, first_true) in enumerate(zip("123123332111322", "011032230202233"), start=1):
-            m.add_row(sid, {sp: 0.9 for sp in range(int(kept))})
+            rows[sid] = {sp: 0.9 for sp in range(int(kept))}
             truth[sid] = frozenset(range(int(first_true), 4))
+        m = score_matrix(4, rows)
         cfg = TopKConfig(0.5, 3)
         assert grid_search_top_k(m, truth_dataset(truth), [0.5], [3]) == (cfg, samples_f1(truth, top_k_by_id(m, cfg)))
 
     def test_id_mismatch_raises_the_samples_f1_message(self):
-        m = ScoreMatrix(2)
-        m.add_row(1, {0: 0.9})
-        m.add_row(2, {1: 0.9})
+        m = score_matrix(2, {1: {0: 0.9}, 2: {1: 0.9}})
         truth = {1: frozenset({0}), 3: frozenset()}
         with pytest.raises(ValueError) as expected:
             samples_f1(truth, top_k_by_id(m, TopKConfig(0.5, 1)))
@@ -310,27 +304,22 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("thresholds, k_caps", [((), (1, 2)), ((0.5,), ()), ((), ())])
     def test_empty_grid_raises(self, thresholds, k_caps):
-        m = ScoreMatrix(1)
-        m.add_row(1, {0: 0.9})
+        m = score_matrix(1, {1: {0: 0.9}})
         with pytest.raises(ValueError, match="empty grid"):
             grid_search_top_k(m, truth_dataset({1: frozenset({0})}), thresholds, k_caps)
 
     def test_out_of_range_grid_threshold_raises(self):
-        m = ScoreMatrix(1)
-        m.add_row(1, {0: 0.9})
+        m = score_matrix(1, {1: {0: 0.9}})
         with pytest.raises(ValueError, match=re.escape("threshold must be in [0, 1], got 1.5")):
             grid_search_top_k(m, truth_dataset({1: frozenset({0})}), thresholds=(0.5, 1.5), k_caps=(1,))
 
     def test_returns_a_python_float(self):
-        m = ScoreMatrix(2)
-        m.add_row(1, {0: 0.9, 1: 0.6})
+        m = score_matrix(2, {1: {0: 0.9, 1: 0.6}})
         _, f1 = grid_search_top_k(m, truth_dataset({1: frozenset({0})}), thresholds=(0.5,), k_caps=(1, 2))
         assert type(f1) is float and f1 == 1.0
 
     def test_apply_top_k_covers_all_rows(self):
-        m = ScoreMatrix(3)
-        m.add_row(5, {0: 1.0})
-        m.add_row(2, {})
+        m = score_matrix(3, {5: {0: 1.0}, 2: {}})
         assert top_k_by_id(m, TopKConfig(0.5, 2)) == {2: frozenset(), 5: frozenset({0})}
 
 

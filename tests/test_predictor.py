@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset, query_coordinates, random_surveys
+from conftest import make_dataset, query_coordinates, random_surveys, score_matrix
 from geoflora.geo import GeoIndex
 from geoflora.ingest import Dataset, ParseError, SpeciesCatalog
 from geoflora.predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, save_scores
@@ -100,22 +100,18 @@ class TestNeighborFrequency:
 
 class TestScoreMatrix:
     def test_row_validation(self):
-        m = ScoreMatrix(10)
-        m.add_row(1, {0: 0.5})
+        assert score_matrix(10, {1: {0: 0.5}}).row(1) == {0: 0.5}
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_row(1, {})
+            score_matrix(10, [(1, {0: 0.5}), (1, {})])
         with pytest.raises(ValueError, match="outside"):
-            m.add_row(2, {0: 1.2})
+            score_matrix(10, {1: {0: 0.5}, 2: {0: 1.2}})
         with pytest.raises(ValueError, match="out of range"):
-            m.add_row(3, {10: 0.5})
+            score_matrix(10, {1: {0: 0.5}, 3: {10: 0.5}})
 
     def test_array_constructor_orders_rows_and_entries(self):
         m = ScoreMatrix(5, [9, 2], [0, 2, 3], [4, 1, 0], [0.5, 0.25, 1.0])
         assert m.survey_ids() == [2, 9] and list(m.row(9).items()) == [(1, 0.25), (4, 0.5)]
-        built = ScoreMatrix(5)
-        built.add_row(9, {4: 0.5, 1: 0.25})
-        built.add_row(2, {0: 1.0})
-        assert m == built and 9 in m and 3 not in m and len(m) == 2
+        assert m == score_matrix(5, {9: {4: 0.5, 1: 0.25}, 2: {0: 1.0}}) and len(m) == 2
         with pytest.raises(KeyError):
             m.row(3)
         with pytest.raises(ValueError):
@@ -136,10 +132,11 @@ class TestScoreMatrix:
 
     def test_round_trip_random_sparse(self, rng, tmp_path):
         catalog = SpeciesCatalog(np.arange(50, dtype=np.int64) * 7 + 3)
-        m = ScoreMatrix(50)
+        rows = {}
         for sid in range(1, 101):
             cols = rng.choice(50, size=rng.integers(1, 12), replace=False)
-            m.add_row(sid, {int(c): float(rng.random()) for c in cols})
+            rows[sid] = {int(c): float(rng.random()) for c in cols}
+        m = score_matrix(50, rows)
         path = str(tmp_path / "scores.csv")
         save_scores(m, path, catalog)
         assert load_scores(path, catalog) == m
@@ -147,9 +144,7 @@ class TestScoreMatrix:
     def test_rows_without_entries_vanish_in_files(self, tmp_path):
         # the triplet format cannot express an entryless row
         catalog = SpeciesCatalog(np.array([7], dtype=np.int64))
-        m = ScoreMatrix(1)
-        m.add_row(1, {})
-        m.add_row(2, {0: 0.25})
+        m = score_matrix(1, {1: {}, 2: {0: 0.25}})
         path = str(tmp_path / "scores.csv")
         save_scores(m, path, catalog)
         loaded = load_scores(path, catalog)
