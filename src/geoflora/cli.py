@@ -233,6 +233,8 @@ def _cmd_predict(args) -> int:
     cfg = _effective_config(args, PredictConfig)
     train, catalog = _parse_file(args.train)
     test, _ = _parse_file(args.test, kind="test")
+    if len(train) == 0:
+        raise ValueError(f"{args.train}: training dataset is empty")
     matrix = neighbor_frequency_predict(train, test, cfg.k, num_species=len(catalog))
     save_scores(matrix, args.out, catalog)
     print(f"scored {len(matrix)} surveys against {len(train)} training surveys (k={cfg.k})")
@@ -270,7 +272,11 @@ def _cmd_evaluate(args) -> int:
     truth_ds, truth_catalog = _parse_file(args.truth)
     truth = decode_species(truth_ds, truth_catalog)
     predicted = read_submission(args.submission)
-    print(f"{samples_f1(truth, predicted):.5f}")
+    try:
+        f1 = samples_f1(truth, predicted)
+    except ValueError as exc:  # the two files hold other surveys, or none
+        raise ValueError(f"{args.submission}: {exc}") from None
+    print(f"{f1:.5f}")
     return 0
 
 

@@ -18,12 +18,14 @@ re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 The same CSR pair, ``RowSets``, carries Top-K picks, votes and the routed
 submission, rows aligned with the test ids; ``union_rows`` unites them.
 
-``read_table`` reads survey, score and submission files into typed arrays.
+``read_table`` reads survey, score and submission files into typed arrays,
+each format declared once as a ``Layout`` (header, column dtypes, id column).
 A valid file is read in bulk by numpy's C parser; a file holding anything
 else (a byte outside digits, ``-.eE``, commas, spaces and newlines, a field
-numpy rejects, another field count) goes to the format's ``csv`` row pass,
-which returns the same arrays and is the only place that names a fault.
-Grouping, conflict checks and catalog lookups then run once on numpy arrays.
+numpy rejects, another field count) goes to the one ``csv`` row pass, which
+reads it by the same layout, returns the same arrays and is the only place
+that names a fault. Grouping, conflict checks and catalog lookups then run
+once on numpy arrays.
 So a file with several faults reports bytes that are not UTF-8 first (the
 line of the first), then its row-local format faults, then, each at its first
 row in the file: non-finite and out-of-range coordinates, coordinate
@@ -46,7 +48,7 @@ import itertools
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -57,8 +59,6 @@ COORD_CONFLICT_TOLERANCE_DEG = 1e-6
 
 # Error messages list at most this many ids, then the total count.
 MAX_IDS_IN_MESSAGE = 10
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class ParseError(ValueError):
@@ -73,53 +73,14 @@ class RangeError(ValueError):
         self.field, self.requirement, self.value = field, requirement, value
 
 
-def check_ids(path: str, line: int, text: str, *ids: int) -> None:
-    """Reject the ids of one row unless written in ASCII digits and within int64, the id columns' type.
-
-    ``text`` is the row's id fields, concatenated. ``int()`` also reads ``_``
-    separators, a ``+`` sign and non-ASCII digits; ids written so are malformed.
-    """
-    if not text.isascii() or "_" in text or "+" in text:
-        raise ParseError(f"{path}:{line}: malformed row: ids must be ASCII digits with an optional minus sign")
-    if not (_INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX):
-        raise ParseError(f"{path}:{line}: survey or species id outside the 64-bit integer range")
-
-
-def _csv_reader(path: str) -> Iterator[list[str]]:
-    """A ``csv`` reader over the file's text, a UTF-8 BOM dropped; bytes that are not UTF-8 are a ``ParseError``
-    at the line of the first."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{line}: not valid UTF-8") from None
-    return csv.reader(io.StringIO(text, newline=""))
-
-
-def csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """The line number and fields of each non-blank row of a CSV file that must start with ``header``
-    and hold as many fields in every row."""
-    reader = _csv_reader(path)
-    got = next(reader, None)
-    if got is None or [h.strip() for h in got] != list(header):
-        raise ParseError(f"{path}:1: expected header {','.join(header)}, got {got!r}")
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-        yield line, row
-
-
 @dataclass(frozen=True)
 class Layout:
-    """A file shape ``read_table`` reads in bulk: its header and the dtype of each scalar column.
+    """A file shape ``read_table`` reads: its header and the dtype of each scalar column.
 
     ``ids`` is ``None`` when every column is scalar, ``"one"`` when the last
     column is one id (the last of ``dtypes``) and ``"list"`` when it is a
-    space-separated list of ids (it has no dtype).
+    space-separated list of ids (it has no dtype). The bulk pass and the row
+    pass both read a file by its layout; an int64 column holds ids.
     """
 
     header: tuple[str, ...]
@@ -133,11 +94,11 @@ class Layout:
 _BULK_BYTES = b"0123456789-.eE, \n"
 
 
-def read_table(path: str, layouts: Sequence[Layout], row_pass: Callable[[str], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
     """The columns of a file in one of ``layouts``, then with an id column each row's id count and the ids in file
     order, then each row's line number (the header's is 1; empty lines are skipped but counted).
 
-    A valid file is read in bulk. Any file the bulk pass cannot vouch for goes to ``row_pass(path)``, which returns
+    A valid file is read in bulk. Any file the bulk pass cannot vouch for goes to ``_row_pass``, which returns
     the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another.
     """
     with open(path, "rb") as f:
@@ -148,7 +109,67 @@ def read_table(path: str, layouts: Sequence[Layout], row_pass: Callable[[str], t
             table = _bulk_table(data.removeprefix(codecs.BOM_UTF8), layouts)
     except (ValueError, OverflowError, Warning):
         table = None
-    return row_pass(path) if table is None else table
+    return _row_pass(path, layouts) if table is None else table
+
+
+def _row_pass(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
+    """``read_table``'s arrays, converted row by row with the ``csv`` module, or the ``ParseError`` that names the
+    first row-local fault.
+
+    Bytes that are not UTF-8 fail at the line of the first, a UTF-8 BOM is dropped and the header's fields are
+    stripped. Within a row the checks run in this order: field count, number syntax (``int`` of each id, ``float``
+    of each other number), id characters, float characters, id range. ``int`` and ``float`` also read ``_``
+    separators and non-ASCII digits, and ``int`` a ``+`` sign; fields written so are malformed.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not valid UTF-8") from None
+    got = next(reader, None)
+    layout = next((t for t in layouts if tuple(h.strip() for h in got or ()) == t.header), None)
+    if layout is None:
+        raise ParseError(f"{path}:1: expected header {' or '.join(','.join(t.header) for t in layouts)}, got {got!r}")
+    listed = layout.ids == "list"
+    kinds = layout.dtypes + (np.int64,) * listed  # the id list is a column of ids
+    convert = [int if d is np.int64 else float for d in layout.dtypes]
+    columns = [array("q" if d is np.int64 else "d") for d in layout.dtypes]  # 8 bytes a value, unlike a list
+    counts, ids, lines = array("q"), array("q"), array("q")
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(kinds):
+            raise ParseError(f"{path}:{line}: expected {len(kinds)} fields, got {len(row)}")
+        try:
+            values = [f(field) for f, field in zip(convert, row)]
+            listed_ids = [int(tok) for tok in row[-1].split()] if listed else ()
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+        text = ",".join(row)
+        if not text.isascii() or "_" in text or "+" in text:  # only then look for the field at fault
+            id_text = "".join(field for field, d in zip(row, kinds) if d is np.int64)
+            if not id_text.isascii() or "_" in id_text or "+" in id_text:
+                raise ParseError(f"{path}:{line}: malformed row: ids must be ASCII digits with an optional minus sign")
+            for name, field, d in zip(layout.header, row, kinds):
+                if d is np.float64 and (not field.isascii() or "_" in field):
+                    raise ParseError(f"{path}:{line}: malformed row: {name} must be an ASCII decimal number")
+        try:  # an int64 array refuses an int outside its range
+            for column, value in zip(columns, values):
+                column.append(value)
+            if listed:
+                ids.extend(listed_ids)
+                counts.append(len(listed_ids))
+        except OverflowError:
+            raise ParseError(f"{path}:{line}: survey or species id outside the 64-bit integer range") from None
+        lines.append(line)
+    table = [np.asarray(c) for c in columns]
+    if layout.ids == "one":
+        table[-1:] = [np.ones(len(lines), dtype=np.int64), table[-1]]
+    elif listed:
+        table += [np.asarray(counts), np.asarray(ids)]
+    return (*table, np.asarray(lines))
 
 
 def _loadtxt(buffer, names: Sequence[str], dtypes: Sequence[type]) -> list[np.ndarray]:
@@ -214,11 +235,9 @@ class DatasetKind(enum.Enum):
     TEST = "test"
 
 
-_LONG_HEADER = ["surveyId", "lat", "lon", "speciesId"]
-_WIDE_HEADER = ["surveyId", "lat", "lon", "speciesIds"]
-_SURVEY_LAYOUTS = (
-    Layout(tuple(_LONG_HEADER), (np.int64, np.float64, np.float64, np.int64), ids="one"),
-    Layout(tuple(_WIDE_HEADER), (np.int64, np.float64, np.float64), ids="list"),
+_SURVEY_LAYOUTS = (  # long, then wide
+    Layout(("surveyId", "lat", "lon", "speciesId"), (np.int64, np.float64, np.float64, np.int64), ids="one"),
+    Layout(("surveyId", "lat", "lon", "speciesIds"), (np.int64, np.float64, np.float64), ids="list"),
 )
 
 
@@ -387,50 +406,6 @@ class Dataset:
         return np.bincount(self.indices, minlength=num_species or 0)
 
 
-def _survey_rows(path: str) -> tuple[np.ndarray, ...]:
-    """``parse_occurrences``' row pass: ``read_table``'s arrays of a survey file, converted row by row with the
-    ``csv`` module, or the ``ParseError`` that names its first row-local fault."""
-    lines, sids, lats, lons, counts, raws = array("q"), array("q"), array("d"), array("d"), array("q"), array("q")
-    reader = _csv_reader(path)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path}:1: empty file, header row required")
-    header = [h.strip() for h in header]
-    if header not in (_LONG_HEADER, _WIDE_HEADER):
-        raise ParseError(f"{path}:1: unrecognised header {header!r}; expected {_LONG_HEADER} or {_WIDE_HEADER}")
-    long_format = header == _LONG_HEADER
-
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"{path}:{line}: expected 4 fields, got {len(row)}")
-        try:
-            survey_id = int(row[0])
-            lat = float(row[1])
-            lon = float(row[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-        coords = row[1] + row[2]  # float() also reads "_" separators and non-ASCII digits
-        if not coords.isascii() or "_" in coords:
-            raise ParseError(f"{path}:{line}: malformed row: coordinates must be ASCII decimal numbers")
-        try:
-            if long_format:
-                raw_species = [int(row[3])]
-            else:
-                raw_species = [int(tok) for tok in row[3].split()]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: malformed species field: {exc}") from None
-        check_ids(path, line, row[0] + row[3], survey_id, *raw_species)
-        lines.append(line)
-        sids.append(survey_id)
-        lats.append(lat)
-        lons.append(lon)
-        counts.append(len(raw_species))
-        raws.extend(raw_species)
-    return tuple(map(np.asarray, (sids, lats, lons, counts, raws, lines)))
-
-
 def parse_occurrences(
     path: str,
     *,
@@ -449,7 +424,7 @@ def parse_occurrences(
     ``kind`` enables emptiness checks: TEST surveys must carry no species,
     training surveys must carry at least one.
     """
-    sid, lat, lon, counts, raw, lines = read_table(path, _SURVEY_LAYOUTS, _survey_rows)
+    sid, lat, lon, counts, raw, lines = read_table(path, _SURVEY_LAYOUTS)
     for bad, reason in (
         (~(np.isfinite(lat) & np.isfinite(lon)), "non-finite coordinate"),
         ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0), "coordinate out of range ({}, {})"),
@@ -583,7 +558,7 @@ def write_dataset(dataset: Dataset, path: str, catalog: SpeciesCatalog) -> None:
     Species are emitted as raw ids sorted ascending, coordinates with 7
     decimal places, rows ordered by survey id, "\\n" line endings.
     """
-    write_id_lists(path, ",".join(_WIDE_HEADER), dataset.ids, (dataset.lats, dataset.lons), dataset.species, catalog)
+    write_id_lists(path, ",".join(_SURVEY_LAYOUTS[1].header), dataset.ids, (dataset.lats, dataset.lons), dataset.species, catalog)
 
 
 def reindex_dataset(dataset: Dataset, old: SpeciesCatalog, new: SpeciesCatalog) -> Dataset:

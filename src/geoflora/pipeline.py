@@ -115,9 +115,6 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
     ``run.json`` (the numpy and Python versions); prints one progress line per
     stage to stdout and returns the manifest.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     pa_ds, pa_catalog = parse_occurrences(str(pa), kind=DatasetKind.PA_TRAIN)
     po_ds, po_catalog = parse_occurrences(str(po), kind=DatasetKind.PO_TRAIN)
     test_ds, _ = parse_occurrences(str(test), kind=DatasetKind.TEST)
@@ -128,18 +125,22 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
     merge_cfg = config.merge_config()
     merged_records = merge_points(po_ds, merge_cfg)
     merged_po = merged_to_dataset(merged_records)
+    # one index per reference set and one kNN query per side
+    pa_index = GeoIndex.from_dataset(pa_ds)
+    gate = assign(test_ds, pa_ds, config.gate_radius_km, index=pa_index)
+    n_in = int(gate.in_mask.sum())
+    if len(merged_po) == 0 and n_in < len(gate):  # before any output; an empty PA file routes every test survey out
+        raise ValueError(f"{po}: no surveys, but {len(gate) - n_in} test surveys are out-of-distribution")
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_dataset(merged_po, outdir / "merged_po.csv", catalog)
     report = merge_stats(po_ds, merged_records)
     print(
         f"merge[{merge_cfg.mode.value}]: {report.surveys_in} -> {report.surveys_out} surveys, "
         f"mean species/survey {report.mean_species_in:.3f} -> {report.mean_species_out:.3f}"
     )
-
-    # one index per reference set and one kNN query per side
-    pa_index = GeoIndex.from_dataset(pa_ds)
-    gate = assign(test_ds, pa_ds, config.gate_radius_km, index=pa_index)
     write_assignments(gate, str(outdir / "gate.csv"))
-    n_in = int(gate.in_mask.sum())
     print(f"gate: {n_in} in-distribution, {len(gate) - n_in} out-of-distribution")
 
     predictions: dict[Side, RowSets] = {}
@@ -150,8 +151,6 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         test_side = test_ds.take(np.flatnonzero(mask))
         matrix, predictions[side] = ScoreMatrix(len(catalog)), test_side.species  # no rows on an empty side
         if len(test_side):
-            if len(train) == 0:
-                raise ValueError(f"no training data for the {side.value.replace('_', '-')} expert")
             top_k, vote = config.side_configs(side)
             index = pa_index if side is Side.IN_DISTRIBUTION else GeoIndex.from_dataset(train)
             k = max(config.predict_k, vote.vote_neighbors)

@@ -16,7 +16,6 @@ the order ``write_submission`` writes) are ``RowSets``.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,8 +28,6 @@ from .ingest import (
     RangeError,
     RowSets,
     SpeciesCatalog,
-    check_ids,
-    csv_rows,
     preview_ids,
     read_table,
     union_rows,
@@ -192,27 +189,9 @@ def write_submission(ids: np.ndarray, sets: RowSets, path: str, catalog: Species
     write_id_lists(path, ",".join(_SUBMISSION_LAYOUT.header), ids, (), sets, catalog)
 
 
-def _submission_rows(path: str) -> tuple[np.ndarray, ...]:
-    """``read_submission``'s row pass: survey ids, each row's prediction count, the raw species ids and line numbers,
-    converted row by row with the ``csv`` module, or the ``ParseError`` that names the first row-local fault."""
-    sids, counts, raws, lines = array("q"), array("q"), array("q"), array("q")
-    for line, row in csv_rows(path, _SUBMISSION_LAYOUT.header):
-        try:
-            sid = int(row[0])
-            species = [int(tok) for tok in row[1].split()]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-        check_ids(path, line, row[0] + row[1], sid, *species)
-        sids.append(sid)
-        counts.append(len(species))
-        raws.extend(species)
-        lines.append(line)
-    return tuple(map(np.asarray, (sids, counts, raws, lines)))
-
-
 def read_submission(path: str) -> dict[int, frozenset[int]]:
     """Read a submission file into per-survey raw-id sets; a survey id seen before is rejected at its first repeat."""
-    sid, counts, raw, lines = read_table(path, [_SUBMISSION_LAYOUT], _submission_rows)
+    sid, counts, raw, lines = read_table(path, [_SUBMISSION_LAYOUT])
     order = np.argsort(sid, kind="stable")  # a repeated id keeps its file order
     dup = np.flatnonzero(sid[order[1:]] == sid[order[:-1]])
     if dup.size:

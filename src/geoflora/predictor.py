@@ -11,14 +11,13 @@ rows of a kNN query, which the neighbour votes may share (``nearest``).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .geo import GeoIndex
-from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, check_ids, csv_rows, int_text, join_text, read_table, text_table
+from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, int_text, join_text, read_table, text_table
 
 # Rows formatted per write in ``save_scores``; one join over the whole matrix costs tens of MB.
 _SAVE_CHUNK_ROWS = 256
@@ -157,7 +156,7 @@ def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None
     """
     raw = join_text(len(catalog), b",", int_text(catalog.dense_to_raw), b",")
     with open(path, "wb") as f:
-        f.write(b"surveyId,speciesId,score\n")
+        f.write(",".join(_SCORE_LAYOUT.header).encode() + b"\n")
         for start in range(0, len(matrix), _SAVE_CHUNK_ROWS):
             ids, ptr = matrix.ids[start : start + _SAVE_CHUNK_ROWS], matrix.indptr[start : start + _SAVE_CHUNK_ROWS + 1]
             entry = slice(ptr[0], ptr[-1])  # species ascend within each row, so their raw ids do too
@@ -168,29 +167,10 @@ def save_scores(matrix: ScoreMatrix, path: str, catalog: SpeciesCatalog) -> None
             f.write(text[text != 0])
 
 
-def _score_rows(path: str) -> tuple[np.ndarray, ...]:
-    """``load_scores``' row pass: survey ids, raw species ids, scores and line numbers, converted row by row with the
-    ``csv`` module, or the ``ParseError`` that names the first row-local fault."""
-    sids, raws, scores, lines = array("q"), array("q"), array("d"), array("q")  # 8 bytes a value, unlike a list
-    for line, row in csv_rows(path, _SCORE_LAYOUT.header):
-        try:
-            sid, raw, val = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-        check_ids(path, line, row[0] + row[1], sid, raw)
-        if not row[2].isascii() or "_" in row[2]:  # float() also reads "_" separators and non-ASCII digits
-            raise ParseError(f"{path}:{line}: malformed row: score must be an ASCII decimal number")
-        sids.append(sid)
-        raws.append(raw)
-        scores.append(val)
-        lines.append(line)
-    return tuple(map(np.asarray, (sids, raws, scores, lines)))
-
-
 def load_scores(path: str, catalog: SpeciesCatalog) -> ScoreMatrix:
     """Read a triplet score file back into a matrix; a species id absent from the catalog or a score outside [0, 1]
     (the first such row; in one row, the species), then a repeated (survey, species) pair is rejected with its location."""
-    sid, raw, score, lines = read_table(path, [_SCORE_LAYOUT], _score_rows)
+    sid, raw, score, lines = read_table(path, [_SCORE_LAYOUT])
     dense, known = catalog.lookup(raw)
     bad = np.flatnonzero(~known | ~((score >= 0.0) & (score <= 1.0)))
     if bad.size:

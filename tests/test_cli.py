@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from geoflora import pipeline
+from geoflora import ingest, pipeline
 from geoflora.cli import build_parser, run
 from geoflora.geo import GeoIndex
 from geoflora.ingest import parse_occurrences
@@ -212,8 +212,24 @@ class TestErrors:
         out = tmp_path / "o.csv"
         assert run(["ingest", "--input", str(bad), "--output", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {bad}:2: malformed row: coordinates must be ASCII decimal numbers\n"
+        assert err == f"error: {bad}:2: malformed row: lat must be an ASCII decimal number\n"
         assert not out.exists()
+
+    def test_predict_with_a_header_only_training_file_names_it(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("surveyId,lat,lon,speciesIds\n")
+        scores = tmp_path / "scores.csv"
+        assert run(["predict", "--train", str(train), "--test", f"{FIXTURES}/test.csv", "--out", str(scores)]) == 1
+        assert capsys.readouterr().err == f"error: {train}: training dataset is empty\n"
+        assert not scores.exists()
+
+    def test_evaluate_names_the_submission_that_lacks_surveys(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("surveyId,lat,lon,speciesIds\n49,45.0,5.0,101\n50,45.0,5.0,101\n51,45.0,5.0,102\n")
+        sub = tmp_path / "sub.csv"
+        sub.write_text("surveyId,predictions\n49,101\n")
+        assert run(["evaluate", "--truth", str(truth), "--submission", str(sub)]) == 1
+        assert capsys.readouterr().err == f"error: {sub}: survey id mismatch: missing from predictions [50, 51], unexpected []\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -285,8 +301,16 @@ def pipeline_argv(outdir, *extra):
     ]
 
 
+@pytest.fixture(params=["bulk", "row_pass"])
+def reader(request, monkeypatch):
+    """Files read as ``read_table`` reads them, or every file by the row pass."""
+    if request.param == "row_pass":
+        monkeypatch.setattr(ingest, "_bulk_table", lambda data, layouts: None)
+    return request.param
+
+
 class TestPipeline:
-    def test_reproduces_committed_golden(self, tmp_path):
+    def test_reproduces_committed_golden(self, tmp_path, reader):
         outdir = tmp_path / "run"
         status = run(
             [
@@ -326,7 +350,7 @@ class TestPipeline:
         record = json.loads((outdir / "run.json").read_text())
         assert record["versions"] == {"numpy": np.__version__, "python": sys.version.split()[0]}
 
-    def test_subcommands_at_their_defaults_reproduce_the_golden_run(self, tmp_path):
+    def test_subcommands_at_their_defaults_reproduce_the_golden_run(self, tmp_path, reader):
         golden = Path(FIXTURES) / "golden"
         pa, po = f"{FIXTURES}/pa_train.csv", f"{FIXTURES}/po_train.csv"
         merged, gate = tmp_path / "merged_po.csv", tmp_path / "gate.csv"
@@ -350,6 +374,16 @@ class TestPipeline:
         (tmp_path / "submission.csv").write_text("\n".join(["surveyId,predictions", *submission_rows]) + "\n")
         for name in GOLDEN_FILES[:-1]:
             assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_header_only_po_file_is_one_error_line_naming_it_and_writes_nothing(self, tmp_path, capsys):
+        po = tmp_path / "po.csv"
+        po.write_text("surveyId,lat,lon,speciesId\n")
+        outdir = tmp_path / "run"
+        argv = ["pipeline", "--pa", f"{FIXTURES}/pa_train.csv", "--po", str(po), "--test", f"{FIXTURES}/test.csv", "--outdir", str(outdir)]
+        assert run(argv) == 1
+        n_ood = sum(line.split(",")[1] == "out_of_distribution" for line in fixture_lines("golden/gate.csv")[1:])
+        assert capsys.readouterr().err == f"error: {po}: no surveys, but {n_ood} test surveys are out-of-distribution\n"
+        assert not outdir.exists() or not any(outdir.iterdir())
 
     def test_library_run_reproduces_golden_and_cli_output(self, tmp_path, capsys):
         outdir = tmp_path / "run"

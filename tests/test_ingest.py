@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, row_sets
 from oracles import parse_occurrences_oracle, save_scores_oracle, write_dataset_oracle, write_submission_oracle
-from geoflora import ingest, postprocess, predictor
+from geoflora import ingest, predictor
 from geoflora.ingest import (
     _SURVEY_LAYOUTS,
     Dataset,
     DatasetKind,
     ParseError,
     SpeciesCatalog,
-    _survey_rows,
-    csv_rows,
+    _row_pass,
     decode_species,
     parse_occurrences,
     read_table,
@@ -24,8 +23,8 @@ from geoflora.ingest import (
     union_rows,
     write_dataset,
 )
-from geoflora.postprocess import _SUBMISSION_LAYOUT, _submission_rows, read_submission, write_submission
-from geoflora.predictor import _SCORE_LAYOUT, ScoreMatrix, _score_rows, load_scores, save_scores
+from geoflora.postprocess import _SUBMISSION_LAYOUT, read_submission, write_submission
+from geoflora.predictor import _SCORE_LAYOUT, ScoreMatrix, load_scores, save_scores
 
 
 def write_lines(tmp_path, name, lines):
@@ -96,10 +95,10 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"a\.csv:3: malformed row"):
             parse_occurrences(path)
 
-    @pytest.mark.parametrize("row", ["1,4_5.0,5.0,7", "1,45.0,٥.0,7", "1,45.0,5.0٠,7"])
-    def test_coordinates_other_than_ascii_numbers_are_malformed(self, tmp_path, row):
+    @pytest.mark.parametrize("row, column", [("1,4_5.0,5.0,7", "lat"), ("1,45.0,٥.0,7", "lon"), ("1,45.0,5.0٠,7", "lon")])
+    def test_coordinates_other_than_ascii_numbers_are_malformed(self, tmp_path, row, column):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "2,45.0,5.0,7", row])
-        with pytest.raises(ParseError, match=r"a\.csv:3: malformed row: coordinates must be ASCII"):
+        with pytest.raises(ParseError, match=rf"a\.csv:3: malformed row: {column} must be an ASCII decimal number$"):
             parse_occurrences(path)
 
     @pytest.mark.parametrize(
@@ -116,7 +115,7 @@ class TestParsing:
         with pytest.raises(ParseError, match=rf"a\.csv:{line}: not valid UTF-8$"):
             parse_occurrences(str(path))
         with pytest.raises(ParseError, match=rf"a\.csv:{line}: not valid UTF-8$"):
-            list(csv_rows(str(path), ["surveyId", "lat", "lon", "speciesId"]))
+            _row_pass(str(path), _SURVEY_LAYOUTS)
 
     def test_coordinates_keep_signs_and_exponents(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,4.5e+01,+5.0,7", "2,-4.5E1,-5e-1,7"])
@@ -336,14 +335,14 @@ def row_pass_only():
 
 
 class TestBulkReader:
-    """``read_table`` returns what a format's row pass returns, or raises its error, on files valid or not."""
+    """``read_table`` returns what the row pass returns, or raises its error, on files valid or not."""
 
     @given(st.data())
     def test_survey_files_read_as_the_row_pass_reads_them(self, tmp_path_factory, data):
         lines, catalog = data.draw(survey_files(faults=True))
         path = tmp_path_factory.mktemp("bulk") / "a.csv"
         path.write_bytes(data.draw(file_bytes(lines)))
-        assert_same_arrays(outcome(lambda: read_table(str(path), _SURVEY_LAYOUTS, _survey_rows)), outcome(lambda: _survey_rows(str(path))))
+        assert_same_arrays(outcome(lambda: read_table(str(path), _SURVEY_LAYOUTS)), outcome(lambda: _row_pass(str(path), _SURVEY_LAYOUTS)))
         got = outcome(lambda: parse_occurrences(str(path), catalog=catalog))
         with row_pass_only():
             assert got == outcome(lambda: parse_occurrences(str(path), catalog=catalog))
@@ -353,7 +352,7 @@ class TestBulkReader:
         lines, catalog = data.draw(score_files())
         path = tmp_path_factory.mktemp("bulk") / "scores.csv"
         path.write_bytes(data.draw(file_bytes(lines)))
-        assert_same_arrays(outcome(lambda: read_table(str(path), [_SCORE_LAYOUT], _score_rows)), outcome(lambda: _score_rows(str(path))))
+        assert_same_arrays(outcome(lambda: read_table(str(path), [_SCORE_LAYOUT])), outcome(lambda: _row_pass(str(path), [_SCORE_LAYOUT])))
         got = outcome(lambda: load_scores(str(path), catalog))
         with row_pass_only():
             assert got == outcome(lambda: load_scores(str(path), catalog))
@@ -362,9 +361,7 @@ class TestBulkReader:
     def test_submission_files_read_as_the_row_pass_reads_them(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("bulk") / "sub.csv"
         path.write_bytes(data.draw(file_bytes(data.draw(submission_files()))))
-        assert_same_arrays(
-            outcome(lambda: read_table(str(path), [_SUBMISSION_LAYOUT], _submission_rows)), outcome(lambda: _submission_rows(str(path)))
-        )
+        assert_same_arrays(outcome(lambda: read_table(str(path), [_SUBMISSION_LAYOUT])), outcome(lambda: _row_pass(str(path), [_SUBMISSION_LAYOUT])))
         got = outcome(lambda: read_submission(str(path)))
         with row_pass_only():
             assert got == outcome(lambda: read_submission(str(path)))
@@ -397,11 +394,10 @@ class TestBulkReader:
             read(str(path))
 
     def test_clean_benchmark_sized_files_never_reach_the_row_pass(self, tmp_path, monkeypatch, rng):
-        def refuse(path):
+        def refuse(path, layouts):
             raise AssertionError(f"{path} was read by the row pass")
 
-        for module, name in ((ingest, "_survey_rows"), (predictor, "_score_rows"), (postprocess, "_submission_rows")):
-            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(ingest, "_row_pass", refuse)
         # the sizes of the benchmark's pipeline inputs: 20 k wide surveys of ~10 species, a long file of 138 k rows
         n, num_species = 20_000, 5_000
         catalog = SpeciesCatalog(np.arange(num_species, dtype=np.int64) * 7 + 11)
