@@ -28,14 +28,14 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .fusion import FusionWeights, ModalityTriple, init_weights, stack_forward, tri_serial_forward
+from .fusion import ModalityTriple, init_weights, stack_forward, tri_serial_forward
 from .gate import GateConfig, assign, write_assignments
 from .ingest import (
     DatasetKind,
@@ -153,6 +153,13 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A two-column report: the ``header`` line, then one line per (name, value) pair of ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(header + "\n")
+        f.writelines(f"{name},{value}\n" for name, value in rows)
+
+
 def _cmd_stats(args) -> int:
     dataset, catalog = _parse_file(args.input, args.kind)
     if len(dataset) == 0:  # checked before any report is written
@@ -161,27 +168,15 @@ def _cmd_stats(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     per_survey = species_per_survey_hist(dataset)
-    with open(outdir / "species_per_survey.csv", "w", newline="", encoding="utf-8") as f:
-        f.write("bin,count\n")
-        for b, c in per_survey.histogram.items():
-            f.write(f"{b},{c}\n")
-
     per_species = occurrences_per_species_hist(dataset, len(catalog))
-    with open(outdir / "occurrences_per_species.csv", "w", newline="", encoding="utf-8") as f:
-        f.write("bin,count\n")
-        for b, c in per_species.histogram.items():
-            f.write(f"{b},{c}\n")
-
     box = bbox_summary(dataset)
-    with open(outdir / "bbox.csv", "w", newline="", encoding="utf-8") as f:
-        f.write("field,value\n")
-        f.write(f"surveys,{box.surveys}\n")
-        for name in ("lat_min", "lat_max", "lon_min", "lon_max"):
-            f.write(f"{name},{getattr(box, name)!r}\n")
-        for q, v in box.lat_quantiles.items():
-            f.write(f"lat_q{int(q * 100):02d},{v!r}\n")
-        for q, v in box.lon_quantiles.items():
-            f.write(f"lon_q{int(q * 100):02d},{v!r}\n")
+    _write_csv(outdir / "species_per_survey.csv", "bin,count", per_survey.histogram.items())
+    _write_csv(outdir / "occurrences_per_species.csv", "bin,count", per_species.histogram.items())
+    bbox_rows = [("surveys", box.surveys)]
+    bbox_rows += [(name, getattr(box, name)) for name in ("lat_min", "lat_max", "lon_min", "lon_max")]
+    for axis, quantiles in (("lat", box.lat_quantiles), ("lon", box.lon_quantiles)):
+        bbox_rows += [(f"{axis}_q{int(q * 100):02d}", v) for q, v in quantiles.items()]
+    _write_csv(outdir / "bbox.csv", "field,value", bbox_rows)
 
     summary = {
         "surveys": per_survey.surveys,
@@ -260,7 +255,10 @@ def _cmd_postprocess(args) -> int:
         top_cfg, best = grid_search_top_k(matrix, truth, args.grid_thresholds, args.grid_kcaps, fallback_top1=top_cfg.fallback_top1)
         print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
 
-    final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
+    try:
+        final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
+    except ValueError as exc:  # the score file holds surveys the test file lacks
+        raise ValueError(f"{args.scores}: {exc}") from None
     if len(matrix) < len(test):
         print(f"{args.scores}: {len(test) - len(matrix)} of {len(test)} test surveys have no score row", file=sys.stderr)
     write_submission(test.ids, final, args.output, catalog)
@@ -311,16 +309,7 @@ def _cmd_fusion_check(args) -> int:
     sums_ok = all(np.allclose(trace[k].sum(axis=1), 1.0, atol=1e-6) for k in ("attn_a", "attn_b", "attn_c"))
     check("attention-rows-normalised", sums_ok)
 
-    zeroed = FusionWeights(
-        weights.in_proj,
-        weights.q_proj,
-        weights.k_proj,
-        weights.v_proj,
-        weights.ff1,
-        weights.ff2,
-        tuple(np.zeros_like(w) for w in weights.out_proj),
-        weights.heads,
-    )
+    zeroed = replace(weights, out_proj=tuple(np.zeros_like(w) for w in weights.out_proj))
     ident = tri_serial_forward(x, zeroed)
     check("residual-identity", all(np.array_equal(a, b) for a, b in ((ident.a, x.a), (ident.b, x.b), (ident.c, x.c))))
 

@@ -3,9 +3,10 @@
 Three modality vectors are projected to a shared hidden width D. Each
 modality owns its query projection while keys and values share one
 projection pair, so all modalities score attention in the same semantic
-space. Updates run serially: the first modality attends over the other two,
-then the second attends over the (updated) first and third, then the third
-attends over the two updated ones. A position-wise feed-forward block
+space. Updates run serially, one modality after another: each attends over
+the latest states of the other two, so the second already sees the updated
+first and the third sees both updated ones. Attention is multi-head, all
+heads in one batched product. A position-wise feed-forward block
 (4x expansion, GELU) follows, with layer normalisation after the attention
 and feed-forward residuals (post-norm). Finally each hidden state is
 projected back to its original width and added to the raw input, which makes
@@ -123,9 +124,10 @@ def init_weights(dims: tuple[int, int, int], hidden_dim: int, heads: int, seed: 
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _gelu(v: np.ndarray) -> np.ndarray:
@@ -149,22 +151,15 @@ def multi_head_cross_attention(
     """Attend one query token over context tokens; returns (output, weights).
 
     ``context`` has shape (n_ctx, D); weights come back as (heads, n_ctx),
-    each row a softmax distribution.
+    each row a softmax distribution. All heads run in one batched product.
     """
     d = query_state.size
     dh = d // heads
-    q = query_state @ q_proj
-    k = context @ k_proj
-    v = context @ v_proj
-    out = np.empty(d)
-    weights = np.empty((heads, context.shape[0]))
-    scale = 1.0 / math.sqrt(dh)
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        wts = softmax(k[:, sl] @ q[sl] * scale)
-        weights[h] = wts
-        out[sl] = wts @ v[:, sl]
-    return out, weights
+    q = (query_state @ q_proj).reshape(heads, 1, dh)
+    k = (context @ k_proj).reshape(-1, heads, dh).transpose(1, 2, 0)  # (heads, dh, n_ctx)
+    v = (context @ v_proj).reshape(-1, heads, dh).transpose(1, 0, 2)  # (heads, n_ctx, dh)
+    weights = softmax((q @ k)[:, 0] * (1.0 / math.sqrt(dh)))
+    return (weights[:, None] @ v).reshape(d), weights
 
 
 def tri_serial_forward(x: ModalityTriple, w: FusionWeights, trace: dict | None = None) -> ModalityTriple:
@@ -175,27 +170,15 @@ def tri_serial_forward(x: ModalityTriple, w: FusionWeights, trace: dict | None =
     """
     if x.dims != w.dims:
         raise ValueError(f"modality dims {x.dims} do not match weights {w.dims}")
-    h_a = x.a @ w.in_proj[0]
-    h_b = x.b @ w.in_proj[1]
-    h_c = x.c @ w.in_proj[2]
-
-    attn, wts = multi_head_cross_attention(h_a, w.q_proj[0], np.stack((h_b, h_c)), w.k_proj, w.v_proj, w.heads)
-    if trace is not None:
-        trace["attn_a"] = wts
-    h_a = _layer_norm(h_a + attn)
-
-    attn, wts = multi_head_cross_attention(h_b, w.q_proj[1], np.stack((h_a, h_c)), w.k_proj, w.v_proj, w.heads)
-    if trace is not None:
-        trace["attn_b"] = wts
-    h_b = _layer_norm(h_b + attn)
-
-    attn, wts = multi_head_cross_attention(h_c, w.q_proj[2], np.stack((h_a, h_b)), w.k_proj, w.v_proj, w.heads)
-    if trace is not None:
-        trace["attn_c"] = wts
-    h_c = _layer_norm(h_c + attn)
+    h = [v @ p for v, p in zip((x.a, x.b, x.c), w.in_proj)]
+    for i, key in enumerate(("attn_a", "attn_b", "attn_c")):
+        attn, wts = multi_head_cross_attention(h[i], w.q_proj[i], np.stack(h[:i] + h[i + 1 :]), w.k_proj, w.v_proj, w.heads)
+        if trace is not None:
+            trace[key] = wts
+        h[i] = _layer_norm(h[i] + attn)
 
     outs = []
-    for orig, hid, w1, w2, wo in zip((x.a, x.b, x.c), (h_a, h_b, h_c), w.ff1, w.ff2, w.out_proj):
+    for orig, hid, w1, w2, wo in zip((x.a, x.b, x.c), h, w.ff1, w.ff2, w.out_proj):
         hid = _layer_norm(hid + _gelu(hid @ w1) @ w2)
         outs.append(orig + hid @ wo)
     return ModalityTriple(*outs)

@@ -89,10 +89,7 @@ def asl_grad(data: LabeledScores, params: AslParams) -> np.ndarray:
     gp, gn, m = params.gamma_pos, params.gamma_neg, params.clip_m
 
     one_m_p = 1.0 - p
-    if gp == 0.0:
-        pos_grad = -1.0 / p
-    else:
-        pos_grad = gp * one_m_p ** (gp - 1.0) * np.log(p) - one_m_p**gp / p
+    pos_grad = gp * one_m_p ** (gp - 1.0) * np.log(p) - one_m_p**gp / p
 
     w = p - m
     active = w > 0.0
@@ -100,10 +97,7 @@ def asl_grad(data: LabeledScores, params: AslParams) -> np.ndarray:
     if np.any(active):
         wa = w[active]
         pa = p[active]
-        if gn == 0.0:
-            neg_grad[active] = 1.0 / (1.0 - pa)
-        else:
-            neg_grad[active] = -gn * wa ** (gn - 1.0) * np.log1p(-pa) + wa**gn / (1.0 - pa)
+        neg_grad[active] = -gn * wa ** (gn - 1.0) * np.log1p(-pa) + wa**gn / (1.0 - pa)
 
     if 0.0 < gn < 1.0 and np.any((w == 0.0) & (y == 0.0)):
         warnings.warn(

@@ -56,8 +56,8 @@ class PipelineConfig:
     in_vote_min_freq: float = VoteConfig.vote_min_freq
     ood_vote_neighbors: int = OOD_VOTE.vote_neighbors
     ood_vote_min_freq: float = OOD_VOTE.vote_min_freq
-    vote_inclusive: bool = False
-    fallback_top1: bool = False
+    vote_inclusive: bool = VoteConfig.vote_inclusive
+    fallback_top1: bool = TopKConfig.fallback_top1
 
     def __post_init__(self) -> None:
         """Build every stage config up front, so a bad value fails before any file is read or written."""

@@ -102,10 +102,9 @@ def finalize(votes: RowSets, picks: RowSets, rows: np.ndarray) -> RowSets:
 
 def _ranked_entries(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, species and score of every entry by (row, descending score, species); Top-K keeps a prefix of each row."""
-    row_len, species, score = matrix.entries()
-    row = np.repeat(np.arange(row_len.size), row_len)
-    order = np.lexsort((-score, row))  # stable: equal scores keep the rows' ascending species order
-    return row, species[order], score[order]
+    row = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr))
+    order = np.lexsort((-matrix.scores, row))  # stable: equal scores keep the rows' ascending species order
+    return row, matrix.species[order], matrix.scores[order]
 
 
 def _kept_counts(row: np.ndarray, score: np.ndarray, row_len: np.ndarray, threshold: float, k_cap, fallback_top1: bool) -> np.ndarray:

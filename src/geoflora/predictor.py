@@ -88,10 +88,6 @@ class ScoreMatrix:
     def survey_ids(self) -> list[int]:
         return self.ids.tolist()
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's entry count, then the species index and score of every entry, rows in survey-id order."""
-        return np.diff(self.indptr), self.species, self.scores
-
     def __len__(self) -> int:
         return int(self.ids.size)
 

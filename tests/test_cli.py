@@ -557,7 +557,7 @@ class TestPostprocessKeying:
         output = tmp_path / "sub.csv"
         assert self.postprocess(fixture_scores, five_test_surveys, output) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: scores for surveys absent from the test set: [") and err.count("\n") == 1
+        assert err.startswith(f"error: {fixture_scores}: scores for surveys absent from the test set: [") and err.count("\n") == 1
         assert err.endswith(", ...] (116 in total)\n")
         assert not output.exists()
 

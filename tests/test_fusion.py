@@ -178,10 +178,13 @@ class TestForward:
         with pytest.raises(ValueError, match="dims"):
             tri_serial_forward(bad, w)
 
-    @pytest.mark.parametrize("hidden,heads", [(8, 2), (16, 4)])
-    def test_matches_straight_line_scalar_oracle(self, rng, hidden, heads):
-        w = init_weights(DIMS, hidden, heads, seed=21)
-        x = triple(rng)
+    @pytest.mark.parametrize(
+        "dims,hidden,heads",
+        [(DIMS, 8, 2), (DIMS, 16, 4), (DIMS, 4, 4), (DIMS, 8, 1), (DIMS, 6, 3), ((1, 1, 1), 4, 4), ((1, 1, 1), 6, 3)],
+    )
+    def test_matches_straight_line_scalar_oracle(self, rng, dims, hidden, heads):
+        w = init_weights(dims, hidden, heads, seed=21)
+        x = triple(rng, dims)
         got = tri_serial_forward(x, w)
         expected = scalar_forward(x, w)
         for g, e in zip((got.a, got.b, got.c), expected):

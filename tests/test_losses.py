@@ -69,8 +69,13 @@ class TestAslLoss:
 
 class TestAslGrad:
     def test_positive_closed_form(self):
-        grad = asl_grad(data([1.0], [0.5]), BCE_PARAMS)
-        assert grad == pytest.approx([-2.0])
+        # at gamma = 0, m = 0 the gradient is exactly BCE's, clamp ends included
+        p = np.array([-0.5, 0.0, 1e-9, 1e-7, 0.1, 0.5, 0.9, 1.0 - 1e-7, 1.0, 1.5])
+        p_hat = np.clip(p, 1e-7, 1.0 - 1e-7)
+        n = 2 * p.size
+        grad = asl_grad(data([1.0] * p.size + [0.0] * p.size, np.concatenate((p, p))), BCE_PARAMS)
+        assert np.array_equal(grad[: p.size], -1.0 / p_hat / n)
+        assert np.array_equal(grad[p.size :], 1.0 / (1.0 - p_hat) / n)
 
     def test_flat_region_below_clip(self):
         grad = asl_grad(data([0.0], [0.1]), AslParams(0.0, 2.0, 0.3))
