@@ -196,6 +196,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_merge(args) -> int:
+    for path in filter(None, (args.output, args.report_out)):  # before any input is read or output written
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{path}: no such directory: {Path(path).parent}")
     merge_cfg = _effective_config(args, MergeConfig)
     dataset, catalog = _parse_file(args.input)
     merged = merge_points(dataset, merge_cfg)

@@ -27,9 +27,9 @@ record under every mode.
 ``merge_points`` computes this walk as an array program, record for record
 equal to running it survey by survey:
   members  a band sweep gives every survey's patch members as a CSR matrix
-           (row = anchor): surveys sorted by latitude band (one half-side
-           high) and longitude, three ``searchsorted`` ranges per survey, cut
-           by the exact box test;
+           (row = anchor): surveys sorted once by the int64 key latitude band
+           (one half-side high) << 35 plus longitude on a 2**-26 degree grid,
+           three ``searchsorted`` ranges per survey, cut by the exact box test;
   anchors  rounds over the edges from each survey to the members of its box
            later in processing order decide the anchors; surveys still open
            after ``_MAX_ROUNDS`` rounds are walked one by one (loose mode needs
@@ -113,8 +113,8 @@ def _padded_deg(deg):
     """A band height or window half-width of the member sweep (degrees), padded so that rounding drops no member.
 
     The box test passes offsets up to (1 + 3u) times the bound (u = 2**-53). A band index ``floor(lat / h)`` is
-    off by at most 90u / h bands, a window end or a wrapped longitude difference by 2**-45 degrees: the pad of
-    1e-7 covers both once ``h`` and ``w`` are at least 2**-20 degrees, a floor that also keeps int64 keys exact.
+    off by at most 90u / h bands, a float window end or a wrapped longitude difference by 2**-45 degrees: the pad of
+    1e-7 covers both once ``h`` and ``w`` are at least 2**-20 degrees, a floor that also keeps |band| < 2**27.
     """
     return np.maximum(deg * (1.0 + 1e-7), 2.0**-20)
 
@@ -138,31 +138,27 @@ def neighbors_in_patch(dataset: Dataset, primary: SurveyRecord, cfg: MergeConfig
 def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
     """Every survey's patch members as a boolean n x n CSR, row = anchor, columns ascending.
 
-    Surveys sorted by the exact int64 key (latitude band, position in longitude
-    order); each anchor's window ``[lon - w, lon + w]`` as bounds on that position,
-    one ``searchsorted`` range in each of bands b - 1, b and b + 1, then the exact
-    box test.
+    Surveys sorted once by the int64 key ``(band << 35) + fixed(lon)``, with band ``floor(lat / h)`` and
+    ``fixed(x) = floor(clip(x, -180, 180) * 2**26)``; each anchor's window ``[lon - w, lon + w]`` as the grid bounds
+    ``fixed(lon - w)`` and ``fixed(lon + w)``, one ``searchsorted`` range in each of bands b - 1, b and b + 1, then
+    the exact box test. Scaling by 2**26 is exact and ``floor`` monotone, so each grid window holds the float window
+    that ``_padded_deg`` pads, and surveys with equal keys are taken or left together. |band| < 2**27 and
+    |fixed| < 2**34, so the keys stay below 2**62. A window across +-180 degrees (``w = inf``) takes its whole band.
     """
     lats, lons, n = dataset.lats, dataset.lons, len(dataset)
     if np.greater(_finite_extent(lats, lons), (90.0, 180.0)).any():
         raise ValueError("coordinate out of range")
-    by_lon = np.argsort(lons).astype(np.int32 if n < 2**31 else np.int64)
-    lon, lat = lons[by_lon], lats[by_lon]
-    key = np.floor(lat / _padded_deg(cfg.box_half_km / LAT_KM_PER_DEG)).astype(np.int64) * (n + 1) + np.arange(n)
-    # window bounds as positions in longitude order, computed in that order, where the needles arrive
-    # nearly sorted; a window across +-180 degrees takes whole bands
-    w = _padded_deg(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lat))))
-    w[np.abs(lon) + w > 180.0] = np.inf
-    r_lo, r_hi = np.searchsorted(lon, lon - w, "left"), np.searchsorted(lon, lon + w, "right")
-    del lat, lon, w
-    by_key = np.argsort(key)
-    key, surv, r_lo, r_hi = key[by_key], by_lon[by_key], r_lo[by_key], r_hi[by_key]
-    band = key // (n + 1)
-    del by_lon, by_key
+    w = _padded_deg(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats))))
+    w[np.abs(lons) + w > 180.0] = np.inf
+    band = np.floor(lats / _padded_deg(cfg.box_half_km / LAT_KM_PER_DEG)).astype(np.int64) << 35
+    key, lo, hi = (band + np.floor(np.clip(x, -180.0, 180.0) * 2.0**26).astype(np.int64) for x in (lons, lons - w, lons + w))
+    del w, band
+    surv = np.argsort(key).astype(np.int32 if n < 2**31 else np.int64)
+    key, lo, hi = key[surv], lo[surv], hi[surv]  # in key order the needles arrive nearly sorted
     pairs = [np.arange(n, dtype=np.int64) * (n + 1)]  # row * n + col: every survey is in its own box
     for step in (-1, 0, 1):
-        start = np.searchsorted(key, (band + step) * (n + 1) + r_lo)
-        count = np.searchsorted(key, (band + step) * (n + 1) + r_hi) - start
+        start = np.searchsorted(key, lo + (step << 35))
+        count = np.searchsorted(key, hi + (step << 35), "right") - start
         rows = np.repeat(surv, count)
         cols = surv[np.arange(rows.size) + np.repeat(start + count - np.cumsum(count), count)]
         del start, count
@@ -171,6 +167,7 @@ def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
         keep = _in_box(cfg, lats[rows], lons[rows], lats[cols], lons[cols])
         pairs.append(rows[keep].astype(np.int64) * n + cols[keep])
         del rows, cols, other, keep
+    del key, lo, hi
     rows, cols = np.divmod(np.sort(np.concatenate(pairs)), n)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     return sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols.astype(surv.dtype), indptr), shape=(n, n))

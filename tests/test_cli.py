@@ -215,6 +215,16 @@ class TestErrors:
         assert err == f"error: {bad}:2: malformed row: lat must be an ASCII decimal number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", ["output", "report-out"])
+    def test_merge_into_a_missing_directory_fails_before_any_output(self, tmp_path, capsys, missing):
+        paths = {"output": tmp_path / "m.csv", "report-out": tmp_path / "r.json"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        argv = ["merge", "--input", f"{FIXTURES}/po_train.csv"] + [a for name, p in paths.items() for a in (f"--{name}", str(p))]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {paths[missing]}: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.rglob("*")) == []
+
     def test_predict_with_a_header_only_training_file_names_it(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         train.write_text("surveyId,lat,lon,speciesIds\n")

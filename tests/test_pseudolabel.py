@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -53,6 +53,14 @@ def box_edge_surveys(draw):
         coords.append((min(max(p_lat, -90.0), 90.0), p_lon))
     lats, lons = np.array(coords).T
     return Dataset(np.arange(1, lats.size + 1), lats, lons, [frozenset({i % 3}) for i in range(lats.size)]), half
+
+
+def window_edge_pair(lon, side, half=0.32):
+    """(dataset, half-side): an anchor on the equator at ``lon`` and a survey one ulp inside its box edge on ``side``
+    (-1 west, +1 east). At the longitudes used below, that survey shares its 2**-26 degree cell with the sweep's
+    padded window end ``lon + side * w``."""
+    edge = np.nextafter(lon + side * (half / LON_KM_PER_DEG_AT_EQUATOR), lon)
+    return Dataset(np.array([1, 2]), np.zeros(2), np.array([lon, edge]), [frozenset({0}), frozenset({1})]), half
 
 
 def assert_member_rows_match_oracle(ds, c):
@@ -255,6 +263,10 @@ class TestMergeRegimes:
 
     @settings(max_examples=300)
     @given(box_edge_surveys())
+    @example(window_edge_pair(-42.0, -1))  # a window start below zero, where truncation would round up
+    @example(window_edge_pair(42.0, 1))
+    @example(window_edge_pair(-179.9971254, -1))  # windows that end just inside +-180 degrees
+    @example(window_edge_pair(179.9971254, 1))
     def test_member_rows_match_the_pairwise_box_test(self, case):
         ds, half = case
         assert_member_rows_match_oracle(ds, cfg(box_half_km=half))
