@@ -22,11 +22,15 @@ import numpy as np
 from geoflora import pipeline
 from geoflora.ingest import Dataset, DatasetKind, SpeciesCatalog, parse_occurrences, write_dataset
 
-SEED = 20250810
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(TESTS))
+from synth import scatter  # noqa: E402  the tests' scatter, so the fixture's clusters draw as theirs do
 
-PA_REGION = [(46.2, 2.8), (48.6, 1.9), (50.4, 4.3), (44.0, 5.5), (47.5, -0.8)]
-OOD_REGION = [(49.0, 24.0), (47.2, 26.5), (50.5, 22.0)]
+SEED = 20250810
+FIXTURES = TESTS / "fixtures"
+
+PA_REGION = np.transpose([(46.2, 2.8), (48.6, 1.9), (50.4, 4.3), (44.0, 5.5), (47.5, -0.8)])  # centres' (lats, lons)
+OOD_REGION = np.transpose([(49.0, 24.0), (47.2, 26.5), (50.5, 22.0)])
 
 N_SPECIES = 80  # dense 0..59 reachable from PA, 60..79 only in PO
 RAW_OFFSET, RAW_STEP = 1001, 13
@@ -41,18 +45,9 @@ def zipfish(rng: np.random.Generator, pool: np.ndarray, size: int) -> list[int]:
     return rng.choice(pool, size=size, replace=False, p=weights).tolist()
 
 
-def scatter(rng, centers, n, sigma_km):
-    which = rng.integers(0, len(centers), n)
-    lat0 = np.array([centers[i][0] for i in which])
-    lon0 = np.array([centers[i][1] for i in which])
-    lats = lat0 + rng.normal(0, sigma_km, n) / 111.195
-    lons = lon0 + rng.normal(0, sigma_km, n) / (111.195 * np.cos(np.radians(lat0)))
-    return lats, lons
-
-
 def build_pa(rng) -> Dataset:
     n = 300
-    lats, lons = scatter(rng, PA_REGION, n, sigma_km=6.0)
+    lats, lons = scatter(rng, *PA_REGION, n, sigma_km=6.0)
     pool = np.arange(60)
     species = [frozenset(zipfish(rng, pool, 1 + rng.poisson(7))) for _ in range(n)]
     return Dataset(np.arange(1, n + 1, dtype=np.int64), lats, lons, species)
@@ -62,12 +57,12 @@ def build_po(rng) -> Dataset:
     # western clusters overlap PA; eastern ones cover the OOD region; a few
     # very tight knots force patch-box merging
     n_west, n_east, n_knots = 450, 300, 150
-    lats_w, lons_w = scatter(rng, PA_REGION, n_west, sigma_km=8.0)
-    lats_e, lons_e = scatter(rng, OOD_REGION, n_east, sigma_km=7.0)
+    lats_w, lons_w = scatter(rng, *PA_REGION, n_west, sigma_km=8.0)
+    lats_e, lons_e = scatter(rng, *OOD_REGION, n_east, sigma_km=7.0)
     knot_centers = [
         (float(rng.uniform(44, 50)), float(rng.uniform(0, 5))) for _ in range(6)
     ] + [(float(rng.uniform(47, 50)), float(rng.uniform(22, 26))) for _ in range(6)]
-    lats_k, lons_k = scatter(rng, knot_centers, n_knots, sigma_km=0.15)
+    lats_k, lons_k = scatter(rng, *np.transpose(knot_centers), n_knots, sigma_km=0.15)
     lats = np.concatenate([lats_w, lats_e, lats_k])
     lons = np.concatenate([lons_w, lons_e, lons_k])
     n = lats.size
@@ -79,8 +74,8 @@ def build_po(rng) -> Dataset:
 
 def build_test(rng) -> Dataset:
     n_in, n_ood = 70, 50
-    lats_in, lons_in = scatter(rng, PA_REGION, n_in, sigma_km=5.0)
-    lats_ood, lons_ood = scatter(rng, OOD_REGION, n_ood, sigma_km=6.0)
+    lats_in, lons_in = scatter(rng, *PA_REGION, n_in, sigma_km=5.0)
+    lats_ood, lons_ood = scatter(rng, *OOD_REGION, n_ood, sigma_km=6.0)
     lats = np.concatenate([lats_in, lats_ood])
     lons = np.concatenate([lons_in, lons_ood])
     ids = np.arange(90_001, 90_001 + n_in + n_ood, dtype=np.int64)

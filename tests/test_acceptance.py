@@ -22,8 +22,8 @@ from geoflora.geo import GeoIndex, GeoPoint
 from geoflora.losses import AslParams, LabeledScores, asl_grad, asl_loss, bce_loss, samples_f1
 from geoflora.pseudolabel import MergeConfig, MergeMode, merge_points
 from geoflora.stats import occurrences_per_species_hist, species_per_survey_hist
-from geoflora.synth import clustered_surveys, uniform_surveys
 from oracles import box_members_oracle, brute_knn, brute_radius, merge_points_oracle, samples_f1_oracle
+from synth import clustered_surveys, uniform_surveys
 from test_fusion import scalar_forward, zero_backprojection
 
 

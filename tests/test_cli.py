@@ -56,7 +56,7 @@ class TestBasicCommands:
         assert run(["merge", "--input", pair_file, "--output", str(out), "--mode", "strict"]) == 0
         merged, catalog = parse_occurrences(str(out))
         assert len(merged) == 1
-        assert {catalog.to_raw(d) for d in merged.record(0).species} == {101, 102, 103}
+        assert {catalog.dense_to_raw[d] for d in merged.record(0).species} == {101, 102, 103}
         assert "2 surveys -> 1" in capsys.readouterr().out
 
     def test_merge_config_file_and_flag_precedence(self, pair_file, tmp_path):
@@ -333,6 +333,14 @@ class TestPipeline:
         )
         assert status == 0
         for name in ("merged_po.csv", "gate.csv", "scores_in.csv", "scores_ood.csv", "submission.csv", "manifest.json"):
+            assert (outdir / name).read_bytes() == (Path(FIXTURES) / "golden" / name).read_bytes(), name
+
+    def test_crlf_inputs_reproduce_the_golden_data_files(self, tmp_path, reader):
+        for name in ("pa_train.csv", "po_train.csv", "test.csv"):
+            (tmp_path / name).write_bytes((Path(FIXTURES) / name).read_bytes().replace(b"\n", b"\r\n"))
+        outdir = tmp_path / "run"
+        pipeline.run(tmp_path / "pa_train.csv", tmp_path / "po_train.csv", tmp_path / "test.csv", outdir)
+        for name in pipeline.OUTPUTS:  # manifest.json holds the inputs' digests, so it differs
             assert (outdir / name).read_bytes() == (Path(FIXTURES) / "golden" / name).read_bytes(), name
 
     def test_manifest_records_effective_config(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from conftest import haversine, make_dataset, row_sets
 from geoflora.gate import Gate, Side, assign, moe_merge, write_assignments
 from geoflora.geo import GeoPoint
-from geoflora.synth import uniform_surveys
+from synth import uniform_surveys
 
 
 def coords_only(rows):

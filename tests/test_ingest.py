@@ -40,7 +40,7 @@ class TestParsing:
         assert len(ds) == 1
         rec = ds.record(0)
         assert rec.survey_id == 1 and rec.lat == 45.0 and rec.lon == 5.0
-        assert {catalog.to_raw(d) for d in rec.species} == {7, 9}
+        assert {catalog.dense_to_raw[d] for d in rec.species} == {7, 9}
 
     def test_header_only_gives_empty_dataset(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId"])
@@ -107,6 +107,8 @@ class TestParsing:
             (b"\xff\xfesurveyId,lat,lon,speciesId\n1,45.0,5.0,7\n", 1),
             (b"surveyId,lat,lon,speciesId\n1,45.0,5.0,7\n\n2,45.0,5.0,\xe97\n", 4),
             (b"\xef\xbb\xbfsurveyId,lat,lon,speciesId\n1,45.0,5.0,\xc3\n", 2),
+            (b"surveyId,lat,lon,speciesId\r1,45.0,5.0,7\r2,45.0,5.0,\xe97\r", 3),  # the csv reader ends lines at a lone "\r"
+            (b"surveyId,lat,lon,speciesId\r\n1,45.0,5.0,7\r\n\r\n2,45.0,5.0,\xe97\r\n", 4),
         ],
     )
     def test_bytes_that_are_not_utf8_name_the_line_of_the_first(self, tmp_path, data, line):
@@ -125,17 +127,19 @@ class TestParsing:
     def test_int64_extremes_are_accepted(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesIds", "9223372036854775807,45.0,5.0,-9223372036854775808"])
         ds, catalog = parse_occurrences(path)
-        assert int(ds.ids[0]) == 2**63 - 1 and catalog.to_raw(0) == -(2**63)
+        assert int(ds.ids[0]) == 2**63 - 1 and catalog.dense_to_raw[0] == -(2**63)
 
     def test_ids_spanning_the_int64_range_are_accepted(self, tmp_path):
         rows = ["surveyId,lat,lon,speciesIds", "9223372036854775807,45.0,5.0,5", "-9223372036854775808,45.0,5.0,-9223372036854775808 5"]
         ds, catalog = parse_occurrences(write_lines(tmp_path, "a.csv", rows))
         assert ds.ids.tolist() == [-(2**63), 2**63 - 1] and catalog.dense_to_raw.tolist() == [-(2**63), 5]
 
-    def test_wrong_field_count_reports_line(self, tmp_path):
-        path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,45.0,5.0"])
-        with pytest.raises(ParseError, match=":2"):
-            parse_occurrences(path)
+    @pytest.mark.parametrize("body, line", [("1,45.0,5.0\n", 2), ('1,"45.0\n",5.0,7\n2,45.0,5.0\n', 4)])  # a row's first line
+    def test_wrong_field_count_reports_line(self, tmp_path, body, line):
+        path = tmp_path / "a.csv"
+        path.write_text("surveyId,lat,lon,speciesId\n" + body)
+        with pytest.raises(ParseError, match=rf"a\.csv:{line}: expected 4 fields, got 3$"):
+            parse_occurrences(str(path))
 
     def test_conflicting_coordinates_rejected(self, tmp_path):
         path = write_lines(
@@ -371,6 +375,7 @@ class TestBulkReader:
         [
             ("1,0.5,0.5,7\n2,1e999,0.5,7\n", 3),  # parses to inf, caught after the read
             ("1,0.5,0.5,7\n\n2,0.5,-1e999,7\n", 4),
+            ('1,"0.5\n",0.5,7\n2,nan,0.5,7\n', 4),  # the line a row starts on, though a quoted field held a line break
         ],
     )
     def test_an_infinite_coordinate_is_non_finite_at_its_line(self, tmp_path, body, line):
@@ -425,6 +430,13 @@ class TestBulkReader:
         write_submission(pa.ids, pa.species, str(tmp_path / "sub.csv"), catalog)
         assert read_submission(str(tmp_path / "sub.csv")) == decode_species(pa, catalog)
 
+        # with "\r\n" line ends each file reads in bulk as well, to the same arrays
+        survey, scores, sub = _SURVEY_LAYOUTS, [_SCORE_LAYOUT], [_SUBMISSION_LAYOUT]
+        for name, layouts in [("pa.csv", survey), ("test.csv", survey), ("po.csv", survey), ("scores.csv", scores), ("sub.csv", sub)]:
+            crlf = tmp_path / f"crlf_{name}"
+            crlf.write_bytes((tmp_path / name).read_bytes().replace(b"\n", b"\r\n"))
+            assert_same_arrays(read_table(str(crlf), layouts), read_table(str(tmp_path / name), layouts))
+
 
 class TestCatalog:
     def test_inverse_mapping_and_counts(self, tmp_path):
@@ -435,7 +447,7 @@ class TestCatalog:
         )
         ds, catalog = parse_occurrences(path)
         dense, known = catalog.lookup([20, 50])
-        assert known.all() and [catalog.to_raw(d) for d in dense] == [20, 50]
+        assert known.all() and [catalog.dense_to_raw[d] for d in dense] == [20, 50]
 
     def test_explicit_catalog_is_reused_and_strict(self, tmp_path):
         catalog = SpeciesCatalog(np.array([5, 7], dtype=np.int64))
@@ -462,7 +474,7 @@ class TestCatalog:
         d1, c1 = parse_occurrences(p1)
         d2, c2 = parse_occurrences(p2)
         union = SpeciesCatalog.union([c1, c2])
-        assert [union.to_raw(i) for i in range(len(union))] == [10, 20, 30]
+        assert [union.dense_to_raw[i] for i in range(len(union))] == [10, 20, 30]
         r1 = reindex_dataset(d1, c1, union)
         r2 = reindex_dataset(d2, c2, union)
         assert decode_species(r1, union) == decode_species(d1, c1)

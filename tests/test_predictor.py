@@ -5,8 +5,8 @@ from conftest import make_dataset, query_coordinates, random_surveys, score_matr
 from geoflora.geo import GeoIndex
 from geoflora.ingest import Dataset, ParseError, SpeciesCatalog
 from geoflora.predictor import ScoreMatrix, load_scores, neighbor_frequency_predict, save_scores
-from geoflora.synth import identity_catalog, uniform_surveys
 from oracles import neighbor_frequency_oracle
+from synth import uniform_surveys
 
 
 def query_points(rows):
@@ -228,9 +228,3 @@ class TestScoreMatrix:
         with pytest.raises(ParseError, match="header"):
             load_scores(str(path), SpeciesCatalog(np.array([], dtype=np.int64)))
 
-
-def test_identity_catalog_counts_match_dataset(rng):
-    ds = uniform_surveys(100, 20, rng)
-    catalog = identity_catalog(ds, 20, raw_offset=1000, raw_step=3)
-    assert catalog.to_raw(2) == 1006
-    assert len(catalog) == 20

@@ -18,8 +18,8 @@ from geoflora.pseudolabel import (
     merged_to_dataset,
     neighbors_in_patch,
 )
-from geoflora.synth import clustered_surveys
 from oracles import box_members_oracle, merge_points_oracle
+from synth import PLACES, clustered_surveys, colocated_surveys
 
 
 def cfg(mode=MergeMode.LOOSE, **kw):
@@ -335,6 +335,22 @@ class TestMergeRegimes:
         ds = make_dataset([(i + 1, lats[i], lons[i], {i % 7}) for i in range(3 * m)])
         c = cfg(mode, rare_count_threshold=26)  # species 5 and 6 (25 surveys each) are rare
         assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        groups=st.integers(1, 4),
+        distinct=st.integers(0, 40),
+        place=st.sampled_from(PLACES),
+        box_half_km=st.sampled_from([0.32, 5.0]),
+        rare=st.sampled_from([2, 20]),
+    )
+    def test_colocated_surveys_match_oracle(self, seed, groups, distinct, place, box_half_km, rare):
+        # many surveys at one coordinate, as presence-only surveys that share a satellite patch
+        ds = colocated_surveys(groups, distinct, np.random.default_rng(seed), place=place)
+        for mode in MergeMode:
+            c = cfg(mode, box_half_km=box_half_km, rare_count_threshold=rare)
+            assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
 
     @pytest.mark.parametrize("mode", list(MergeMode))
     @pytest.mark.parametrize("box_half_km", [5000.0, 40000.0])

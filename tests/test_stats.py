@@ -4,7 +4,7 @@ import pytest
 from conftest import make_dataset
 from geoflora.pseudolabel import MergeConfig, MergeMode, merge_points, merged_to_dataset
 from geoflora.stats import bbox_summary, occurrences_per_species_hist, species_per_survey_hist
-from geoflora.synth import clustered_surveys, uniform_surveys
+from synth import clustered_surveys, uniform_surveys
 
 
 class TestSpeciesPerSurvey:
