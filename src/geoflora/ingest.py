@@ -10,9 +10,10 @@ Two comma-delimited, UTF-8 file shapes are supported (header row required):
 Raw species identifiers are remapped to dense indices [0, S) at ingestion;
 all downstream math runs on dense indices and submissions map back to raw
 ids. A catalog is only its raw ids in strictly ascending order (``lookup``
-maps many with one ``searchsorted``), dense index d being the d-th of them, so
-any two files covering the same species produce identical mappings and
-ascending dense indices decode to ascending raw ids.
+maps many with one ``searchsorted`` of the sorted needles; a file parsed
+without a catalog gets it and its dense indices from one sort), dense index
+d being the d-th of them, so any two files covering the same species produce
+identical mappings and ascending dense indices decode to ascending raw ids.
 A ``Dataset`` stores species sets only as CSR arrays: parsing builds them,
 re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 The same CSR pair, ``RowSets``, carries Top-K picks, votes and the routed
@@ -20,13 +21,15 @@ submission, rows aligned with the test ids; ``union_rows`` unites them.
 
 ``read_table`` reads survey, score and submission files into typed arrays,
 each format declared once as a ``Layout`` (header, column dtypes, id column).
-A valid file is read in bulk by numpy's C parser, its ``\\r\\n`` line ends read
-as ``\\n``; a file holding anything else (a byte outside digits, ``-.eE``,
-commas, spaces and newlines, such as a lone ``\\r`` or a quote, a field numpy
-rejects, another field count) goes to the one ``csv`` row pass, which
-reads it by the same layout, returns the same arrays and is the only place
-that names a fault. Grouping, conflict checks and catalog lookups then run
-once on numpy arrays.
+A valid file is read in bulk, ``\\r\\n`` read as ``\\n``: numpy's ``loadtxt``
+reads the comma-separated columns (a regular file again by its path, in
+chunks; a pipe only once) and its integer reader ``fromstring`` the id lists.
+A file holding anything else (a byte outside digits, ``-.eE``, commas, spaces
+and newlines, such as a lone ``\\r`` or a quote, a field numpy rejects,
+another field count, a ``-`` or an int64 limit ``fromstring`` may misread)
+goes to the one ``csv`` row pass, which reads the same bytes by the same
+layout, returns the same arrays and is the only place that names a fault.
+Grouping, conflict checks and catalog lookups then run once on numpy arrays.
 So a file with several faults reports bytes that are not UTF-8 first (the
 line of the first), then its row-local format faults, then, each at its first
 row in the file: non-finite and out-of-range coordinates, coordinate
@@ -46,6 +49,8 @@ import csv
 import enum
 import io
 import itertools
+import os
+import stat
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -93,6 +98,8 @@ class Layout:
 # read such fields exactly as ``int`` and ``float`` do, and its loadtxt rejects what they reject. Other bytes (a sign,
 # "_", a lone "\r", quotes, letters such as "nan", anything outside ASCII) send the file to the row pass.
 _BULK_BYTES = b"0123456789-.eE, \n"
+_SPACES = bytes.maketrans(b",\n", b"  ")  # an id list's separators as fromstring's whitespace
+_ARCHIVES = (".gz", ".bz2", ".xz", ".lzma")  # numpy's loadtxt would decompress a path so named
 
 
 def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
@@ -101,30 +108,30 @@ def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
     (the header's is 1; empty lines are skipped but counted).
 
     A valid file is read in bulk. Any file the bulk pass cannot vouch for goes to ``_row_pass``, which returns
-    the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another.
+    the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another. The file is
+    opened once more only if it is regular, so a pipe is read exactly once.
     """
     with open(path, "rb") as f:
         data = f.read()
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode) and not str(path).endswith(_ARCHIVES)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.24's loadtxt only warns when it reads "1.0" as an int
-            table = _bulk_table(data.removeprefix(codecs.BOM_UTF8), layouts)
+            warnings.simplefilter("error")  # numpy 1.24 only warns where loadtxt reads "1.0" as an int or fromstring stops early
+            table = _bulk_table(data.removeprefix(codecs.BOM_UTF8), layouts, os.path.abspath(path) if regular else None)
     except (ValueError, OverflowError, Warning):
         table = None
-    return _row_pass(path, layouts) if table is None else table
+    return _row_pass(path, layouts, data) if table is None else table
 
 
-def _row_pass(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
-    """``read_table``'s arrays, converted row by row with the ``csv`` module, or the ``ParseError`` that names the
-    first row-local fault.
+def _row_pass(path: str, layouts: Sequence[Layout], data: bytes) -> tuple[np.ndarray, ...]:
+    """``read_table``'s arrays from ``data``, the bytes of the file at ``path``, converted row by row with the ``csv``
+    module, or the ``ParseError`` that names the first row-local fault.
 
     Bytes that are not UTF-8 fail at the line of the first, a UTF-8 BOM is dropped and the header's fields are
     stripped. Within a row the checks run in this order: field count, number syntax (``int`` of each id, ``float``
     of each other number), id characters, float characters, id range. ``int`` and ``float`` also read ``_``
     separators and non-ASCII digits, and ``int`` a ``+`` sign; fields written so are malformed.
     """
-    with open(path, "rb") as f:
-        data = f.read()
     try:
         reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
     except UnicodeDecodeError as exc:
@@ -176,14 +183,16 @@ def _row_pass(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
     return (*table, np.asarray(lines))
 
 
-def _loadtxt(buffer, names: Sequence[str], dtypes: Sequence[type]) -> list[np.ndarray]:
-    """The comma-separated columns of ``buffer``'s non-empty lines, with numpy's C parser."""
-    table = np.loadtxt(io.BytesIO(buffer), dtype=list(zip(names, dtypes)), delimiter=",", comments=None, ndmin=1, encoding="latin1")
+def _loadtxt(source, names: Sequence[str], dtypes: Sequence[type], skiprows: int = 0) -> list[np.ndarray]:
+    """The comma-separated columns of ``source``'s non-empty lines after the first ``skiprows``, with numpy's C
+    parser. numpy reads a path in chunks but a file object line by line."""
+    table = np.loadtxt(source, dtype=list(zip(names, dtypes)), delimiter=",", comments=None, ndmin=1, encoding="latin1", skiprows=skiprows)
     return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
 
 
-def _bulk_table(data: bytes, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...] | None:
-    """``read_table``'s arrays, or ``None`` where the row pass might read the file otherwise."""
+def _bulk_table(data: bytes, layouts: Sequence[Layout], path: str | None) -> tuple[np.ndarray, ...] | None:
+    """``read_table``'s arrays, or ``None`` where the row pass might read the file otherwise. ``path``, if given, is
+    the absolute path (numpy takes ``a://b`` for a URL) of a regular file holding ``data`` that numpy may read again."""
     if b"\r" in data:  # a scan for one byte is ~20x faster than one for two
         data = data.replace(b"\r\n", b"\n")  # the same count of "\n", so the same line numbers
     header, _, body = data.partition(b"\n")
@@ -198,11 +207,11 @@ def _bulk_table(data: bytes, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...
     filled = np.diff(ends, prepend=-1) > 1
     lines = np.flatnonzero(filled) + 2
     if layout.ids != "list":
-        columns = _loadtxt(body, layout.header, layout.dtypes)
+        columns = _loadtxt(path or io.BytesIO(data), layout.header, layout.dtypes, skiprows=1)
         if layout.ids == "one":
             columns[-1:] = [np.ones(lines.size, dtype=np.int64), columns[-1]]
     else:
-        # Cut each row at its last comma: the scalar fields go to loadtxt, the id list to a buffer of one id per line.
+        # Cut each row at its last comma: the scalar fields go to loadtxt, the id list to numpy's integer reader.
         width = len(layout.dtypes)
         commas = np.flatnonzero(u == 44)
         if not np.array_equal(np.bincount(np.searchsorted(ends, commas), minlength=ends.size), width * filled):
@@ -210,18 +219,22 @@ def _bulk_table(data: bytes, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...
         marks = np.zeros(u.size, dtype=np.int8)  # +1 where a row starts, -1 at its last comma
         marks[np.concatenate(([0], ends[:-1] + 1))[filled]] += 1
         marks[commas[width - 1 :: width]] -= 1
-        scalar = np.cumsum(marks, dtype=np.int8).view(bool)
-        columns = _loadtxt(u[scalar | newline], layout.header, layout.dtypes)
-        ids = u[~scalar]  # each row's last comma, then its id list, then the newline
-        line_ends = np.flatnonzero(ids == 10)
-        ids[(ids == 32) | (ids == 44)] = 10
-        sep = ids == 10
-        first = ~sep  # the first byte of each id
-        first[1:] &= sep[:-1]
-        counts = np.bincount(np.searchsorted(line_ends, np.flatnonzero(first)), minlength=ends.size)[filled]
-        columns += [counts, _loadtxt(ids, ["id"], [np.int64])[0] if counts.any() else np.empty(0, np.int64)]
-        if columns[-1].size != counts.sum():
+        scalar = np.cumsum(marks, dtype=np.int8, out=marks).view(bool)
+        columns = _loadtxt(io.BytesIO(u[scalar | newline]), layout.header, layout.dtypes)
+        ids = u[~scalar]  # each row's last comma, then its id list, then its newline (a last line may have none)
+        text = ids.tobytes().translate(_SPACES)
+        # fromstring reads a bare "-" as 0 and clamps an id beyond int64 to a limit. So every "-" must begin an id and
+        # precede a digit, and a limit goes to the row pass, which tells it from an overflow, as do ".", "e" and "E"
+        if b"-" in text and (text.count(b" -") != text.count(b"-") or b"- " in text or text.endswith(b"-")) or any(c in text for c in b".eE"):
             return None
+        first = np.frombuffer(text, dtype=np.uint8) != 32
+        first[1:] &= ~first[:-1]  # the first byte of each id
+        begins = np.flatnonzero(first)  # the ids begun before each newline give the counts
+        counts = np.diff(np.searchsorted(begins, np.flatnonzero(ids == 10)), prepend=0, append=begins.size)[: ends.size][filled]
+        listed = np.fromstring(text, dtype=np.int64, sep=" ") if counts.any() else np.empty(0, np.int64)
+        if listed.size != counts.sum() or listed.size and (listed.min() == -(2**63) or listed.max() == 2**63 - 1):
+            return None
+        columns += [counts, listed]
     if columns[0].size != lines.size:
         return None  # numpy skipped a line the row pass reads, such as one of spaces
     return (*columns, lines)
@@ -279,7 +292,9 @@ class SpeciesCatalog:
     def lookup(self, raw) -> tuple[np.ndarray, np.ndarray]:
         """The dense index of each raw id in the 1-D ``raw`` and whether the catalog holds it; an unknown id's index means nothing."""
         raw = np.asarray(raw, dtype=np.int64)
-        dense = np.searchsorted(self.dense_to_raw, raw)
+        order = np.argsort(raw)  # ascending needles walk the catalog once, where random ones jump about it
+        dense = np.empty(raw.size, dtype=np.int64)
+        dense[order] = np.searchsorted(self.dense_to_raw, raw[order])
         known = dense < self.dense_to_raw.size
         known[known] = self.dense_to_raw[dense[known]] == raw[known]
         return dense, known
@@ -451,16 +466,18 @@ def parse_occurrences(
         raise ParseError(f"{path}:{lines[r]}: survey {sid[r]} has conflicting coordinates {where}")
 
     ids = sid[heads]
-    if catalog is None:
-        catalog = SpeciesCatalog(np.unique(raw))
-    dense, known = catalog.lookup(raw)
-    row_ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    if not known.all():
-        missing = np.flatnonzero(~known)
-        owner = np.repeat(sid, counts)[missing]
-        j = np.lexsort((raw[missing], owner))[0]  # lowest survey id, then smallest raw id
-        raise ParseError(f"{path}: survey {owner[j]} references species {raw[missing[j]]} not present in the catalog")
+    if catalog is None:  # one sort gives the catalog and each id's index in it
+        dense_to_raw, dense = np.unique(raw, return_inverse=True)
+        catalog = SpeciesCatalog(dense_to_raw)
+    else:
+        dense, known = catalog.lookup(raw)
+        if not known.all():
+            missing = np.flatnonzero(~known)
+            owner = np.repeat(sid, counts)[missing]
+            j = np.lexsort((raw[missing], owner))[0]  # lowest survey id, then smallest raw id
+            raise ParseError(f"{path}: survey {owner[j]} references species {raw[missing[j]]} not present in the catalog")
 
+    row_ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     species = union_rows(ids.size, (survey_of_row, RowSets(row_ptr, dense)))
     lengths = np.diff(species.indptr)
     if kind is DatasetKind.TEST and lengths.any():

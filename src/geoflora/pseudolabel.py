@@ -268,8 +268,8 @@ def merge_stats(dataset: Dataset, merged: MergedSet) -> MergeReport:
         surveys_in=n_in,
         surveys_out=n_out,
         consumed=n_in - n_out,
-        species_in=np.unique(dataset.indices).size,
-        species_out=np.unique(merged.unions.indices).size,
+        species_in=np.count_nonzero(np.bincount(dataset.indices)),
+        species_out=np.count_nonzero(np.bincount(merged.unions.indices)),
         mean_species_in=dataset.indices.size / n_in if n_in else 0.0,
         mean_species_out=merged.unions.indices.size / n_out if n_out else 0.0,
     )

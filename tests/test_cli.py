@@ -315,7 +315,7 @@ def pipeline_argv(outdir, *extra):
 def reader(request, monkeypatch):
     """Files read as ``read_table`` reads them, or every file by the row pass."""
     if request.param == "row_pass":
-        monkeypatch.setattr(ingest, "_bulk_table", lambda data, layouts: None)
+        monkeypatch.setattr(ingest, "_bulk_table", lambda *args: None)
     return request.param
 
 

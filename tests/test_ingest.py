@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,11 @@ from geoflora.ingest import (
 )
 from geoflora.postprocess import _SUBMISSION_LAYOUT, read_submission, write_submission
 from geoflora.predictor import _SCORE_LAYOUT, ScoreMatrix, load_scores, save_scores
+
+
+def row_pass(path, layouts):
+    """What the row pass makes of the file at ``path``."""
+    return _row_pass(str(path), layouts, path.read_bytes())
 
 
 def write_lines(tmp_path, name, lines):
@@ -117,7 +124,7 @@ class TestParsing:
         with pytest.raises(ParseError, match=rf"a\.csv:{line}: not valid UTF-8$"):
             parse_occurrences(str(path))
         with pytest.raises(ParseError, match=rf"a\.csv:{line}: not valid UTF-8$"):
-            _row_pass(str(path), _SURVEY_LAYOUTS)
+            row_pass(path, _SURVEY_LAYOUTS)
 
     def test_coordinates_keep_signs_and_exponents(self, tmp_path):
         path = write_lines(tmp_path, "a.csv", ["surveyId,lat,lon,speciesId", "1,4.5e+01,+5.0,7", "2,-4.5E1,-5e-1,7"])
@@ -200,12 +207,14 @@ def padded(draw, text: str) -> str:
 
 @st.composite
 def id_field(draw, value: int, faults: bool = False):
-    """``value`` written as an id field: plain or with leading zeros, ``-0`` for 0; with ``faults`` at times ``1.0``
-    or ``1e3``, which ``int`` rejects, or with a comma, which adds a field."""
+    """``value`` written as an id field: plain or with leading zeros, ``-0`` for 0; with ``faults`` at times ``1.0``,
+    ``1e3``, a misplaced ``-`` or an id just outside int64, which ``int`` or the int64 range reject, or with a comma,
+    which adds a field."""
     sign, digits = ("-", str(-value)) if value < 0 else ("", str(value))
     text = draw(st.sampled_from([sign + digits, sign + "00" + digits] + (["-0"] if value == 0 else [])))
     if faults and draw(st.integers(0, 9)) == 0:
-        text = draw(st.sampled_from([f"{value}.0", "1e3", f"{value},0"]))
+        beyond = [str(2**63), str(2**63 + 1), str(-(2**63) - 1), str(-(2**63) - 2)]
+        text = draw(st.sampled_from([f"{value}.0", "1e3", f"{value},0", "-", "5-", "--1"] + beyond))
     return padded(draw, text)
 
 
@@ -346,7 +355,7 @@ class TestBulkReader:
         lines, catalog = data.draw(survey_files(faults=True))
         path = tmp_path_factory.mktemp("bulk") / "a.csv"
         path.write_bytes(data.draw(file_bytes(lines)))
-        assert_same_arrays(outcome(lambda: read_table(str(path), _SURVEY_LAYOUTS)), outcome(lambda: _row_pass(str(path), _SURVEY_LAYOUTS)))
+        assert_same_arrays(outcome(lambda: read_table(str(path), _SURVEY_LAYOUTS)), outcome(lambda: row_pass(path, _SURVEY_LAYOUTS)))
         got = outcome(lambda: parse_occurrences(str(path), catalog=catalog))
         with row_pass_only():
             assert got == outcome(lambda: parse_occurrences(str(path), catalog=catalog))
@@ -356,7 +365,7 @@ class TestBulkReader:
         lines, catalog = data.draw(score_files())
         path = tmp_path_factory.mktemp("bulk") / "scores.csv"
         path.write_bytes(data.draw(file_bytes(lines)))
-        assert_same_arrays(outcome(lambda: read_table(str(path), [_SCORE_LAYOUT])), outcome(lambda: _row_pass(str(path), [_SCORE_LAYOUT])))
+        assert_same_arrays(outcome(lambda: read_table(str(path), [_SCORE_LAYOUT])), outcome(lambda: row_pass(path, [_SCORE_LAYOUT])))
         got = outcome(lambda: load_scores(str(path), catalog))
         with row_pass_only():
             assert got == outcome(lambda: load_scores(str(path), catalog))
@@ -365,10 +374,31 @@ class TestBulkReader:
     def test_submission_files_read_as_the_row_pass_reads_them(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("bulk") / "sub.csv"
         path.write_bytes(data.draw(file_bytes(data.draw(submission_files()))))
-        assert_same_arrays(outcome(lambda: read_table(str(path), [_SUBMISSION_LAYOUT])), outcome(lambda: _row_pass(str(path), [_SUBMISSION_LAYOUT])))
+        assert_same_arrays(outcome(lambda: read_table(str(path), [_SUBMISSION_LAYOUT])), outcome(lambda: row_pass(path, [_SUBMISSION_LAYOUT])))
         got = outcome(lambda: read_submission(str(path)))
         with row_pass_only():
             assert got == outcome(lambda: read_submission(str(path)))
+
+    @pytest.mark.parametrize("token", ["-", "5-", "--1", "-5-", "1-2", "007", "-0", str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), str(2**64)])
+    @pytest.mark.parametrize(
+        "layouts, row",
+        [
+            (_SURVEY_LAYOUTS, "1,45.0,5.0,3 {} 4"),  # id lists
+            (_SURVEY_LAYOUTS, "1,45.0,5.0,{}"),
+            ([_SUBMISSION_LAYOUT], "1,{}"),
+            ([_SUBMISSION_LAYOUT], "1,3 {}"),
+            (_SURVEY_LAYOUTS[:1], "{},45.0,5.0,7"),  # flat id columns
+            (_SURVEY_LAYOUTS[:1], "1,45.0,5.0,{}"),
+            ([_SCORE_LAYOUT], "{},7,0.5"),
+            ([_SCORE_LAYOUT], "1,{},0.5"),
+            ([_SUBMISSION_LAYOUT], "{},3 4"),
+        ],
+    )
+    def test_an_id_numpy_could_misread_reads_as_the_row_pass_reads_it(self, tmp_path, layouts, row, token):
+        path = tmp_path / "a.csv"
+        header = ",".join(layouts[-1].header)
+        path.write_text(f"{header}\n" + row.replace("{}", "2") + "\n" + row.replace("{}", token) + "\n")
+        assert_same_arrays(outcome(lambda: read_table(str(path), layouts)), outcome(lambda: row_pass(path, layouts)))
 
     @pytest.mark.parametrize(
         "body, line",
@@ -398,8 +428,48 @@ class TestBulkReader:
         with pytest.raises(ParseError, match=rf"a\.csv:3: {message}$"):
             read(str(path))
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (parse_occurrences, "surveyId,lat,lon,speciesId\n1,45.0,5.0,7\n2,46.0,5.0,7\n"),  # long, in bulk
+            (parse_occurrences, "surveyId,lat,lon,speciesIds\n1,45.0,5.0,7 9\n2,46.0,5.0,7\n"),  # wide, in bulk
+            (parse_occurrences, 'surveyId,lat,lon,speciesId\n1,"45.0",5.0,7\n'),  # quoted: the row pass
+            (lambda path: load_scores(path, SpeciesCatalog([7, 9])), "surveyId,speciesId,score\n1,7,0.5\n1,9,0.25\n"),
+        ],
+    )
+    def test_a_pipe_is_read_once_and_as_a_regular_file(self, tmp_path, read, text):
+        """A second open of a FIFO waits for a writer that never comes; after 20 s one comes, writes nothing and ends
+        the read, which then fails."""
+        (tmp_path / "copy.csv").write_text(text)
+        fifo = str(tmp_path / "pipe.csv")
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as f:
+                f.write(text)
+
+        got = []
+        threads = [threading.Thread(target=write, daemon=True), threading.Thread(target=lambda: got.append(outcome(lambda: read(fifo))), daemon=True)]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=20)
+        reopened = threads[1].is_alive()
+        if reopened:
+            open(fifo, "w").close()
+            threads[1].join()
+        assert not reopened, "the reader opened the pipe a second time"
+        assert got == [read(str(tmp_path / "copy.csv"))]
+
+    @pytest.mark.parametrize("name", ["scores.gz", "scores.csv.bz2", "scores.xz", "scores.lzma"])
+    def test_a_text_file_named_like_an_archive_reads_as_text(self, tmp_path, name):
+        """numpy's loadtxt would decompress a path with such a suffix; the bytes already read are plain text."""
+        for path in (tmp_path / "scores.csv", tmp_path / name):
+            path.write_text("surveyId,speciesId,score\n1,7,0.5\n2,9,0.25\n")
+        assert_same_arrays(read_table(str(tmp_path / name), [_SCORE_LAYOUT]), read_table(str(tmp_path / "scores.csv"), [_SCORE_LAYOUT]))
+
     def test_clean_benchmark_sized_files_never_reach_the_row_pass(self, tmp_path, monkeypatch, rng):
-        def refuse(path, layouts):
+        def refuse(path, *args):
             raise AssertionError(f"{path} was read by the row pass")
 
         monkeypatch.setattr(ingest, "_row_pass", refuse)
