@@ -10,10 +10,10 @@ Two comma-delimited, UTF-8 file shapes are supported (header row required):
 Raw species identifiers are remapped to dense indices [0, S) at ingestion;
 all downstream math runs on dense indices and submissions map back to raw
 ids. A catalog is only its raw ids in strictly ascending order (``lookup``
-maps many with one ``searchsorted`` of the sorted needles; a file parsed
-without a catalog gets it and its dense indices from one sort), dense index
-d being the d-th of them, so any two files covering the same species produce
-identical mappings and ascending dense indices decode to ascending raw ids.
+maps many with one ``searchsorted``; a file parsed without a catalog gets it
+and its dense indices from one sort), dense index d being the d-th of them,
+so any two files covering the same species produce identical mappings and
+ascending dense indices decode to ascending raw ids.
 A ``Dataset`` stores species sets only as CSR arrays: parsing builds them,
 re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 The same CSR pair, ``RowSets``, carries Top-K picks, votes and the routed
@@ -49,6 +49,7 @@ import csv
 import enum
 import io
 import itertools
+import operator
 import os
 import stat
 import warnings
@@ -100,6 +101,7 @@ class Layout:
 _BULK_BYTES = b"0123456789-.eE, \n"
 _SPACES = bytes.maketrans(b",\n", b"  ")  # an id list's separators as fromstring's whitespace
 _ARCHIVES = (".gz", ".bz2", ".xz", ".lzma")  # numpy's loadtxt would decompress a path so named
+_VERSION = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")  # which file a stat saw, and which write of it
 
 
 def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
@@ -108,17 +110,20 @@ def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
     (the header's is 1; empty lines are skipped but counted).
 
     A valid file is read in bulk. Any file the bulk pass cannot vouch for goes to ``_row_pass``, which returns
-    the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another. The file is
-    opened once more only if it is regular, so a pipe is read exactly once.
+    the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another. Only a regular
+    file is opened again; the row pass reads the bytes read first if that open fails or finds another file or write.
     """
     with open(path, "rb") as f:
+        seen = os.fstat(f.fileno())  # before the read, so a write during it shows too
         data = f.read()
-        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode) and not str(path).endswith(_ARCHIVES)
     try:
+        # joined, not normalised: the kernel resolves ".." after a symlink, and numpy takes a relative "a://b" for a URL
+        again = os.path.join(os.getcwd(), path) if stat.S_ISREG(seen.st_mode) and not str(path).endswith(_ARCHIVES) else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.24 only warns where loadtxt reads "1.0" as an int or fromstring stops early
-            table = _bulk_table(data.removeprefix(codecs.BOM_UTF8), layouts, os.path.abspath(path) if regular else None)
-    except (ValueError, OverflowError, Warning):
+            table = _bulk_table(data.removeprefix(codecs.BOM_UTF8), layouts, again)
+        table = None if again and _VERSION(os.stat(again)) != _VERSION(seen) else table
+    except (OSError, ValueError, OverflowError, Warning):
         table = None
     return _row_pass(path, layouts, data) if table is None else table
 
@@ -192,7 +197,7 @@ def _loadtxt(source, names: Sequence[str], dtypes: Sequence[type], skiprows: int
 
 def _bulk_table(data: bytes, layouts: Sequence[Layout], path: str | None) -> tuple[np.ndarray, ...] | None:
     """``read_table``'s arrays, or ``None`` where the row pass might read the file otherwise. ``path``, if given, is
-    the absolute path (numpy takes ``a://b`` for a URL) of a regular file holding ``data`` that numpy may read again."""
+    an absolute path to a regular file holding ``data`` that numpy may read again."""
     if b"\r" in data:  # a scan for one byte is ~20x faster than one for two
         data = data.replace(b"\r\n", b"\n")  # the same count of "\n", so the same line numbers
     header, _, body = data.partition(b"\n")
@@ -292,9 +297,7 @@ class SpeciesCatalog:
     def lookup(self, raw) -> tuple[np.ndarray, np.ndarray]:
         """The dense index of each raw id in the 1-D ``raw`` and whether the catalog holds it; an unknown id's index means nothing."""
         raw = np.asarray(raw, dtype=np.int64)
-        order = np.argsort(raw)  # ascending needles walk the catalog once, where random ones jump about it
-        dense = np.empty(raw.size, dtype=np.int64)
-        dense[order] = np.searchsorted(self.dense_to_raw, raw[order])
+        dense = np.searchsorted(self.dense_to_raw, raw)
         known = dense < self.dense_to_raw.size
         known[known] = self.dense_to_raw[dense[known]] == raw[known]
         return dense, known

@@ -468,6 +468,37 @@ class TestBulkReader:
             path.write_text("surveyId,speciesId,score\n1,7,0.5\n2,9,0.25\n")
         assert_same_arrays(read_table(str(tmp_path / name), [_SCORE_LAYOUT]), read_table(str(tmp_path / "scores.csv"), [_SCORE_LAYOUT]))
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symbolic links on this platform")
+    def test_a_path_through_a_symlink_and_dotdot_reads_the_file_the_kernel_opens(self, tmp_path, monkeypatch):
+        """``link/../a.csv`` is ``real/a.csv`` when ``link`` points to ``real/sub``; as text it would be ``./a.csv``."""
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        os.symlink(tmp_path / "real" / "sub", tmp_path / "link")
+        (tmp_path / "a.csv").write_text("surveyId,speciesId,score\n1,7,0.5\n")
+        (tmp_path / "real" / "a.csv").write_text("surveyId,speciesId,score\n2,9,0.25\n")
+        monkeypatch.chdir(tmp_path)
+        assert_same_arrays(read_table("link/../a.csv", [_SCORE_LAYOUT]), row_pass(tmp_path / "real" / "a.csv", [_SCORE_LAYOUT]))
+
+    @pytest.mark.parametrize("change", ["rewrite", "remove"])
+    def test_a_file_changed_before_numpy_reads_it_again_reads_as_first_read(self, tmp_path, monkeypatch, change):
+        """The values come from the bytes read and checked first, whatever numpy then finds at the path."""
+        path = tmp_path / "scores.csv"
+        path.write_text("surveyId,speciesId,score\n1,7,0.5\n2,9,0.25\n")
+        expected = row_pass(path, [_SCORE_LAYOUT])
+        loadtxt = ingest._loadtxt
+
+        def change_then_read(source, *args, **kwargs):
+            if isinstance(source, str):
+                if change == "rewrite":  # same size, a later write
+                    stamp = os.stat(source).st_mtime_ns
+                    path.write_text("surveyId,speciesId,score\n3,7,0.1\n4,9,0.75\n")
+                    os.utime(source, ns=(stamp + 10**9, stamp + 10**9))
+                else:
+                    path.unlink()
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_loadtxt", change_then_read)
+        assert_same_arrays(read_table(str(path), [_SCORE_LAYOUT]), expected)
+
     def test_clean_benchmark_sized_files_never_reach_the_row_pass(self, tmp_path, monkeypatch, rng):
         def refuse(path, *args):
             raise AssertionError(f"{path} was read by the row pass")
