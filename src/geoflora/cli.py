@@ -63,8 +63,6 @@ from .predictor import PredictConfig, load_scores, neighbor_frequency_predict, s
 from .pseudolabel import MergeConfig, merge_points, merge_stats, merged_to_dataset
 from .stats import bbox_summary, occurrences_per_species_hist, species_per_survey_hist
 
-_KIND = {"pa": DatasetKind.PA_TRAIN, "po": DatasetKind.PO_TRAIN, "test": DatasetKind.TEST}
-
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number"}
 
 
@@ -142,7 +140,7 @@ def _add_config_options(p: argparse.ArgumentParser, *classes, config_file: bool 
 
 
 def _parse_file(path: str, kind: str | None = None):
-    return parse_occurrences(path, kind=_KIND[kind] if kind else None)
+    return parse_occurrences(path, kind=DatasetKind(kind) if kind else None)
 
 
 def _cmd_ingest(args) -> int:
@@ -334,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate a survey file and write its normalised wide form")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--kind", choices=["pa", "po", "test"], default=None)
+    p.add_argument("--kind", choices=[k.value for k in DatasetKind], default=None)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("stats", help="write distribution histograms and extent summaries")
     p.add_argument("--input", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--kind", choices=["pa", "po", "test"], default=None)
+    p.add_argument("--kind", choices=[k.value for k in DatasetKind], default=None)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("merge", help="aggregate presence-only surveys by patch coverage")

@@ -104,7 +104,7 @@ _ARCHIVES = (".gz", ".bz2", ".xz", ".lzma")  # numpy's loadtxt would decompress 
 _VERSION = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")  # which file a stat saw, and which write of it
 
 
-def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
+def read_table(path: str, layouts: Sequence[Layout], *, digest=None) -> tuple[np.ndarray, ...]:
     """The columns of a file in one of ``layouts``, then with an id column each row's id count and the ids in file
     order, then each row's line number: the physical line it starts on, "\\r\\n", "\\n" and a lone "\\r" each ending one
     (the header's is 1; empty lines are skipped but counted).
@@ -112,10 +112,13 @@ def read_table(path: str, layouts: Sequence[Layout]) -> tuple[np.ndarray, ...]:
     A valid file is read in bulk. Any file the bulk pass cannot vouch for goes to ``_row_pass``, which returns
     the same arrays for a valid file and raises the ``ParseError`` that locates the fault of another. Only a regular
     file is opened again; the row pass reads the bytes read first if that open fails or finds another file or write.
+    A ``hashlib`` object ``digest``, if given, is updated with the bytes read, so a pipe need not be read twice.
     """
     with open(path, "rb") as f:
         seen = os.fstat(f.fileno())  # before the read, so a write during it shows too
         data = f.read()
+    if digest is not None:
+        digest.update(data)
     try:
         # joined, not normalised: the kernel resolves ".." after a symlink, and numpy takes a relative "a://b" for a URL
         again = os.path.join(os.getcwd(), path) if stat.S_ISREG(seen.st_mode) and not str(path).endswith(_ARCHIVES) else None
@@ -337,6 +340,8 @@ def union_rows(n: int, *parts: tuple[np.ndarray, RowSets]) -> RowSets:
         raise ValueError("each part needs one row position per set")
     row = np.concatenate([np.repeat(np.asarray(rows, dtype=np.int64), np.diff(sets.indptr)) for rows, sets in parts] + [np.empty(0, np.int64)])
     index = np.concatenate([sets.indices for _, sets in parts] + [np.empty(0, np.int64)])
+    if index.min(initial=0) < 0:  # a negative item would sort into the row before, or be dropped as a repeat
+        raise ValueError("set items must be non-negative")
     width = int(index.max(initial=0)) + 1
     keys = np.sort(row * width + index)
     keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0, so the first is always kept
@@ -348,15 +353,6 @@ def _flat_rows(sets: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
     return indptr, np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=int(indptr[-1]))
-
-
-def _sort_rows(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Each CSR row's non-negative indices ascending; rows keep their places."""
-    if indices.size:
-        # One sort of row-major (row, index) keys orders every row.
-        rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)) * (int(indices.max()) + 1)
-        indices = np.sort(rows + indices) - rows
-    return indices
 
 
 def take_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,15 +368,16 @@ class Dataset:
 
     Columnar: ``ids``, ``lats``, ``lons`` and the species as CSR, survey i's
     dense indices, strictly ascending, being ``indices[indptr[i]:indptr[i + 1]]``.
-    ``Dataset(ids, lats, lons, species_sets)`` converts sets once; ``from_csr``
-    takes the arrays. ``species`` and ``record(i)``, a ``SurveyRecord``, are views made on demand.
+    ``Dataset(ids, lats, lons, species_sets)`` converts sets once with
+    ``union_rows``, so a repeated species counts once; ``from_csr`` takes the
+    arrays. ``species`` and ``record(i)``, a ``SurveyRecord``, are views made on demand.
     """
 
     __slots__ = ("ids", "lats", "lons", "indptr", "indices")
 
     def __init__(self, ids, lats, lons, species: Sequence[Iterable[int]]) -> None:
-        indptr, flat = _flat_rows(species)
-        self._set_columns(ids, lats, lons, indptr, _sort_rows(indptr, flat))
+        rows = union_rows(len(species), (np.arange(len(species)), RowSets(*_flat_rows(species))))
+        self._set_columns(ids, lats, lons, rows.indptr, rows.indices)
 
     @classmethod
     def from_csr(cls, ids, lats, lons, indptr, indices) -> "Dataset":
@@ -432,6 +429,7 @@ def parse_occurrences(
     *,
     kind: DatasetKind | None = None,
     catalog: SpeciesCatalog | None = None,
+    digest=None,
 ) -> tuple[Dataset, SpeciesCatalog]:
     """Parse a survey CSV into a dataset plus its species catalog.
 
@@ -443,9 +441,9 @@ def parse_occurrences(
     it); otherwise the catalog is this file's raw ids, ascending.
 
     ``kind`` enables emptiness checks: TEST surveys must carry no species,
-    training surveys must carry at least one.
+    training surveys must carry at least one. ``digest`` is passed to ``read_table``.
     """
-    sid, lat, lon, counts, raw, lines = read_table(path, _SURVEY_LAYOUTS)
+    sid, lat, lon, counts, raw, lines = read_table(path, _SURVEY_LAYOUTS, digest=digest)
     for bad, reason in (
         (~(np.isfinite(lat) & np.isfinite(lon)), "non-finite coordinate"),
         ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0), "coordinate out of range ({}, {})"),

@@ -110,14 +110,15 @@ def _sha256(path: str | Path) -> str:
 def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, config: PipelineConfig = PipelineConfig()) -> dict:
     """Run the chain on three survey files and write its outputs under ``outdir``.
 
-    Writes the five ``OUTPUTS``, ``manifest.json`` (configuration plus input
-    and output SHA-256 digests, byte-identical across environments) and
+    Writes the five ``OUTPUTS``, ``manifest.json`` (configuration plus SHA-256
+    digests of the input bytes parsed and of the outputs, byte-identical across environments) and
     ``run.json`` (the numpy and Python versions); prints one progress line per
     stage to stdout and returns the manifest.
     """
-    pa_ds, pa_catalog = parse_occurrences(str(pa), kind=DatasetKind.PA_TRAIN)
-    po_ds, po_catalog = parse_occurrences(str(po), kind=DatasetKind.PO_TRAIN)
-    test_ds, _ = parse_occurrences(str(test), kind=DatasetKind.TEST)
+    digests = {name: hashlib.sha256() for name in ("pa", "po", "test")}  # from the bytes parsed: an input may be a pipe
+    pa_ds, pa_catalog = parse_occurrences(str(pa), kind=DatasetKind.PA_TRAIN, digest=digests["pa"])
+    po_ds, po_catalog = parse_occurrences(str(po), kind=DatasetKind.PO_TRAIN, digest=digests["po"])
+    test_ds, _ = parse_occurrences(str(test), kind=DatasetKind.TEST, digest=digests["test"])
     catalog = SpeciesCatalog.union([pa_catalog, po_catalog])
     pa_ds = reindex_dataset(pa_ds, pa_catalog, catalog)
     po_ds = reindex_dataset(po_ds, po_catalog, catalog)
@@ -171,7 +172,7 @@ def run(pa: str | Path, po: str | Path, test: str | Path, outdir: str | Path, co
         "version": __version__,
         "command": "pipeline",
         "config": _config_dict(config),
-        "inputs": {"pa": _sha256(pa), "po": _sha256(po), "test": _sha256(test)},
+        "inputs": {name: h.hexdigest() for name, h in digests.items()},
         "outputs": {name: _sha256(outdir / name) for name in OUTPUTS},
     }
     write_json(outdir / "manifest.json", manifest)

@@ -1,6 +1,9 @@
 import math
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, row_sets
+from conftest import FIXTURES, make_dataset, row_sets
 from oracles import parse_occurrences_oracle, save_scores_oracle, write_dataset_oracle, write_submission_oracle
 from geoflora import ingest, predictor
 from geoflora.ingest import (
@@ -25,6 +28,7 @@ from geoflora.ingest import (
     union_rows,
     write_dataset,
 )
+from geoflora.pipeline import OUTPUTS
 from geoflora.postprocess import _SUBMISSION_LAYOUT, read_submission, write_submission
 from geoflora.predictor import _SCORE_LAYOUT, ScoreMatrix, load_scores, save_scores
 
@@ -461,6 +465,41 @@ class TestBulkReader:
         assert not reopened, "the reader opened the pipe a second time"
         assert got == [read(str(tmp_path / "copy.csv"))]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_the_pipeline_reads_each_named_pipe_once(self, tmp_path):
+        """``geoflora pipeline`` on three FIFOs writes the golden files, ``manifest.json`` included: a second open of
+        an input would wait for a writer that never comes, until the subprocess times out and is killed."""
+        names = {"pa": "pa_train.csv", "po": "po_train.csv", "test": "test.csv"}
+        for name in names.values():
+            os.mkfifo(tmp_path / name)
+
+        def feed(name):
+            with open(tmp_path / name, "wb") as f:
+                f.write((Path(FIXTURES) / name).read_bytes())
+
+        writers = [threading.Thread(target=feed, args=(name,), daemon=True) for name in names.values()]
+        for writer in writers:
+            writer.start()
+        src = str(Path(ingest.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [a for flag, name in names.items() for a in (f"--{flag}", str(tmp_path / name))]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "geoflora.cli", "pipeline", *argv, "--outdir", str(tmp_path / "run")],
+                capture_output=True, env=env, timeout=60,
+            )
+        finally:
+            for writer, name in zip(writers, names.values()):
+                writer.join(timeout=10)
+                if writer.is_alive():  # the pipeline never opened this pipe: read it here, so its writer ends
+                    with open(tmp_path / name, "rb") as f:
+                        f.read()
+                    writer.join(timeout=10)
+        assert not any(writer.is_alive() for writer in writers)
+        assert done.returncode == 0, done.stderr
+        for name in (*OUTPUTS, "manifest.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (Path(FIXTURES) / "golden" / name).read_bytes(), name
+
     @pytest.mark.parametrize("name", ["scores.gz", "scores.csv.bz2", "scores.xz", "scores.lzma"])
     def test_a_text_file_named_like_an_archive_reads_as_text(self, tmp_path, name):
         """numpy's loadtxt would decompress a path with such a suffix; the bytes already read are plain text."""
@@ -630,6 +669,18 @@ class TestRoundTrip:
         assert (tmp_path / "out.csv").read_text() == "surveyId,lat,lon,speciesIds\n"
         assert parse_occurrences(out) == (ds, catalog)
 
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=6), max_size=5))
+    @example([[3, 3, 1], [2]])
+    def test_repeated_species_count_once_and_round_trip(self, tmp_path_factory, rows):
+        ids, lats, lons = np.arange(1, len(rows) + 1), np.linspace(-9, 9, len(rows)), np.linspace(9, -9, len(rows))
+        ds = Dataset(ids, lats, lons, rows)
+        unique = [sorted(set(r)) for r in rows]
+        assert ds == Dataset.from_csr(ids, lats, lons, np.cumsum([0] + [len(u) for u in unique]), [x for u in unique for x in u])
+        catalog = SpeciesCatalog(np.arange(6) * 10 + 1)
+        path = str(tmp_path_factory.mktemp("repeats") / "out.csv")
+        write_dataset(ds, path, catalog)
+        assert parse_occurrences(path, catalog=catalog)[0] == ds
+
     def test_10k_random_records_round_trip_exactly(self, rng, tmp_path):
         n = 10_000
         ids = np.sort(rng.choice(np.arange(1, 10 * n, dtype=np.int64), size=n, replace=False))
@@ -747,6 +798,14 @@ class TestUnionRows:
     def test_one_row_position_per_set(self):
         with pytest.raises(ValueError, match="one row position per set"):
             union_rows(2, (np.array([0, 1]), row_sets([{1}])))
+
+    @pytest.mark.parametrize("sets", [[[-1]], [[-1, 2], [1]], [[2], [0, -3]]])
+    def test_negative_items_are_refused(self, sets):
+        """Not dropped or moved to another row: ``Dataset(...)`` builds its rows with ``union_rows``."""
+        with pytest.raises(ValueError, match="non-negative"):
+            union_rows(len(sets), (np.arange(len(sets)), row_sets(sets)))
+        with pytest.raises(ValueError, match="non-negative"):
+            Dataset(np.arange(1, len(sets) + 1), np.zeros(len(sets)), np.zeros(len(sets)), sets)
 
 
 INT64 = st.integers(-5, 5) | st.sampled_from([-(2**63), 2**63 - 1, 0]) | st.integers(-(2**63), 2**63 - 1)
