@@ -251,14 +251,13 @@ def _cmd_postprocess(args) -> int:
     reference, catalog = _parse_file(args.reference)
     test, _ = _parse_file(args.test, kind="test")
     matrix = load_scores(args.scores, catalog)
-    if args.tune_truth:
-        truth, _ = parse_occurrences(args.tune_truth, catalog=catalog)
-        top_cfg, best = grid_search_top_k(matrix, truth, args.grid_thresholds, args.grid_kcaps, fallback_top1=top_cfg.fallback_top1)
-        print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
-
-    try:
+    truth = parse_occurrences(args.tune_truth, catalog=catalog)[0] if args.tune_truth else None
+    try:  # the score file holds other surveys than the truth file, or none, or surveys the test file lacks
+        if truth is not None:
+            top_cfg, best = grid_search_top_k(matrix, truth, args.grid_thresholds, args.grid_kcaps, fallback_top1=top_cfg.fallback_top1)
+            print(f"grid search: threshold={top_cfg.threshold} k_cap={top_cfg.k_cap} (F1={best:.5f})")
         final = side_predictions(matrix, test, reference, top_cfg, vote_cfg)
-    except ValueError as exc:  # the score file holds surveys the test file lacks
+    except ValueError as exc:
         raise ValueError(f"{args.scores}: {exc}") from None
     if len(matrix) < len(test):
         print(f"{args.scores}: {len(test) - len(matrix)} of {len(test)} test surveys have no score row", file=sys.stderr)

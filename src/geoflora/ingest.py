@@ -195,7 +195,7 @@ def _loadtxt(source, names: Sequence[str], dtypes: Sequence[type], skiprows: int
     """The comma-separated columns of ``source``'s non-empty lines after the first ``skiprows``, with numpy's C
     parser. numpy reads a path in chunks but a file object line by line."""
     table = np.loadtxt(source, dtype=list(zip(names, dtypes)), delimiter=",", comments=None, ndmin=1, encoding="latin1", skiprows=skiprows)
-    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+    return [table[name] for name in table.dtype.names]  # views: every reader indexes or sorts them, keeping no view
 
 
 def _bulk_table(data: bytes, layouts: Sequence[Layout], path: str | None) -> tuple[np.ndarray, ...] | None:
@@ -348,6 +348,20 @@ def union_rows(n: int, *parts: tuple[np.ndarray, RowSets]) -> RowSets:
     return RowSets(np.concatenate(([0], np.cumsum(np.bincount(keys // width, minlength=n)))), keys % width)
 
 
+def check_rows(ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rows_ordered: bool = False) -> None:
+    """The CSR rule of ``Dataset`` and ``ScoreMatrix``, checked, never sorted into place: row i, id ``ids[i]``, holds
+    ``indices[indptr[i]:indptr[i + 1]]``; ids ascend strictly, as do each row's indices unless ``rows_ordered``."""
+    if indptr.shape != (ids.size + 1,) or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise ValueError("column lengths disagree")
+    if np.any(ids[1:] <= ids[:-1]):  # np.diff would wrap around int64
+        raise ValueError("survey ids must be unique and sorted ascending")
+    if not rows_ordered:
+        starts = np.zeros(indices.size + 1, dtype=bool)
+        starts[indptr] = True  # where each row begins, and the end
+        if np.any((np.diff(indices) <= 0) & ~starts[1:-1]):
+            raise ValueError("each survey's species indices must ascend strictly")
+
+
 def _flat_rows(sets: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Row pointers and the concatenated items of ``sets``, each set in its own iteration order."""
     indptr = np.zeros(len(sets) + 1, dtype=np.int64)
@@ -370,37 +384,31 @@ class Dataset:
     dense indices, strictly ascending, being ``indices[indptr[i]:indptr[i + 1]]``.
     ``Dataset(ids, lats, lons, species_sets)`` converts sets once with
     ``union_rows``, so a repeated species counts once; ``from_csr`` takes the
-    arrays. ``species`` and ``record(i)``, a ``SurveyRecord``, are views made on demand.
+    arrays and checks them by ``check_rows``, as ``ScoreMatrix`` does.
+    ``species`` and ``record(i)``, a ``SurveyRecord``, are views made on demand.
     """
 
     __slots__ = ("ids", "lats", "lons", "indptr", "indices")
 
     def __init__(self, ids, lats, lons, species: Sequence[Iterable[int]]) -> None:
         rows = union_rows(len(species), (np.arange(len(species)), RowSets(*_flat_rows(species))))
-        self._set_columns(ids, lats, lons, rows.indptr, rows.indices)
+        self._set_columns(ids, lats, lons, rows.indptr, rows.indices, rows_ordered=True)
 
     @classmethod
     def from_csr(cls, ids, lats, lons, indptr, indices) -> "Dataset":
         ds = cls.__new__(cls)
         ds._set_columns(ids, lats, lons, indptr, indices)
-        same_row = np.diff(np.repeat(np.arange(len(ds)), np.diff(ds.indptr))) == 0
-        if np.any(same_row & (np.diff(ds.indices) <= 0)):
-            raise ValueError("each survey's species indices must ascend strictly")
         return ds
 
-    def _set_columns(self, ids, lats, lons, indptr, indices) -> None:
+    def _set_columns(self, ids, lats, lons, indptr, indices, rows_ordered: bool = False) -> None:
         self.ids = np.asarray(ids, dtype=np.int64)
         self.lats = np.asarray(lats, dtype=np.float64)
         self.lons = np.asarray(lons, dtype=np.float64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        n = self.ids.size
-        if not (self.lats.size == self.lons.size == self.indptr.size - 1 == n) or (
-            self.indptr[0] != 0 or self.indptr[-1] != self.indices.size or np.any(np.diff(self.indptr) < 0)
-        ):
+        if not self.lats.size == self.lons.size == self.ids.size:
             raise ValueError("column lengths disagree")
-        if np.any(self.ids[1:] <= self.ids[:-1]):  # np.diff would wrap around int64
-            raise ValueError("survey ids must be unique and sorted ascending")
+        check_rows(self.ids, self.indptr, self.indices, rows_ordered)
 
     @property
     def species(self) -> RowSets:

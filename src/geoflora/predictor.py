@@ -7,6 +7,8 @@ by external models. Either way the result is a sparse score matrix with
 values in [0, 1]; absent entries are zero. The baseline fills the matrix's
 CSR arrays from one sparse product (``neighbor_species_counts``) over the
 rows of a kNN query, which the neighbour votes may share (``nearest``).
+Rows ascend by survey id and species, which the constructor only checks:
+``load_scores`` sorts a file once, the baseline calls ``sort_indices``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .geo import GeoIndex
-from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, int_text, join_text, read_table, text_table
+from .ingest import Dataset, Layout, ParseError, RangeError, SpeciesCatalog, check_rows, int_text, join_text, read_table, text_table
 
 # Rows formatted per write in ``save_scores``; one join over the whole matrix costs tens of MB.
 _SAVE_CHUNK_ROWS = 256
@@ -37,44 +39,31 @@ class PredictConfig:
 
 
 class ScoreMatrix:
-    """Sparse survey x species scores in CSR form; row ids unique, stored values in [0, 1].
+    """Sparse survey x species scores in CSR form; stored values in [0, 1].
 
-    Row i holds survey ``ids[i]`` (ascending) with species ``species[indptr[i]:indptr[i + 1]]``
-    (ascending) scored ``scores[indptr[i]:indptr[i + 1]]``. The arrays are read-only.
+    Row i holds survey ``ids[i]`` with species ``species[indptr[i]:indptr[i + 1]]`` scored
+    ``scores[indptr[i]:indptr[i + 1]]``; ids ascend strictly, and so do each row's species. The arrays are read-only.
     """
 
     def __init__(self, num_species: int, ids=(), indptr=(0,), species=(), scores=()):
-        """Check the arrays once, vectorised; rows may come in any id order and entries in any species order."""
+        """Check the arrays once, vectorised, by ``check_rows``' rule; producers order the rows, the constructor sorts nothing."""
         if num_species < 0:
             raise ValueError("num_species must be >= 0")
         self.num_species = int(num_species)
         ids, indptr, species = (np.asarray(a, dtype=np.int64) for a in (ids, indptr, species))
         scores = np.asarray(scores, dtype=np.float64)
-        row_len = np.diff(indptr)
-        if indptr.shape != (ids.size + 1,) or indptr[0] != 0 or not species.shape == scores.shape == (indptr[-1],):
-            raise ValueError("malformed CSR arrays")
-        by_id = np.argsort(ids, kind="stable")
-        dup = np.flatnonzero(np.diff(ids[by_id]) == 0)
-        if dup.size:
-            raise ValueError(f"duplicate survey id {ids[by_id[dup[0]]]}")
-        sid = np.repeat(ids, row_len)
+        if scores.shape != species.shape:
+            raise ValueError("column lengths disagree")
+        check_rows(ids, indptr, species)
         bad = np.flatnonzero((species < 0) | (species >= self.num_species))
         if bad.size:
             raise ValueError(f"species index {species[bad[0]]} out of range [0, {self.num_species})")
         bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
         if bad.size:
-            raise ValueError(f"score {scores[bad[0]]} for survey {sid[bad[0]]}, species {species[bad[0]]} outside [0, 1]")
-        rank = np.empty(ids.size, dtype=np.int64)
-        rank[by_id] = np.arange(ids.size)
-        # one (survey id, species) key per entry: a stable argsort of it is lexsort's order, and takes linear time on
-        # entries already in that order, as a saved score file holds them
-        order = np.argsort(np.repeat(rank, row_len) * self.num_species + species, kind="stable")
-        sid, species, scores = sid[order], species[order], scores[order]
-        dup = np.flatnonzero((sid[1:] == sid[:-1]) & (species[1:] == species[:-1]))
-        if dup.size:
-            raise ValueError(f"duplicate score for survey {sid[dup[0]]}, species {species[dup[0]]}")
-        indptr = np.concatenate(([0], np.cumsum(row_len[by_id])))
-        self.ids, self.indptr, self.species, self.scores = ids[by_id], indptr, species, scores
+            sid = ids[np.searchsorted(indptr, bad[0], side="right") - 1]
+            raise ValueError(f"score {scores[bad[0]]} for survey {sid}, species {species[bad[0]]} outside [0, 1]")
+        # read-only views: the caller's arrays, such as a dataset's ids, stay writeable
+        self.ids, self.indptr, self.species, self.scores = (a.view() for a in (ids, indptr, species, scores))
         for a in (self.ids, self.indptr, self.species, self.scores):
             a.flags.writeable = False
 
@@ -139,6 +128,7 @@ def neighbor_frequency_predict(
         raise ValueError("training dataset is empty")
     pos = nearest(train, test.lats, test.lons, k, neighbors)
     counts = neighbor_species_counts(train, pos)
+    counts.sort_indices()  # scipy leaves a product's rows in any order
     num_species = counts.shape[1] if num_species is None else num_species
     return ScoreMatrix(num_species, test.ids, counts.indptr, counts.indices, counts.data / pos.shape[1])
 

@@ -36,9 +36,10 @@ def row_sets(sets) -> RowSets:
 
 
 def score_matrix(num_species: int, rows) -> ScoreMatrix:
-    """ScoreMatrix through its array constructor, from {survey_id: {species: score}} or (survey_id, {species: score}) pairs."""
-    rows = list(rows.items() if isinstance(rows, dict) else rows)
-    entries = [e for _, row in rows for e in row.items()]
+    """ScoreMatrix through its array constructor, from {survey_id: {species: score}} or (survey_id, {species: score}) pairs,
+    put in the order the constructor checks: rows by survey id, each row's entries by species."""
+    rows = sorted(rows.items() if isinstance(rows, dict) else rows, key=lambda r: r[0])
+    entries = [e for _, row in rows for e in sorted(row.items())]
     return ScoreMatrix(
         num_species, [sid for sid, _ in rows], np.cumsum([0] + [len(row) for _, row in rows]), [sp for sp, _ in entries], [v for _, v in entries]
     )

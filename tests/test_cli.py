@@ -600,6 +600,26 @@ class TestPostprocessKeying:
         assert capsys.readouterr().err == f"error: {fixture_scores}:{line}: duplicate score for survey {sid}, species {species}\n"
         assert not output.exists()
 
+    def test_tuning_on_scores_that_lack_a_truth_survey_names_the_score_file(self, tmp_path, capsys, fixture_scores):
+        kept = [line for line in fixture_scores.read_text().splitlines()[1:] if not line.startswith("90001,")]
+        fixture_scores.write_text("surveyId,speciesId,score\n" + "".join(f"{line}\n" for line in kept))
+        capsys.readouterr()
+        output = tmp_path / "sub.csv"
+        argv = ["postprocess", "--scores", str(fixture_scores), "--test", f"{FIXTURES}/test.csv", "--reference", f"{FIXTURES}/pa_train.csv"]
+        assert run([*argv, "--tune-truth", f"{FIXTURES}/test.csv", "--output", str(output)]) == 1
+        assert capsys.readouterr().err == f"error: {fixture_scores}: survey id mismatch: missing from predictions [90001], unexpected []\n"
+        assert not output.exists()
+
+    def test_tuning_on_no_surveys_names_the_score_file(self, tmp_path, capsys):
+        test, scores, output = tmp_path / "test.csv", tmp_path / "scores.csv", tmp_path / "sub.csv"
+        test.write_text("surveyId,lat,lon,speciesIds\n")
+        assert run(["predict", "--train", f"{FIXTURES}/pa_train.csv", "--test", str(test), "--out", str(scores)]) == 0
+        capsys.readouterr()
+        argv = ["postprocess", "--scores", str(scores), "--test", str(test), "--reference", f"{FIXTURES}/pa_train.csv"]
+        assert run([*argv, "--tune-truth", str(test), "--output", str(output)]) == 1
+        assert capsys.readouterr().err == f"error: {scores}: no surveys to score\n"
+        assert not output.exists()
+
     def test_submission_covers_exactly_the_test_surveys(self, tmp_path, capsys, five_test_surveys, fixture_scores):
         test_ids = [int(line.split(",")[0]) for line in fixture_lines("test.csv")[1:6]]
         kept = [line for line in fixture_scores.read_text().splitlines()[1:] if int(line.split(",")[0]) in test_ids[:3]]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, make_dataset, row_sets
+from conftest import FIXTURES, make_dataset, row_sets, score_matrix
 from oracles import parse_occurrences_oracle, save_scores_oracle, write_dataset_oracle, write_submission_oracle
 from geoflora import ingest, predictor
 from geoflora.ingest import (
@@ -740,20 +740,31 @@ class TestDataset:
         assert ds.indices.dtype == np.int64 and ds.indptr.dtype == np.int64
 
     @pytest.mark.parametrize(
-        "indptr, indices, message",
+        "build",
         [
-            ([0, 2, 3], [4, 1, 0], "ascend strictly"),  # unsorted row
-            ([0, 2, 3], [1, 1, 0], "ascend strictly"),  # repeated entry
-            ([0, 0, 2], [2, 2], "ascend strictly"),  # repeated entry after an empty row
-            ([0, 2], [1, 2], "lengths disagree"),  # one row for two surveys
-            ([0, 2, 4], [1, 2, 3], "lengths disagree"),  # pointer past the indices
-            ([1, 2, 3], [1, 2, 3], "lengths disagree"),  # first row does not start at 0
-            ([0, 3, 2], [1, 2, 3], "lengths disagree"),  # descending pointers
+            lambda ids, indptr, indices: Dataset.from_csr(ids, np.zeros(len(ids)), np.zeros(len(ids)), indptr, indices),
+            lambda ids, indptr, indices: ScoreMatrix(5, ids, indptr, indices, np.full(len(indices), 0.5)),
+        ],
+        ids=["Dataset", "ScoreMatrix"],
+    )
+    @pytest.mark.parametrize(
+        "ids, indptr, indices, message",
+        [
+            ([1, 2], [0, 2, 3], [4, 1, 0], "ascend strictly"),  # unsorted row
+            ([1, 2], [0, 2, 3], [1, 1, 0], "ascend strictly"),  # repeated entry
+            ([1, 2], [0, 0, 2], [2, 2], "ascend strictly"),  # repeated entry after an empty row
+            ([2, 1], [0, 1, 2], [0, 1], "unique and sorted ascending"),  # ids out of order
+            ([1, 1], [0, 1, 2], [0, 1], "unique and sorted ascending"),  # a repeated id
+            ([1, 2], [0, 2], [1, 2], "lengths disagree"),  # one row for two surveys
+            ([1, 2], [0, 2, 4], [1, 2, 3], "lengths disagree"),  # pointer past the indices
+            ([1, 2], [1, 2, 3], [1, 2, 3], "lengths disagree"),  # first row does not start at 0
+            ([1, 2], [0, 3, 2], [1, 2, 3], "lengths disagree"),  # descending pointers
         ],
     )
-    def test_from_csr_rejects_bad_rows(self, indptr, indices, message):
+    def test_from_csr_rejects_bad_rows(self, build, ids, indptr, indices, message):
+        """``Dataset.from_csr`` and ``ScoreMatrix`` keep one CSR rule and only check it."""
         with pytest.raises(ValueError, match=message):
-            Dataset.from_csr([1, 2], np.zeros(2), np.zeros(2), indptr, indices)
+            build(ids, indptr, indices)
 
     def test_set_constructor_checks_lengths(self):
         with pytest.raises(ValueError, match="lengths disagree"):
@@ -882,7 +893,8 @@ class TestWritersMatchOracles:
     @example(WRITER_EDGES)
     def test_save_scores(self, tmp_path_factory, drawn):
         catalog, ids, _, _, rows, scores, chunk = drawn
-        matrix = ScoreMatrix(len(catalog), ids, np.cumsum([0] + [len(r) for r in rows]), [d for r in rows for d in r], scores)
+        entry = iter(scores)
+        matrix = score_matrix(len(catalog), [(sid, {d: next(entry) for d in row}) for sid, row in zip(ids, rows)])
         with mock.patch.object(predictor, "_SAVE_CHUNK_ROWS", chunk):
             got = written(tmp_path_factory, save_scores, matrix, catalog)
         assert got == written(tmp_path_factory, save_scores_oracle, matrix, catalog)

@@ -118,9 +118,9 @@ class TestThresholdTopK:
         for _ in range(10):
             n, num_species = int(rng.integers(1, 300)), int(rng.integers(1, 40))
             row_len = rng.integers(0, num_species + 1, n)  # empty rows included
-            species = np.concatenate([rng.choice(num_species, r, replace=False) for r in row_len] + [np.empty(0, np.int64)])
+            species = np.concatenate([np.sort(rng.choice(num_species, r, replace=False)) for r in row_len] + [np.empty(0, np.int64)])
             scores = rng.integers(0, 5, species.size) / 4  # few distinct values: ties within rows and with thresholds
-            matrix = ScoreMatrix(num_species, rng.permutation(10 * n)[:n], np.concatenate(([0], np.cumsum(row_len))), species, scores)
+            matrix = ScoreMatrix(num_species, np.sort(rng.permutation(10 * n)[:n]), np.concatenate(([0], np.cumsum(row_len))), species, scores)
             for threshold in (0.0, 0.5, 0.6, 1.0):
                 cfg = TopKConfig(threshold, int(rng.integers(1, 8)), fallback_top1)
                 assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k_oracle(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
@@ -234,9 +234,9 @@ class TestSidePredictions:
             lats, lons = query_coordinates(rng, reference, m)
             ids = np.sort(rng.choice(np.arange(1, 10 * m + 2), m, replace=False))
             test = Dataset(ids, lats, lons, [frozenset()] * m)
-            scored = rng.permutation(ids)[: int(rng.integers(0, m + 1))]  # some test surveys get no score row
+            scored = np.sort(rng.permutation(ids)[: int(rng.integers(0, m + 1))])  # some test surveys get no score row
             row_len = rng.integers(0, num_species + 1, scored.size)  # empty rows included
-            species = np.concatenate([rng.choice(num_species, r, replace=False) for r in row_len] + [np.empty(0, np.int64)])
+            species = np.concatenate([np.sort(rng.choice(num_species, r, replace=False)) for r in row_len] + [np.empty(0, np.int64)])
             scores = rng.integers(0, 5, species.size) / 4  # ties within rows and with the thresholds
             matrix = ScoreMatrix(num_species, scored, np.concatenate(([0], np.cumsum(row_len))), species, scores)
             top_k = TopKConfig(float(rng.choice([0.0, 0.5, 0.6])), int(rng.integers(1, 5)), bool(rng.integers(2)))

@@ -101,27 +101,35 @@ class TestNeighborFrequency:
 class TestScoreMatrix:
     def test_row_validation(self):
         assert score_matrix(10, {1: {0: 0.5}}).row(1) == {0: 0.5}
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="survey ids must be unique"):
             score_matrix(10, [(1, {0: 0.5}), (1, {})])
         with pytest.raises(ValueError, match="outside"):
             score_matrix(10, {1: {0: 0.5}, 2: {0: 1.2}})
         with pytest.raises(ValueError, match="out of range"):
             score_matrix(10, {1: {0: 0.5}, 3: {10: 0.5}})
 
-    def test_array_constructor_orders_rows_and_entries(self):
-        m = ScoreMatrix(5, [9, 2], [0, 2, 3], [4, 1, 0], [0.5, 0.25, 1.0])
+    def test_array_constructor_checks_the_order_and_sorts_nothing(self):
+        ids = np.array([2, 9])
+        m = ScoreMatrix(5, ids, [0, 1, 3], [0, 1, 4], [1.0, 0.25, 0.5])
         assert m.survey_ids() == [2, 9] and list(m.row(9).items()) == [(1, 0.25), (4, 0.5)]
         assert m == score_matrix(5, {9: {4: 0.5, 1: 0.25}, 2: {0: 1.0}}) and len(m) == 2
+        with pytest.raises(ValueError, match="survey ids must be unique and sorted ascending"):
+            ScoreMatrix(5, [9, 2], [0, 2, 3], [1, 4, 0], [0.25, 0.5, 1.0])
+        with pytest.raises(ValueError, match="each survey's species indices must ascend strictly"):
+            ScoreMatrix(5, [2, 9], [0, 1, 3], [0, 4, 1], [1.0, 0.5, 0.25])
         with pytest.raises(KeyError):
             m.row(3)
         with pytest.raises(ValueError):
             m.scores[0] = 0.0  # the arrays are read-only
+        assert ids.flags.writeable  # the caller's own arrays stay as they were
 
     def test_array_constructor_rejects_a_repeated_species_in_a_row(self):
-        with pytest.raises(ValueError, match="duplicate score for survey 9, species 4"):
+        with pytest.raises(ValueError, match="each survey's species indices must ascend strictly"):
             ScoreMatrix(5, [9], [0, 2], [4, 4], [0.5, 0.25])
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="column lengths disagree"):
             ScoreMatrix(5, [9], [0, 3], [4, 4], [0.5, 0.25])
+        with pytest.raises(ValueError, match="column lengths disagree"):
+            ScoreMatrix(5, [9], [0, 2], [3, 4], [0.5])
 
     def test_round_trip_empty(self, tmp_path):
         catalog = SpeciesCatalog(np.arange(5, dtype=np.int64))
