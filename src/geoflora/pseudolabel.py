@@ -28,8 +28,9 @@ record under every mode.
 equal to running it survey by survey:
   members  a band sweep gives every survey's patch members as a CSR matrix
            (row = anchor): surveys sorted once by the int64 key latitude band
-           (one half-side high) << 35 plus longitude on a 2**-26 degree grid,
-           three ``searchsorted`` ranges per survey, cut by the exact box test;
+           (one half-side high) << 35 plus longitude on a 2**-26 degree grid;
+           one forward pass with one window per band pair lists each candidate
+           pair once, and the exact box test cuts it in both directions;
   anchors  rounds over the edges from each survey to the members of its box
            later in processing order decide the anchors; surveys still open
            after ``_MAX_ROUNDS`` rounds are walked one by one (loose mode needs
@@ -59,6 +60,9 @@ LON_KM_PER_DEG_AT_EQUATOR = 111.32
 
 # Rounds of the anchor walk before it finishes the surveys still open one by one.
 _MAX_ROUNDS = 64
+
+# Positions past a window's start that the member sweep probes one by one before a binary search.
+_PROBES = 2
 
 
 class MergeMode(enum.Enum):
@@ -135,39 +139,75 @@ def neighbors_in_patch(dataset: Dataset, primary: SurveyRecord, cfg: MergeConfig
     return [dataset.record(p) for p in members]
 
 
+def _fixed(x, base):
+    """``base + floor(clip(x, -180, 180) * 2**26)``: degrees on the sweep's grid above ``base``. Overwrites ``x``."""
+    np.clip(x, -180.0, 180.0, out=x)
+    x *= 2.0**26
+    grid = np.floor(x, out=x).astype(np.int64)
+    grid += base
+    return grid
+
+
+def _runs(key, start, hi):
+    """Position pairs (i, p) for each p from ``start[i]`` on while ``key[p] <= hi[i]``. Run ends are probed
+    ``_PROBES`` positions on (``key`` ends with a sentinel above every ``hi``); runs still open take ``searchsorted``."""
+    end = start.copy()
+    for _ in range(_PROBES):
+        end += key[end] <= hi
+    more = np.flatnonzero(key[end] <= hi)
+    end[more] = np.searchsorted(key, hi[more], "right")
+    end -= start
+    i = np.flatnonzero(end)
+    start, count = start[i], end[i]
+    return np.repeat(i, count), np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+
+
 def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
     """Every survey's patch members as a boolean n x n CSR, row = anchor, columns ascending.
 
-    Surveys sorted once by the int64 key ``(band << 35) + fixed(lon)``, with band ``floor(lat / h)`` and
-    ``fixed(x) = floor(clip(x, -180, 180) * 2**26)``; each anchor's window ``[lon - w, lon + w]`` as the grid bounds
-    ``fixed(lon - w)`` and ``fixed(lon + w)``, one ``searchsorted`` range in each of bands b - 1, b and b + 1, then
-    the exact box test. Scaling by 2**26 is exact and ``floor`` monotone, so each grid window holds the float window
-    that ``_padded_deg`` pads, and surveys with equal keys are taken or left together. |band| < 2**27 and
-    |fixed| < 2**34, so the keys stay below 2**62. A window across +-180 degrees (``w = inf``) takes its whole band.
+    Surveys sorted once by the int64 key ``base + floor(clip(lon, -180, 180) * 2**26)``: band ``b = floor(lat / h)``
+    has ``base = (b << 35) + 2**34``, so its keys fill ``[b << 35, (b + 1) << 35)``. Each band's window half-width
+    ``W`` is the largest ``_padded_deg`` window ``w`` of its surveys whose window stays inside +-180 degrees; a band
+    pair (b, b + 1) takes the larger ``W`` of the two. ``W`` bounds both surveys' ``w``, so a pair is a candidate from
+    its earlier survey in key order whichever box holds the other: in its own band from the next position up to the
+    grid point of ``lon + W``, in band b + 1 between those of ``lon - W`` and ``lon + W``. Each candidate pair is
+    listed once and box-tested in both directions. Scaling by 2**26 is exact and ``floor`` monotone, so each grid
+    window holds the float window, and equal keys are taken or left together. A survey whose window crosses +-180
+    degrees anchors no listed pair; it takes bands b - 1 to b + 1 whole. |b| < 2**27, so keys stay below 2**62.
     """
     lats, lons, n = dataset.lats, dataset.lons, len(dataset)
     if np.greater(_finite_extent(lats, lons), (90.0, 180.0)).any():
         raise ValueError("coordinate out of range")
-    w = _padded_deg(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats))))
-    w[np.abs(lons) + w > 180.0] = np.inf
-    band = np.floor(lats / _padded_deg(cfg.box_half_km / LAT_KM_PER_DEG)).astype(np.int64) << 35
-    key, lo, hi = (band + np.floor(np.clip(x, -180.0, 180.0) * 2.0**26).astype(np.int64) for x in (lons, lons - w, lons + w))
-    del w, band
+    key = _fixed(lons.copy(), (np.floor(lats / _padded_deg(cfg.box_half_km / LAT_KM_PER_DEG)).astype(np.int64) << 35) + (1 << 34))
     surv = np.argsort(key).astype(np.int32 if n < 2**31 else np.int64)
-    key, lo, hi = key[surv], lo[surv], hi[surv]  # in key order the needles arrive nearly sorted
+    key, lon = np.append(key[surv], np.iinfo(np.int64).max), lons[surv]  # the sentinel ends every run
+    w = _padded_deg(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats[surv]))))
+    wraps = np.abs(lon) + w > 180.0
+    w[wraps] = 0.0
+    base = key[:-1] >> 35
+    first = np.flatnonzero(np.diff(base, prepend=base[:1] - 1))  # each band's first position
+    w_band, sizes = np.maximum.reduceat(w, first), np.diff(first, append=n)
+    del w, first
+    base = (base << 35) + (1 << 34)
+    own = _runs(key, np.arange(1, n + 1), _fixed(lon + np.repeat(w_band, sizes), base))
+    w = np.repeat(np.maximum(w_band, np.append(w_band[1:], 0.0)), sizes)  # W of (b, b + 1); an empty band b + 1 holds nothing
+    base += 1 << 35  # band b + 1
+    far = np.flatnonzero(wraps)
+    far_lo, far_hi = base[far] - (5 << 34), base[far] + (1 << 34) - 1  # bands b - 1 to b + 1
+    start, hi = np.searchsorted(key, _fixed(lon - w, base)), _fixed(lon + w, base)
+    del w, base, lon
+    forward = [own, _runs(key, start, hi)]
+    del start, hi
+    p, q = _runs(key, np.searchsorted(key, far_lo), far_hi)
+    del key
+    p = far[p]
+    candidates = [(p, q, p != q)] + [(p, q, ~wraps[p]) for p, q in forward] + [(q, p, ~wraps[q]) for p, q in forward]
     pairs = [np.arange(n, dtype=np.int64) * (n + 1)]  # row * n + col: every survey is in its own box
-    for step in (-1, 0, 1):
-        start = np.searchsorted(key, lo + (step << 35))
-        count = np.searchsorted(key, hi + (step << 35), "right") - start
-        rows = np.repeat(surv, count)
-        cols = surv[np.arange(rows.size) + np.repeat(start + count - np.cumsum(count), count)]
-        del start, count
-        other = rows != cols
-        rows, cols = rows[other], cols[other]
+    for p, q, take in candidates:
+        rows, cols = surv[p[take]], surv[q[take]]
         keep = _in_box(cfg, lats[rows], lons[rows], lats[cols], lons[cols])
         pairs.append(rows[keep].astype(np.int64) * n + cols[keep])
-        del rows, cols, other, keep
-    del key, lo, hi
+    del candidates, forward, rows, cols, keep
     rows, cols = np.divmod(np.sort(np.concatenate(pairs)), n)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     return sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols.astype(surv.dtype), indptr), shape=(n, n))
@@ -235,7 +275,9 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> MergedSet:
     """
     members = _member_matrix(dataset, cfg)
     sp_ptr, sp_idx = dataset.indptr, dataset.indices
-    order = np.lexsort((dataset.ids, -np.diff(sp_ptr)))
+    counts = np.diff(sp_ptr)
+    top = counts.max(initial=0)  # positions ascend with survey id, so the stable sort breaks count ties by id
+    order = np.argsort((top - counts).astype(np.uint16 if top < 2**16 else np.int64), kind="stable")
 
     if cfg.mode is MergeMode.LOOSE:
         anchors = order

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from geoflora.pseudolabel import (
     neighbors_in_patch,
 )
 from oracles import box_members_oracle, merge_points_oracle
-from synth import PLACES, clustered_surveys, colocated_surveys
+from synth import PLACES, clustered_surveys, colocated_surveys, scatter
 
 
 def cfg(mode=MergeMode.LOOSE, **kw):
@@ -61,6 +62,17 @@ def window_edge_pair(lon, side, half=0.32):
     padded window end ``lon + side * w``."""
     edge = np.nextafter(lon + side * (half / LON_KM_PER_DEG_AT_EQUATOR), lon)
     return Dataset(np.array([1, 2]), np.zeros(2), np.array([lon, edge]), [frozenset({0}), frozenset({1})]), half
+
+
+# Run-end probe counts of the member sweep: none (every open run takes the binary search), one, and the default.
+PROBES = [0, 1, pseudolabel._PROBES]
+
+
+@contextlib.contextmanager
+def probing(count):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pseudolabel, "_PROBES", count)
+        yield
 
 
 def assert_member_rows_match_oracle(ds, c):
@@ -267,9 +279,21 @@ class TestMergeRegimes:
     @example(window_edge_pair(42.0, 1))
     @example(window_edge_pair(-179.9971254, -1))  # windows that end just inside +-180 degrees
     @example(window_edge_pair(179.9971254, 1))
-    def test_member_rows_match_the_pairwise_box_test(self, case):
+    @pytest.mark.parametrize("probes", PROBES)
+    def test_member_rows_match_the_pairwise_box_test(self, probes, case):
         ds, half = case
-        assert_member_rows_match_oracle(ds, cfg(box_half_km=half))
+        with probing(probes):
+            assert_member_rows_match_oracle(ds, cfg(box_half_km=half))
+
+    def test_member_rows_where_a_band_pair_boxes_differ_in_width(self):
+        # Near 80 N a box widens by ~3e-4 of itself per band. The anchor (band b + 1) holds the survey (band b) at
+        # the mean of the two half-widths; the narrower box does not. The survey comes first in key order, so the
+        # pair is found from it only through the band pair's wider window.
+        lat, lat_above = 80.0, 80.0 + 0.9 * (0.32 / LAT_KM_PER_DEG)
+        dlon = sum(0.32 / (LON_KM_PER_DEG_AT_EQUATOR * math.cos(math.radians(x))) for x in (lat, lat_above)) / 2
+        ds = Dataset(np.array([1, 2]), np.array([lat, lat_above]), np.array([10.0, 10.0 + dlon]), [frozenset({0}), frozenset({1})])
+        members = assert_member_rows_match_oracle(ds, cfg())
+        assert members.indices.tolist() == [0, 0, 1]
 
     def test_member_rows_of_a_sub_nanometre_box_match_the_pairwise_box_test(self, rng):
         # a box this small would need more latitude bands than int64 sweep keys can count, were there no floor
@@ -317,7 +341,9 @@ class TestMergeRegimes:
             assert r.species == frozenset((sid - 1) % 50 for sid in expected)
 
     @pytest.mark.parametrize("mode", list(MergeMode))
-    def test_dense_clusters_with_duplicates_and_ties_match_oracle(self, rng, mode):
+    @pytest.mark.parametrize("probes", PROBES)
+    def test_dense_clusters_with_duplicates_and_ties_match_oracle(self, monkeypatch, rng, mode, probes):
+        monkeypatch.setattr(pseudolabel, "_PROBES", probes)
         ds = clustered_surveys(2000, 200, rng, clusters=3, sigma_km=0.2, mean_extra_species=0.3)
         lats, lons = ds.lats.copy(), ds.lons.copy()
         src, dst = rng.integers(0, len(ds), 200), rng.integers(0, len(ds), 200)
@@ -345,9 +371,32 @@ class TestMergeRegimes:
         box_half_km=st.sampled_from([0.32, 5.0]),
         rare=st.sampled_from([2, 20]),
     )
-    def test_colocated_surveys_match_oracle(self, seed, groups, distinct, place, box_half_km, rare):
+    @pytest.mark.parametrize("probes", PROBES)
+    def test_colocated_surveys_match_oracle(self, probes, seed, groups, distinct, place, box_half_km, rare):
         # many surveys at one coordinate, as presence-only surveys that share a satellite patch
         ds = colocated_surveys(groups, distinct, np.random.default_rng(seed), place=place)
+        with probing(probes):
+            for mode in MergeMode:
+                c = cfg(mode, box_half_km=box_half_km, rare_count_threshold=rare)
+                assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        knots=st.integers(1, 4),
+        n=st.integers(1, 150),
+        repeats=st.integers(0, 40),
+        box_half_km=st.sampled_from([0.32, 5.0]),
+        rare=st.sampled_from([2, 20]),
+    )
+    def test_dense_knots_match_oracle(self, seed, knots, n, repeats, box_half_km, rare):
+        # surveys scattered about one box side around a few sites, some on exactly the coordinates of others
+        rng = np.random.default_rng(seed)
+        lats, lons = scatter(rng, rng.uniform(-80.0, 80.0, knots), rng.uniform(-180.0, 180.0, knots), n, box_half_km)
+        src, dst = rng.integers(0, n, repeats), rng.integers(0, n, repeats)
+        lats[dst], lons[dst] = lats[src], lons[src]
+        species = [frozenset(rng.choice(12, rng.integers(1, 4), replace=False).tolist()) for _ in range(n)]
+        ds = Dataset(np.arange(1, n + 1), lats, np.clip(lons, -180.0, 180.0), species)
         for mode in MergeMode:
             c = cfg(mode, box_half_km=box_half_km, rare_count_threshold=rare)
             assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
