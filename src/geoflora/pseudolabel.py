@@ -26,17 +26,16 @@ record under every mode.
 
 ``merge_points`` computes this walk as an array program, record for record
 equal to running it survey by survey:
-  members  a band sweep gives every survey's patch members as a CSR matrix
-           (row = anchor): surveys sorted once by the int64 key latitude band
-           (one half-side high) << 35 plus longitude on a 2**-26 degree grid;
-           one forward pass with one window per band pair lists each candidate
-           pair once, and the exact box test cuts it in both directions;
-  anchors  rounds over the edges from each survey to the members of its box
-           later in processing order decide the anchors; surveys still open
-           after ``_MAX_ROUNDS`` rounds are walked one by one (loose mode needs
-           no walk: every survey anchors);
-  unions   the anchors' member rows times the species CSR, a boolean sparse
-           product, give every union at once.
+  pairs    a band sweep lists every pair (anchor, member) of distinct surveys
+           whose anchor's box holds the member: surveys sorted once by the
+           int64 key latitude band (one half-side high) << 36 plus longitude on
+           a 2**-26 degree grid; one window per band on that grid finds each
+           candidate pair once, and one exact box test cuts both directions;
+  anchors  rounds over the pairs whose anchor comes earlier in processing
+           order decide the anchors; surveys still open after ``_MAX_ROUNDS``
+           rounds are walked one by one (loose mode needs no walk);
+  unions   each anchor's member row, itself plus its pairs, times the species
+           CSR, a boolean sparse product, gives every union at once.
 The result, ``MergedSet``, keeps those arrays and builds a ``MergedRecord``
 only when one is asked for. ``neighbors_in_patch`` gives one survey's members
 by the same box test over the whole dataset.
@@ -139,91 +138,92 @@ def neighbors_in_patch(dataset: Dataset, primary: SurveyRecord, cfg: MergeConfig
     return [dataset.record(p) for p in members]
 
 
-def _fixed(x, base):
-    """``base + floor(clip(x, -180, 180) * 2**26)``: degrees on the sweep's grid above ``base``. Overwrites ``x``."""
-    np.clip(x, -180.0, 180.0, out=x)
-    x *= 2.0**26
-    grid = np.floor(x, out=x).astype(np.int64)
-    grid += base
-    return grid
-
-
 def _runs(key, start, hi):
-    """Position pairs (i, p) for each p from ``start[i]`` on while ``key[p] <= hi[i]``. Run ends are probed
-    ``_PROBES`` positions on (``key`` ends with a sentinel above every ``hi``); runs still open take ``searchsorted``."""
-    end = start.copy()
+    """Position pairs (i, p) for each p from ``start[i]`` on while ``key[p] <= hi[i]``. The runs not empty at their
+    start are probed ``_PROBES`` positions on (``key`` ends with a sentinel above every ``hi``); runs still open take
+    ``searchsorted``. Positions come in ``start``'s dtype."""
+    i = np.flatnonzero(key[start] <= hi)
+    start, hi = start[i], hi[i]
+    end = start + 1
     for _ in range(_PROBES):
         end += key[end] <= hi
     more = np.flatnonzero(key[end] <= hi)
     end[more] = np.searchsorted(key, hi[more], "right")
     end -= start
-    i = np.flatnonzero(end)
-    start, count = start[i], end[i]
-    return np.repeat(i, count), np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+    start -= (np.cumsum(end) - end).astype(start.dtype)  # the run's first position, less the pairs before it
+    p = np.repeat(start, end)
+    p += np.arange(p.size, dtype=p.dtype)
+    return np.repeat(i.astype(p.dtype), end), p
 
 
-def _member_matrix(dataset: Dataset, cfg: MergeConfig) -> sparse.csr_matrix:
-    """Every survey's patch members as a boolean n x n CSR, row = anchor, columns ascending.
+def _box_pairs(dataset: Dataset, cfg: MergeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (anchor, member) of distinct surveys where the anchor's box holds the member, as two arrays of
+    dataset positions, and the positions of the surveys whose window crosses +-180 degrees.
 
-    Surveys sorted once by the int64 key ``base + floor(clip(lon, -180, 180) * 2**26)``: band ``b = floor(lat / h)``
-    has ``base = (b << 35) + 2**34``, so its keys fill ``[b << 35, (b + 1) << 35)``. Each band's window half-width
-    ``W`` is the largest ``_padded_deg`` window ``w`` of its surveys whose window stays inside +-180 degrees; a band
-    pair (b, b + 1) takes the larger ``W`` of the two. ``W`` bounds both surveys' ``w``, so a pair is a candidate from
-    its earlier survey in key order whichever box holds the other: in its own band from the next position up to the
-    grid point of ``lon + W``, in band b + 1 between those of ``lon - W`` and ``lon + W``. Each candidate pair is
-    listed once and box-tested in both directions. Scaling by 2**26 is exact and ``floor`` monotone, so each grid
-    window holds the float window, and equal keys are taken or left together. A survey whose window crosses +-180
-    degrees anchors no listed pair; it takes bands b - 1 to b + 1 whole. |b| < 2**27, so keys stay below 2**62.
+    Surveys sorted once by the int64 key ``(b << 36) + 2**35 + floor(lon * 2**26)``, band ``b = floor(lat / h)``. A
+    band's window ``W``, the ``_padded_deg`` box half-width at its largest |lat|, bounds its surveys' windows ``w``; on
+    the grid it is ``ceil(min(W, 360) * 2**26)``, so each grid window holds its float window, and a band pair (b, b + 1)
+    takes the larger ``W``. So a pair is a candidate from its earlier survey in key order, whichever box holds the
+    other: in its own band from the next position up to ``key + W``, in band b + 1 within ``key + 2**36 -+ W``. Bands
+    2**36 apart keep every such window off the other bands' keys, so the clip to +-180 is implicit. Each candidate is
+    tested once for |dlat| and wrapped |dlon|, then with both directions' cos scale. Only the surveys within ``W`` of
+    +-180, a prefix and a suffix of each band, compute their own ``w``; those whose window crosses +-180 anchor no
+    candidate and take bands b - 1 to b + 1 whole. |b| < 2**27, so keys stay below 2**63.
     """
     lats, lons, n = dataset.lats, dataset.lons, len(dataset)
     if np.greater(_finite_extent(lats, lons), (90.0, 180.0)).any():
         raise ValueError("coordinate out of range")
-    key = _fixed(lons.copy(), (np.floor(lats / _padded_deg(cfg.box_half_km / LAT_KM_PER_DEG)).astype(np.int64) << 35) + (1 << 34))
-    surv = np.argsort(key).astype(np.int32 if n < 2**31 else np.int64)
-    key, lon = np.append(key[surv], np.iinfo(np.int64).max), lons[surv]  # the sentinel ends every run
-    w = _padded_deg(cfg.box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats[surv]))))
-    wraps = np.abs(lon) + w > 180.0
-    w[wraps] = 0.0
-    base = key[:-1] >> 35
-    first = np.flatnonzero(np.diff(base, prepend=base[:1] - 1))  # each band's first position
-    w_band, sizes = np.maximum.reduceat(w, first), np.diff(first, append=n)
-    del w, first
-    base = (base << 35) + (1 << 34)
-    own = _runs(key, np.arange(1, n + 1), _fixed(lon + np.repeat(w_band, sizes), base))
-    w = np.repeat(np.maximum(w_band, np.append(w_band[1:], 0.0)), sizes)  # W of (b, b + 1); an empty band b + 1 holds nothing
-    base += 1 << 35  # band b + 1
-    far = np.flatnonzero(wraps)
-    far_lo, far_hi = base[far] - (5 << 34), base[far] + (1 << 34) - 1  # bands b - 1 to b + 1
-    start, hi = np.searchsorted(key, _fixed(lon - w, base)), _fixed(lon + w, base)
-    del w, base, lon
-    forward = [own, _runs(key, start, hi)]
-    del start, hi
-    p, q = _runs(key, np.searchsorted(key, far_lo), far_hi)
-    del key
-    p = far[p]
-    candidates = [(p, q, p != q)] + [(p, q, ~wraps[p]) for p, q in forward] + [(q, p, ~wraps[q]) for p, q in forward]
-    pairs = [np.arange(n, dtype=np.int64) * (n + 1)]  # row * n + col: every survey is in its own box
-    for p, q, take in candidates:
-        rows, cols = surv[p[take]], surv[q[take]]
-        keep = _in_box(cfg, lats[rows], lons[rows], lats[cols], lons[cols])
-        pairs.append(rows[keep].astype(np.int64) * n + cols[keep])
-    del candidates, forward, rows, cols, keep
-    rows, cols = np.divmod(np.sort(np.concatenate(pairs)), n)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols.astype(surv.dtype), indptr), shape=(n, n))
+    half, pos = cfg.box_half_km, np.int32 if n < 2**31 else np.int64
+    key = np.floor(lats / _padded_deg(half / LAT_KM_PER_DEG)).astype(np.int64) << 36
+    key += np.floor(lons * 2.0**26).astype(np.int64) + (1 << 35)
+    surv = np.argsort(key).astype(pos)
+    key = np.append(key[surv], np.iinfo(np.int64).max)  # the sentinel ends every run
+    first = np.flatnonzero(np.diff(key[:-1] >> 36, prepend=(key[:1] >> 36) - 1)).astype(pos)  # each band's first position
+    sizes, east = np.diff(first, append=n), ((key[first] >> 36) << 36) + (1 << 35) + (180 << 26)  # east: key of lon 180
+    w = _padded_deg(half / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(np.maximum.reduceat(np.abs(lats[surv]), first)))))
+    w = np.ceil(np.minimum(w, 360.0) * 2.0**26).astype(np.int64)
+    edge = np.union1d(_runs(key, first, east - (360 << 26) + w)[1], _runs(key, np.searchsorted(key, east - 1 - w).astype(pos), east)[1])
+    e = surv[edge]
+    far = edge[np.abs(lons[e]) + _padded_deg(half / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats[e])))) > 180.0]
+    del edge, e, east
+    forward = [_runs(key, np.arange(1, n + 1, dtype=pos), key[:-1] + np.repeat(w, sizes))]
+    w = np.repeat(np.maximum(w, np.append(w[1:], 0)), sizes)  # W of (b, b + 1); an empty band b + 1 holds nothing
+    hi = key[:-1] + (1 << 36)  # band b + 1
+    lo = hi - w
+    hi += w
+    del w
+    forward.append(_runs(key, np.searchsorted(key, lo).astype(pos), hi))
+    del lo, hi
+    band = key[far] >> 36
+    p, q = _runs(key, np.searchsorted(key, (band - 1) << 36).astype(pos), ((band + 2) << 36) - 1)
+    p, q, far = surv[far[p]], surv[q], surv[far]
+    keep = (p != q) & _in_box(cfg, lats[p], lons[p], lats[q], lons[q])
+    anchor, member, wraps = [p[keep]], [q[keep]], np.zeros(n, dtype=bool)
+    wraps[far] = True
+    for p, q in forward:
+        p, q = surv[p], surv[q]
+        near = np.abs(lats[p] - lats[q]) * LAT_KM_PER_DEG <= half
+        p, q = p[near], q[near]
+        dlon = _wrapped_dlon_deg(lons[p], lons[q])
+        for a, m in ((p, q), (q, p)):
+            keep = dlon * (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats[a]))) <= half
+            keep &= ~wraps[a]
+            anchor.append(a[keep])
+            member.append(m[keep])
+    return np.concatenate(anchor), np.concatenate(member), far
 
 
-def _select_anchors(order: np.ndarray, members: sparse.csr_matrix, rescued: np.ndarray | None) -> np.ndarray:
-    """The sequential walk, anchors in processing order: a survey anchors unless an earlier anchor's box
-    consumed it; a ``rescued`` survey anchors even when consumed. Each round over the edges "earlier
-    survey -> later member" consumes the open surveys an anchor holds, keeps the edges between open
-    surveys and anchors every open survey no edge reaches; after ``_MAX_ROUNDS`` the rest go one by one."""
+def _select_anchors(order: np.ndarray, src: np.ndarray, dst: np.ndarray, rescued: np.ndarray | None) -> np.ndarray:
+    """The sequential walk over the box pairs (src holds dst), anchors in processing order: a survey anchors unless
+    an earlier anchor's box consumed it; a ``rescued`` survey anchors even when consumed. Each round over the pairs
+    "earlier survey -> later member" consumes the open surveys an anchor holds, keeps the pairs between open
+    surveys and anchors every open survey no pair reaches; after ``_MAX_ROUNDS`` the rest go one by one."""
     n = order.size
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    src, dst = np.repeat(np.arange(n, dtype=members.indices.dtype), np.diff(members.indptr)), members.indices
+    rank = np.empty(n, dtype=src.dtype)
+    rank[order] = np.arange(n, dtype=src.dtype)
     later = rank[src] < rank[dst]
     src, dst = src[later], dst[later]
+    del later
     state = np.zeros(n, dtype=np.int8) if rescued is None else rescued.astype(np.int8)  # 0 open, 1 anchor, 2 consumed
     for r in range(_MAX_ROUNDS + 1):
         state[dst[(state[src] == 1) & (state[dst] == 0)]] = 2
@@ -234,12 +234,33 @@ def _select_anchors(order: np.ndarray, members: sparse.csr_matrix, rescued: np.n
             break
         fresh[dst] = False
         state[fresh] = 1
-    ptr, cols, open_ = members.indptr, members.indices, state == 0
-    for i in order[open_[order]].tolist():  # no earlier anchor holds these: walk them in order
-        if open_[i]:
-            state[i] = 1
-            open_[cols[ptr[i] : ptr[i + 1]]] = False
+    open_ = state == 0
+    if open_.any():  # no earlier anchor holds these: walk them in order over the pairs still live
+        ptr, cols = np.zeros(n + 1, dtype=np.int64), dst[np.argsort(src, kind="stable")]
+        np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+        for i in order[open_[order]].tolist():
+            if open_[i]:
+                state[i] = 1
+                open_[cols[ptr[i] : ptr[i + 1]]] = False
     return order[state[order] == 1]
+
+
+def _anchor_rows(anchors: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int) -> RowSets:
+    """Row k: ``anchors[k]`` and the members of its pairs, ascending. The pairs, sorted by (row, member), are scattered
+    past the earlier rows' anchors and, once past their own anchor, past it too; the anchors fill the slots left."""
+    row = np.full(n, -1, dtype=src.dtype)
+    row[anchors] = np.arange(anchors.size, dtype=src.dtype)
+    src = row[src]
+    keep = src >= 0
+    key = np.sort((src[keep].astype(np.int64) << 32) | dst[keep])
+    row, col = key >> 32, key & 0xFFFFFFFF
+    indptr = np.zeros(anchors.size + 1, dtype=dst.dtype)
+    np.cumsum(np.bincount(row, minlength=anchors.size) + 1, out=indptr[1:])
+    at = row + (col > anchors[row]) + np.arange(row.size)
+    indices, diagonal = np.empty(indptr[-1], dtype=dst.dtype), np.ones(indptr[-1], dtype=bool)
+    indices[at], diagonal[at] = col, False
+    indices[diagonal] = anchors
+    return RowSets(indptr, indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +294,7 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> MergedSet:
     balanced mode is judged against the number of surveys of ``dataset``
     containing each species.
     """
-    members = _member_matrix(dataset, cfg)
+    src, dst, _ = _box_pairs(dataset, cfg)
     sp_ptr, sp_idx = dataset.indptr, dataset.indices
     counts = np.diff(sp_ptr)
     top = counts.max(initial=0)  # positions ascend with survey id, so the stable sort breaks count ties by id
@@ -287,13 +308,15 @@ def merge_points(dataset: Dataset, cfg: MergeConfig) -> MergedSet:
             rare_seen = np.zeros(sp_idx.size + 1, dtype=np.int64)
             np.cumsum(np.bincount(sp_idx)[sp_idx] < cfg.rare_count_threshold, out=rare_seen[1:])
             rescued = rare_seen[sp_ptr[1:]] > rare_seen[sp_ptr[:-1]]
-        anchors = _select_anchors(order, members, rescued)
+        anchors = _select_anchors(order, src, dst, rescued)
+    members = _anchor_rows(anchors, src, dst, len(dataset))
+    del src, dst, counts
 
     species = sparse.csr_matrix((np.ones(sp_idx.size, dtype=bool), sp_idx, sp_ptr), shape=(len(dataset), int(sp_idx.max(initial=-1)) + 1))
-    members = members[anchors]
-    unions = members @ species  # boolean product: each row is the union of its members' species
+    unions = sparse.csr_matrix((np.ones(members.indices.size, dtype=bool), members.indices, members.indptr), shape=(anchors.size, len(dataset)))
+    unions = unions @ species  # boolean product: each row is the union of its members' species
     unions.sort_indices()
-    return MergedSet(dataset, anchors, RowSets(members.indptr, members.indices), RowSets(unions.indptr, unions.indices))
+    return MergedSet(dataset, anchors, members, RowSets(unions.indptr, unions.indices))
 
 
 def merged_to_dataset(merged: MergedSet) -> Dataset:

@@ -76,10 +76,13 @@ def probing(count):
 
 
 def assert_member_rows_match_oracle(ds, c):
-    members = pseudolabel._member_matrix(ds, c)
-    for i in range(len(ds)):
-        assert members.indices[members.indptr[i] : members.indptr[i + 1]].tolist() == box_members_oracle(ds, i, c).tolist()
-    return members
+    """Each survey's row rebuilt from the sweep's box pairs (the survey itself plus its members, ascending) against
+    the pairwise box test; returns the rows."""
+    anchor, member, _ = pseudolabel._box_pairs(ds, c)
+    rows = [sorted([i] + member[anchor == i].tolist()) for i in range(len(ds))]
+    for i, row in enumerate(rows):
+        assert row == box_members_oracle(ds, i, c).tolist()
+    return rows
 
 
 class TestConfig:
@@ -292,8 +295,7 @@ class TestMergeRegimes:
         lat, lat_above = 80.0, 80.0 + 0.9 * (0.32 / LAT_KM_PER_DEG)
         dlon = sum(0.32 / (LON_KM_PER_DEG_AT_EQUATOR * math.cos(math.radians(x))) for x in (lat, lat_above)) / 2
         ds = Dataset(np.array([1, 2]), np.array([lat, lat_above]), np.array([10.0, 10.0 + dlon]), [frozenset({0}), frozenset({1})])
-        members = assert_member_rows_match_oracle(ds, cfg())
-        assert members.indices.tolist() == [0, 0, 1]
+        assert assert_member_rows_match_oracle(ds, cfg()) == [[0], [0, 1]]
 
     def test_member_rows_of_a_sub_nanometre_box_match_the_pairwise_box_test(self, rng):
         # a box this small would need more latitude bands than int64 sweep keys can count, were there no floor
@@ -301,7 +303,7 @@ class TestMergeRegimes:
         src, dst = rng.integers(0, 2000, 600), rng.integers(0, 2000, 600)
         lats[dst], lons[dst] = lats[src], np.nextafter(lons[src], rng.choice([-np.inf, 0.0, np.inf], 600))
         ds = Dataset(np.arange(1, 2001), lats, lons, [frozenset({1})] * 2000)
-        assert assert_member_rows_match_oracle(ds, cfg(box_half_km=1e-12)).nnz > 2000
+        assert sum(map(len, assert_member_rows_match_oracle(ds, cfg(box_half_km=1e-12)))) > 2000
 
     @pytest.mark.parametrize("lat, lon", [(math.nan, 0.0), (0.0, math.inf), (90.5, 0.0), (0.0, -180.5)])
     def test_coordinates_are_checked(self, lat, lon):
@@ -361,6 +363,37 @@ class TestMergeRegimes:
         ds = make_dataset([(i + 1, lats[i], lons[i], {i % 7}) for i in range(3 * m)])
         c = cfg(mode, rare_count_threshold=26)  # species 5 and 6 (25 surveys each) are rare
         assert [record_key(r) for r in merge_points(ds, c)] == merge_points_oracle(ds, c)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        near_pole=st.integers(1, 40),
+        near_antimeridian=st.integers(1, 40),
+        repeats=st.integers(0, 20),
+        box_half_km=st.sampled_from([0.32, 5.0, 50.0]),
+        rare=st.sampled_from([2, 20]),
+    )
+    def test_polar_and_antimeridian_bands_match_oracle(self, seed, near_pole, near_antimeridian, repeats, box_half_km, rare):
+        # surveys 0.01-0.1 degrees from either pole (any longitude) or from +-180 degrees (any latitude), where
+        # boxes cross +-180 degrees; the sweep must single out exactly the surveys whose own window crosses it
+        rng = np.random.default_rng(seed)
+        off_pole, off_180 = rng.uniform(0.01, 0.1, near_pole), rng.uniform(0.01, 0.1, near_antimeridian)
+        lats = np.concatenate((rng.choice([-1.0, 1.0], near_pole) * (90.0 - off_pole), rng.uniform(-90.0, 90.0, near_antimeridian)))
+        lons = np.concatenate((rng.uniform(-180.0, 180.0, near_pole), rng.choice([-1.0, 1.0], near_antimeridian) * (180.0 - off_180)))
+        n = lats.size
+        src, dst = rng.integers(0, n, repeats), rng.integers(0, n, repeats)
+        lats[dst], lons[dst] = lats[src], lons[src]
+        species = [frozenset(rng.choice(12, rng.integers(1, 4), replace=False).tolist()) for _ in range(n)]
+        ds = Dataset(np.arange(1, n + 1), lats, lons, species)
+        w = pseudolabel._padded_deg(box_half_km / (LON_KM_PER_DEG_AT_EQUATOR * np.cos(np.radians(lats))))
+        _, _, wrapping = pseudolabel._box_pairs(ds, cfg(box_half_km=box_half_km))
+        assert sorted(wrapping.tolist()) == np.flatnonzero(np.abs(lons) + w > 180.0).tolist()
+        for mode in MergeMode:
+            c = cfg(mode, box_half_km=box_half_km, rare_count_threshold=rare)
+            merged = merge_points(ds, c)
+            assert [record_key(r) for r in merged] == merge_points_oracle(ds, c)
+            assert merged.members.indptr.dtype == merged.members.indices.dtype == np.int32
+            assert merged.unions.indptr.dtype == merged.unions.indices.dtype == np.int32
 
     @settings(max_examples=40)
     @given(
