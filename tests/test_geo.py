@@ -21,21 +21,28 @@ TIE_POOL = [
     (90.0, 0.0), (90.0, 77.0), (-90.0, 180.0), (89.9999999, 10.0), (-89.9999999, -170.0),
 ]
 
+# Every TIE_POOL point 0.5 degrees from (0, 0) lies on the boundary of this radius around it.
+TIE_KM = float(haversine_km_arrays(0.0, 0.0, 0.0, math.radians(0.5)))
+RADIUS = st.one_of(st.sampled_from([0.0, TIE_KM]), st.floats(0.0, 20100.0))
+
 
 @st.composite
 def tie_heavy_knn(draw):
-    """(ids, lats, lons, query lats, query lons, k): points and queries from ``TIE_POOL``, repeats and anywhere;
-    ids are a permutation, so the tree's order among ties is not id order; k is 1, n - 1, n or n + 1."""
-    n = draw(st.integers(2, 24))
+    """(ids, lats, lons, query lats, query lons, k, shuffle): points and queries from ``TIE_POOL``, repeats and
+    anywhere; n may be 1, and all points may share one coordinate; ids are a permutation, so the tree's order among
+    ties is not id order; k is 1, n - 1, n, n + 1 or n + 2; ``shuffle`` is a permutation of the n positions."""
+    n = draw(st.integers(1, 24))
     point = st.one_of(st.sampled_from(TIE_POOL), st.tuples(LAT, LON))
+    one_site = draw(st.integers(0, 7)) == 0
     coords = []
     for _ in range(n):
-        coords.append(draw(st.sampled_from(coords) if coords and draw(st.booleans()) else point))
+        coords.append(draw(st.sampled_from(coords) if coords and (one_site or draw(st.booleans())) else point))
     queries = draw(st.lists(st.one_of(point, st.sampled_from(coords)), min_size=1, max_size=6))
     ids = np.array(draw(st.permutations(range(1, n + 1))), dtype=np.int64)
-    k = draw(st.sampled_from([1, n - 1, n, n + 1]))
+    k = draw(st.sampled_from(sorted({1, max(n - 1, 1), n, n + 1, n + 2})))
+    shuffle = np.array(draw(st.permutations(range(n))), dtype=np.intp)
     (lats, lons), (q_lat, q_lon) = (np.array(c, dtype=np.float64).T for c in (coords, queries))
-    return ids, lats, lons, q_lat, q_lon, k
+    return ids, lats, lons, q_lat, q_lon, k, shuffle
 
 
 def P(lat, lon):
@@ -153,6 +160,15 @@ class TestGeoIndex:
         with pytest.raises(ValueError, match="radius_km must be >= 0"):
             getattr(idx, method)(np.radians([10.0, 20.0]), np.radians([5.0, 6.0]), radius_km)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("radii", [[100.0], [100.0, 200.0], [100.0] * 4, [[100.0]] * 3])
+    @pytest.mark.parametrize("method", ["radius_query_many", "radius_candidates_many"])
+    def test_bulk_radius_rejects_an_array_not_one_per_query(self, rng, n, radii, method):
+        idx = GeoIndex(*random_points(rng, n))
+        size = np.size(radii)
+        with pytest.raises(ValueError, match=f"^radius_km must be a scalar or hold one value per query point: {size} values for 3 points$"):
+            getattr(idx, method)(np.radians([10.0, 20.0, 30.0]), np.radians([5.0, 6.0, 7.0]), np.array(radii))
+
     @pytest.mark.parametrize("radius_km", [-1.0, math.nan])
     def test_single_radius_rejects_negative_or_nan(self, rng, radius_km):
         idx = GeoIndex(*random_points(rng, 3))
@@ -178,19 +194,37 @@ class TestGeoIndex:
                 k = int(rng.integers(1, 12))
                 assert knn_row(idx, center, k) == brute_knn(ids, lats, lons, center, k)
 
-    def test_bulk_radius_matches_single(self, rng):
+    @pytest.mark.parametrize("radius_km", [750.0, np.array(750.0), np.linspace(0.0, 2500.0, 20)])  # a scalar or one per query
+    def test_bulk_radius_matches_single(self, rng, radius_km):
         ids, lats, lons = random_points(rng, 300)
         idx = GeoIndex(ids, lats, lons)
         q_lat = rng.uniform(-80, 80, 20)
         q_lon = rng.uniform(-180, 180, 20)
-        offsets, pos, dist = idx.radius_query_many(np.radians(q_lat), np.radians(q_lon), 750.0)
-        for i in range(20):
+        offsets, pos, dist = idx.radius_query_many(np.radians(q_lat), np.radians(q_lon), radius_km)
+        for i, r in enumerate(np.broadcast_to(radius_km, 20)):
             got = sorted(
                 (int(ids[p]), float(d))
                 for p, d in zip(pos[offsets[i] : offsets[i + 1]], dist[offsets[i] : offsets[i + 1]])
             )
-            expected = sorted(brute_radius(ids, lats, lons, P(q_lat[i], q_lon[i]), 750.0))
+            expected = sorted(brute_radius(ids, lats, lons, P(q_lat[i], q_lon[i]), r))
             assert got == expected
+
+    @given(tie_heavy_knn(), st.lists(RADIUS, min_size=6, max_size=6))
+    @example((np.array([2, 1, 3]), np.array([0.0, 0.0, 0.5]), np.array([0.5, -0.5, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 180.0]), 1, np.array([1, 2, 0])), [TIE_KM] * 6)
+    def test_radius_matches_brute_force_through_a_shuffle(self, case, radii):
+        ids, lats, lons, q_lat, q_lon, _, shuffle = case
+        radii = np.array(radii[: q_lat.size])  # one radius per query point
+        q = np.radians(q_lat), np.radians(q_lon)
+        offsets, pos, dist = GeoIndex(ids, lats, lons).radius_query_many(*q, radii)
+        s_offsets, s_pos, s_dist = GeoIndex(ids[shuffle], lats[shuffle], lons[shuffle]).radius_query_many(*q, radii)
+        assert pos.dtype == s_pos.dtype == np.intp
+        assert np.array_equal(s_offsets, offsets)
+        for i in range(q_lat.size):
+            row = sorted(zip(pos[offsets[i] : offsets[i + 1]].tolist(), dist[offsets[i] : offsets[i + 1]].tolist()))
+            s_row = sorted(zip(shuffle[s_pos[offsets[i] : offsets[i + 1]]].tolist(), s_dist[offsets[i] : offsets[i + 1]].tolist()))
+            assert s_row == row
+            got = sorted(((int(ids[p]), d) for p, d in row), key=lambda e: (e[1], e[0]))
+            assert got == brute_radius(ids, lats, lons, P(q_lat[i], q_lon[i]), radii[i])
 
     def test_bulk_knn_matches_single(self, rng):
         ids, lats, lons = random_points(rng, 300)
@@ -233,19 +267,27 @@ class TestKnnBallSkip:
     """``knn_query_many`` gathers the near-tie ball only for rows that may tie at the k-th neighbour."""
 
     @given(tie_heavy_knn())
-    @example((np.array([9, 8, 7, 6]), np.array([45.0, 45.0, 45.0, -30.0]), np.array([7.0, 7.0, 7.0, 100.0]), np.array([45.0]), np.array([7.0]), 1))
-    @example((np.array([3, 2, 1]), np.array([0.0, 0.0, 0.5]), np.array([0.5, -0.5, 0.0]), np.array([0.0]), np.array([0.0]), 2))
+    @example((np.array([9, 8, 7, 6]), np.array([45.0, 45.0, 45.0, -30.0]), np.array([7.0, 7.0, 7.0, 100.0]), np.array([45.0]), np.array([7.0]), 1, np.array([3, 1, 0, 2])))
+    @example((np.array([3, 2, 1]), np.array([0.0, 0.0, 0.5]), np.array([0.5, -0.5, 0.0]), np.array([0.0]), np.array([0.0]), 2, np.array([2, 0, 1])))
+    @example((np.array([1]), np.array([90.0]), np.array([0.0]), np.array([-90.0, 90.0]), np.array([0.0, 33.0]), 3, np.array([0])))
+    @example((np.array([4, 2, 1, 3]), np.full(4, 12.5), np.full(4, 180.0), np.array([12.5, 0.0]), np.array([-180.0, 0.0]), 6, np.array([1, 3, 2, 0])))
     def test_matches_brute_force_on_ties(self, case):
-        ids, lats, lons, q_lat, q_lon, k = case
-        pos, dist = GeoIndex(ids, lats, lons).knn_query_many(np.radians(q_lat), np.radians(q_lon), k)
+        ids, lats, lons, q_lat, q_lon, k, shuffle = case
+        q = np.radians(q_lat), np.radians(q_lon)
+        pos, dist = GeoIndex(ids, lats, lons).knn_query_many(*q, k)
         assert pos.shape == dist.shape == (q_lat.size, min(k, ids.size))
+        assert pos.dtype == np.intp
         for i in range(q_lat.size):
             got = [(int(ids[p]), float(d)) for p, d in zip(pos[i], dist[i])]
             assert got == brute_knn(ids, lats, lons, P(q_lat[i], q_lon[i]), k)
+        # the same points in another order give the same answers through the shuffle: position p there is row shuffle[p]
+        s_pos, s_dist = GeoIndex(ids[shuffle], lats[shuffle], lons[shuffle]).knn_query_many(*q, k)
+        assert s_pos.dtype == np.intp
+        assert np.array_equal(shuffle[s_pos], pos) and np.array_equal(s_dist, dist)
 
     @given(tie_heavy_knn(), st.integers(0, 3))
     def test_prefix_of_a_larger_query(self, case, extra):
-        ids, lats, lons, q_lat, q_lon, k = case
+        ids, lats, lons, q_lat, q_lon, k, _ = case
         idx = GeoIndex(ids, lats, lons)
         pos, dist = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), k)
         wide_pos, wide_dist = idx.knn_query_many(np.radians(q_lat), np.radians(q_lon), k + extra)
