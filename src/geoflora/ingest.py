@@ -9,11 +9,13 @@ Two comma-delimited, UTF-8 file shapes are supported (header row required):
 
 Raw species identifiers are remapped to dense indices [0, S) at ingestion;
 all downstream math runs on dense indices and submissions map back to raw
-ids. A catalog is only its raw ids in strictly ascending order (``lookup``
-maps many with one ``searchsorted``; a file parsed without a catalog gets it
-and its dense indices from one sort), dense index d being the d-th of them,
-so any two files covering the same species produce identical mappings and
-ascending dense indices decode to ascending raw ids.
+ids. A catalog is its raw ids in strictly ascending order, dense index d
+being the d-th of them, so any two files covering the same species produce
+identical mappings and ascending dense indices decode to ascending raw ids.
+When every id lies in [0, 2**19), the catalog also builds one table from raw
+id to dense index: ``lookup`` is then one gather, and a file parsed without a
+catalog gets it from a presence ``bincount``. Other ids take ``searchsorted``
+and one sort instead.
 A ``Dataset`` stores species sets only as CSR arrays: parsing builds them,
 re-encoding is ``remap[indices]`` and writing decodes ``dense_to_raw[indices]``.
 The same CSR pair, ``RowSets``, carries Top-K picks, votes and the routed
@@ -24,11 +26,12 @@ each format declared once as a ``Layout`` (header, column dtypes, id column).
 A valid file is read in bulk, ``\\r\\n`` read as ``\\n``: numpy's ``loadtxt``
 reads the comma-separated columns (a regular file again by its path, in
 chunks; a pipe only once) and its integer reader ``fromstring`` the id lists.
-A file holding anything else (a byte outside digits, ``-.eE``, commas, spaces
-and newlines, such as a lone ``\\r`` or a quote, a field numpy rejects,
-another field count, a ``-`` or an int64 limit ``fromstring`` may misread)
-goes to the one ``csv`` row pass, which reads the same bytes by the same
-layout, returns the same arrays and is the only place that names a fault.
+A file holding anything else (a byte outside digits, ``+-.eE``, commas,
+spaces and newlines, such as a lone ``\\r`` or a quote, a ``+`` outside a float
+column, a field numpy rejects, another field count, a ``-`` or an int64 limit
+``fromstring`` may misread) goes to the one ``csv`` row pass, which reads the
+same bytes by the same layout, returns the same arrays and is the only place
+that names a fault.
 Grouping, conflict checks and catalog lookups then run once on numpy arrays.
 So a file with several faults reports bytes that are not UTF-8 first (the
 line of the first), then its row-local format faults, then, each at its first
@@ -67,6 +70,9 @@ COORD_CONFLICT_TOLERANCE_DEG = 1e-6
 # Error messages list at most this many ids, then the total count.
 MAX_IDS_IN_MESSAGE = 10
 
+# A catalog whose raw species ids all lie in [0, _TABLE_IDS) maps them through an int64 table of at most 4 MB.
+_TABLE_IDS = 1 << 19
+
 
 class ParseError(ValueError):
     """Raised for malformed or inconsistent survey files."""
@@ -96,9 +102,10 @@ class Layout:
 
 
 # The bytes a file read in bulk may hold after its header line, once each "\r\n" is "\n"; numpy's int and float parsers
-# read such fields exactly as ``int`` and ``float`` do, and its loadtxt rejects what they reject. Other bytes (a sign,
-# "_", a lone "\r", quotes, letters such as "nan", anything outside ASCII) send the file to the row pass.
-_BULK_BYTES = b"0123456789-.eE, \n"
+# read such fields exactly as ``int`` and ``float`` do, and its loadtxt rejects what they reject. Other bytes ("_", a
+# lone "\r", quotes, letters such as "nan", anything outside ASCII) send the file to the row pass, as does a "+"
+# outside the float columns: ``int`` reads "+5", which the row pass refuses as an id.
+_BULK_BYTES = b"0123456789+-.eE, \n"
 _SPACES = bytes.maketrans(b",\n", b"  ")  # an id list's separators as fromstring's whitespace
 _ARCHIVES = (".gz", ".bz2", ".xz", ".lzma")  # numpy's loadtxt would decompress a path so named
 _VERSION = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")  # which file a stat saw, and which write of it
@@ -214,6 +221,8 @@ def _bulk_table(data: bytes, layouts: Sequence[Layout], path: str | None) -> tup
         ends = np.append(ends, u.size)
     filled = np.diff(ends, prepend=-1) > 1
     lines = np.flatnonzero(filled) + 2
+    if b"+" in body and not _signs_in_floats(u, ends, layout):
+        return None
     if layout.ids != "list":
         columns = _loadtxt(path or io.BytesIO(data), layout.header, layout.dtypes, skiprows=1)
         if layout.ids == "one":
@@ -246,6 +255,16 @@ def _bulk_table(data: bytes, layouts: Sequence[Layout], path: str | None) -> tup
     if columns[0].size != lines.size:
         return None  # numpy skipped a line the row pass reads, such as one of spaces
     return (*columns, lines)
+
+
+def _signs_in_floats(u: np.ndarray, ends: np.ndarray, layout: Layout) -> bool:
+    """Whether every "+" of the body ``u``, its lines ending at ``ends``, lies in a float column of ``layout``: the
+    commas between a "+" and the start of its line count the fields before it."""
+    plus, commas = np.flatnonzero(u == 43), np.flatnonzero(u == 44)
+    starts = np.concatenate(([0], ends[:-1] + 1))[np.searchsorted(ends, plus)]
+    field = np.searchsorted(commas, plus) - np.searchsorted(commas, starts)
+    floats = np.array([d is np.float64 for d in layout.dtypes] + [False])  # an id list, or a field too many, last
+    return bool(floats[np.minimum(field, floats.size - 1)].all())
 
 
 def preview_ids(ids: Iterable) -> str:
@@ -282,15 +301,22 @@ class SpeciesCatalog:
     """Raw species ids in strictly ascending order; dense index ``d`` means raw id ``dense_to_raw[d]``.
 
     Dense order is raw order, so ascending dense indices decode to ascending
-    raw ids, and the catalog over a given set of raw ids is unique.
+    raw ids, and the catalog over a given set of raw ids is unique. A catalog
+    whose ids all lie in [0, ``_TABLE_IDS``) also holds the table from raw id
+    to dense index (-1 where absent), built once, through which ``lookup``
+    gathers; other catalogs look ids up by binary search.
     """
 
-    __slots__ = ("dense_to_raw",)
+    __slots__ = ("dense_to_raw", "_table")
 
     def __init__(self, dense_to_raw):
         self.dense_to_raw = np.asarray(dense_to_raw, dtype=np.int64)
         if np.any(self.dense_to_raw[1:] <= self.dense_to_raw[:-1]):  # np.diff would wrap around int64
             raise ValueError("raw species ids must be strictly ascending, without duplicates")
+        self._table = None
+        if self.dense_to_raw.size and self.dense_to_raw[0] >= 0 and self.dense_to_raw[-1] < _TABLE_IDS:
+            self._table = np.full(int(self.dense_to_raw[-1]) + 1, -1, dtype=np.int64)
+            self._table[self.dense_to_raw] = np.arange(self.dense_to_raw.size)
 
     @staticmethod
     def union(catalogs: Sequence["SpeciesCatalog"]) -> "SpeciesCatalog":
@@ -300,6 +326,10 @@ class SpeciesCatalog:
     def lookup(self, raw) -> tuple[np.ndarray, np.ndarray]:
         """The dense index of each raw id in the 1-D ``raw`` and whether the catalog holds it; an unknown id's index means nothing."""
         raw = np.asarray(raw, dtype=np.int64)
+        if self._table is not None:
+            inside = raw.view(np.uint64) < np.uint64(self._table.size)  # a negative id wraps above every table position
+            dense = self._table[np.where(inside, raw, 0)]
+            return dense, inside & (dense >= 0)
         dense = np.searchsorted(self.dense_to_raw, raw)
         known = dense < self.dense_to_raw.size
         known[known] = self.dense_to_raw[dense[known]] == raw[known]
@@ -475,7 +505,10 @@ def parse_occurrences(
         raise ParseError(f"{path}:{lines[r]}: survey {sid[r]} has conflicting coordinates {where}")
 
     ids = sid[heads]
-    if catalog is None:  # one sort gives the catalog and each id's index in it
+    if catalog is None and raw.min(initial=0) >= 0 and raw.max(initial=0) < _TABLE_IDS:  # the present ids, by a count
+        catalog = SpeciesCatalog(np.flatnonzero(np.bincount(raw)))
+        dense = catalog.lookup(raw)[0]
+    elif catalog is None:  # one sort gives the catalog and each id's index in it
         dense_to_raw, dense = np.unique(raw, return_inverse=True)
         catalog = SpeciesCatalog(dense_to_raw)
     else:

@@ -8,8 +8,10 @@ surveys (5 neighbours, > 80 %), the out-of-distribution side over strictly
 merged PO surveys (6 neighbours, > 50 %). The final prediction is the
 deduplicated union of both.
 
-On CSR arrays, ``apply_top_k`` and ``grid_search_top_k`` share one ranking kernel;
-votes threshold ``neighbor_species_counts``.
+On CSR arrays, ``apply_top_k`` and ``grid_search_top_k`` share one ranking kernel,
+which ranks only the entries Threshold Top-K can keep: ``apply_top_k`` those at
+its threshold, the grid search those at its smallest threshold, once for the
+whole grid. Votes threshold ``neighbor_species_counts``.
 Top-K picks (rows by score-matrix id), votes and their union (rows by test id,
 the order ``write_submission`` writes) are ``RowSets``.
 """
@@ -100,26 +102,49 @@ def finalize(votes: RowSets, picks: RowSets, rows: np.ndarray) -> RowSets:
     return union_rows(len(votes), (np.arange(len(votes)), votes), (rows, picks))
 
 
-def _ranked_entries(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, species and score of every entry by (row, descending score, species); Top-K keeps a prefix of each row."""
-    row = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr))
-    order = np.lexsort((-matrix.scores, row))  # stable: equal scores keep the rows' ascending species order
-    return row, matrix.species[order], matrix.scores[order]
+def _first_best(matrix: ScoreMatrix) -> np.ndarray:
+    """The position of each non-empty row's first best entry: its highest score at its lowest species index."""
+    filled = np.flatnonzero(np.diff(matrix.indptr))
+    starts = matrix.indptr[filled]
+    if not starts.size:
+        return starts
+    best = np.maximum.reduceat(matrix.scores, starts)  # a row's segment runs to the next non-empty row's start
+    at = np.flatnonzero(matrix.scores == np.repeat(best, np.diff(matrix.indptr)[filled]))
+    return at[np.searchsorted(at, starts)]
 
 
-def _kept_counts(row: np.ndarray, score: np.ndarray, row_len: np.ndarray, threshold: float, k_cap, fallback_top1: bool) -> np.ndarray:
+def _ranked(matrix: ScoreMatrix, threshold: float, fallback_top1: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries Threshold Top-K can keep at ``threshold`` or above, ranked: their row pointers, then the row and
+    the matrix position of each, by (row, descending score, species). Top-K keeps a prefix of each row.
+
+    They are the entries scoring at least ``threshold`` and, with ``fallback_top1``, each non-empty row's first best
+    entry, which is its first ranked entry.
+    """
+    keep = matrix.scores >= threshold
+    if fallback_top1:
+        keep[_first_best(matrix)] = True
+    at = np.flatnonzero(keep)
+    ptr = np.searchsorted(at, matrix.indptr)
+    row = np.repeat(np.arange(len(matrix)), np.diff(ptr))
+    return ptr, row, at[np.lexsort((-matrix.scores[at], row))]  # stable: equal scores keep the rows' species order
+
+
+def _kept_counts(row: np.ndarray, score: np.ndarray, ranked_len: np.ndarray, threshold: float, k_cap, fallback_top1: bool) -> np.ndarray:
     """How many ranked entries of each row Threshold Top-K keeps (one result row per cap if ``k_cap`` is a column):
-    those clearing the threshold, capped; with ``fallback_top1`` a non-empty row keeps at least its best entry."""
-    cleared = np.bincount(row[score >= threshold], minlength=row_len.size)
-    return np.minimum(np.minimum(np.maximum(cleared, int(fallback_top1)), row_len), k_cap)
+    those clearing the threshold, capped; with ``fallback_top1`` a non-empty row keeps at least its best entry.
+    The ranking is ``_ranked``'s at this threshold or a lower one; ``ranked_len`` counts each row's entries in it."""
+    cleared = np.bincount(row[score >= threshold], minlength=ranked_len.size)
+    return np.minimum(np.minimum(np.maximum(cleared, int(fallback_top1)), ranked_len), k_cap)
 
 
 def apply_top_k(matrix: ScoreMatrix, cfg: TopKConfig) -> RowSets:
-    """Threshold Top-K over every row of a score matrix: row i holds survey ``matrix.ids[i]``'s picks, best first."""
-    row, species, score = _ranked_entries(matrix)
-    kept = _kept_counts(row, score, np.diff(matrix.indptr), cfg.threshold, cfg.k_cap, cfg.fallback_top1)
-    keep = np.arange(row.size) - matrix.indptr[row] < kept[row]
-    return RowSets(np.concatenate(([0], np.cumsum(keep)))[matrix.indptr], species[keep])
+    """Threshold Top-K over every row of a score matrix: row i holds survey ``matrix.ids[i]``'s picks, best first.
+
+    Only the entries it can keep are ranked, so every one of them is kept but for the cap."""
+    ptr, row, pos = _ranked(matrix, cfg.threshold, cfg.fallback_top1)
+    kept = np.minimum(np.diff(ptr), cfg.k_cap)
+    keep = np.arange(row.size) - ptr[row] < kept[row]
+    return RowSets(np.concatenate(([0], np.cumsum(kept))), matrix.species[pos[keep]])
 
 
 def side_predictions(
@@ -148,10 +173,12 @@ def grid_search_top_k(
     matrix's are never predicted but count as true species.
     The grid is scanned in ascending (threshold, k_cap) order and only a
     strict improvement moves the winner, so the result is deterministic.
-    Every point is scored from the ranking ``apply_top_k`` takes prefixes of:
-    a running count of true species within each row gives TP for any prefix
-    length. Each point's F1 equals ``samples_f1`` of ``apply_top_k``'s rows by
-    survey id bit for bit: both are ``mean_f1`` over the surveys in id order.
+    The entries any grid point can keep are ranked once (``_ranked`` at the
+    smallest threshold), and every point takes prefixes of that ranking: a
+    running count of true species within each row gives TP for any prefix
+    length. Each point's F1 equals ``samples_f1`` of
+    ``apply_top_k``'s rows by survey id bit for bit: both are ``mean_f1`` over
+    the surveys in id order.
     """
     thresholds, k_caps = sorted(thresholds), sorted(k_caps)
     grid = [TopKConfig(thr, k_cap, fallback_top1) for thr in thresholds for k_cap in k_caps]
@@ -160,23 +187,28 @@ def grid_search_top_k(
     check_same_surveys(truth.ids.tolist(), matrix.survey_ids())
     n = len(matrix)
 
-    row, keys, score = _ranked_entries(matrix)  # with the lexsort, at most five entry-sized arrays at once
+    ptr, row, pos = _ranked(matrix, thresholds[0], fallback_top1)
+    # an entry is a hit when its (row, species) key is among the truth's keys; the matrix's keys ascend, so each
+    # truth key is looked up among them (a truth species beyond the matrix's is never predicted)
     width = matrix.num_species
-    keys += row * width
-    # an entry is a hit when its (row, species) key is among the truth's keys; the
-    # sentinel n * width exceeds every key, so searchsorted always lands on a key
+    keys = np.repeat(np.arange(n) * width, np.diff(matrix.indptr)) + matrix.species
     truth_len = np.diff(truth.indptr)
-    truth_keys = np.repeat(np.arange(n), truth_len) * width + truth.indices
-    truth_keys = np.append(truth_keys[truth.indices < width], n * width)  # already ascending
-    hits = np.concatenate(([0], np.cumsum(truth_keys[np.searchsorted(truth_keys, keys)] == keys)))
+    truth_keys = (np.repeat(np.arange(n) * width, truth_len) + truth.indices)[truth.indices < width]
+    at = np.searchsorted(keys, truth_keys)
+    found = at < keys.size
+    found[found] = keys[at[found]] == truth_keys[found]
+    hit = np.zeros(keys.size, dtype=bool)
+    hit[at[found]] = True
     del keys
-    row_len, row_start = np.diff(matrix.indptr), matrix.indptr[:-1]
+    hits = np.concatenate(([0], np.cumsum(hit[pos])))
+    score = matrix.scores[pos]
+    ranked_len, ranked_start = np.diff(ptr), ptr[:-1]
     caps = np.array(k_caps, dtype=np.int64)[:, None]
 
     f1 = np.empty((len(thresholds), len(k_caps)))  # grid order when flattened
     for j, thr in enumerate(thresholds):
-        kept = _kept_counts(row, score, row_len, thr, caps, fallback_top1)  # one row per k_cap
-        f1[j] = mean_f1(hits[row_start + kept] - hits[row_start], kept, truth_len)
+        kept = _kept_counts(row, score, ranked_len, thr, caps, fallback_top1)  # one row per k_cap
+        f1[j] = mean_f1(hits[ranked_start + kept] - hits[ranked_start], kept, truth_len)
     best = int(np.argmax(f1))  # first maximum: only a strict improvement moves the winner
     return grid[best], float(f1.flat[best])
 

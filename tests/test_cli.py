@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_surveys
 from geoflora import ingest, pipeline, pseudolabel
 from geoflora.cli import build_parser, run
 from geoflora.geo import GeoIndex
-from geoflora.ingest import parse_occurrences
-from geoflora.postprocess import read_submission
+from geoflora.ingest import Dataset, SpeciesCatalog, parse_occurrences, write_dataset
+from geoflora.postprocess import grid_search_top_k, read_submission
+from geoflora.predictor import ScoreMatrix, load_scores, save_scores
 from geoflora.pseudolabel import MergeConfig
 
 PAIR_WIDE = "surveyId,lat,lon,speciesIds\n1,45.0000000,5.0000000,101 102\n2,45.0005000,5.0000000,103\n"
@@ -170,6 +171,37 @@ class TestBasicCommands:
         assert err.startswith(f"error: {truth}: ") and err.count("\n") == 1
         assert "species 999" in err
         assert not sub.exists()
+
+    @pytest.mark.parametrize("fallback", [[], ["--fallback-top1"]])
+    def test_tuned_postprocess_equals_the_grid_search_then_top_k_at_its_winner(self, tmp_path, capsys, rng, fallback):
+        """``--tune-truth`` writes the bytes and prints the grid line of ``grid_search_top_k`` followed by a run at the
+        winning setting; most scores fall below every threshold, so both rankings leave most entries out."""
+        reference = random_surveys(rng, 300, 30)
+        write_dataset(reference, str(tmp_path / "ref.csv"), SpeciesCatalog(np.arange(30) * 3 + 100))
+        catalog = parse_occurrences(str(tmp_path / "ref.csv"))[1]
+        n, width = 80, len(catalog)
+        ids, lats, lons = np.arange(1, n + 1) * 7, rng.uniform(40.0, 42.0, n), rng.uniform(0.0, 3.0, n)
+        write_dataset(Dataset.from_csr(ids, lats, lons, np.zeros(n + 1, dtype=np.int64), []), str(tmp_path / "test.csv"), catalog)
+        keys = np.unique(rng.integers(0, n * width, n * 12))  # about 12 entries a row, some rows empty
+        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(keys // width, minlength=n))))
+        scores = np.where(rng.random(keys.size) < 0.8, rng.integers(0, 4, keys.size) / 16, rng.integers(0, 9, keys.size) / 8)
+        save_scores(ScoreMatrix(width, ids, row_ptr, keys % width, scores), str(tmp_path / "scores.csv"), catalog)
+        truth_keys = np.unique(rng.integers(0, n * width, n * 3))
+        truth_ptr = np.concatenate(([0], np.cumsum(np.bincount(truth_keys // width, minlength=n))))
+        write_dataset(Dataset.from_csr(ids, lats, lons, truth_ptr, truth_keys % width), str(tmp_path / "truth.csv"), catalog)
+
+        paths = {name: str(tmp_path / f"{name}.csv") for name in ("ref", "test", "scores", "truth", "tuned", "fixed")}
+        argv = ["postprocess", "--scores", paths["scores"], "--test", paths["test"], "--reference", paths["ref"], *fallback]
+        thresholds, k_caps = [0.2, 0.3, 0.5, 0.625, 0.9], [1, 2, 3, 5]
+        grid = ["--grid-thresholds", *map(str, thresholds), "--grid-kcaps", *map(str, k_caps)]
+        capsys.readouterr()
+        assert run([*argv, "--tune-truth", paths["truth"], *grid, "--output", paths["tuned"]]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        matrix, truth = load_scores(paths["scores"], catalog), parse_occurrences(paths["truth"], catalog=catalog)[0]
+        cfg, f1 = grid_search_top_k(matrix, truth, thresholds, k_caps, fallback_top1=bool(fallback))
+        assert printed == f"grid search: threshold={cfg.threshold} k_cap={cfg.k_cap} (F1={f1:.5f})"
+        assert run([*argv, "--threshold", str(cfg.threshold), "--k-cap", str(cfg.k_cap), "--output", paths["fixed"]]) == 0
+        assert Path(paths["tuned"]).read_bytes() == Path(paths["fixed"]).read_bytes()
 
     def test_fusion_check_passes(self, capsys):
         assert run(["fusion-check", "--seed", "3"]) == 0

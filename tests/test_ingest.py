@@ -405,6 +405,51 @@ class TestBulkReader:
         assert_same_arrays(outcome(lambda: read_table(str(path), layouts)), outcome(lambda: row_pass(path, layouts)))
 
     @pytest.mark.parametrize(
+        "layouts, text",
+        [
+            (_SURVEY_LAYOUTS, "surveyId,lat,lon,speciesId\n1,+45.0,+5e+00,7\n2,4.5E+1,-5.0,+9e0\n"),  # "+9e0" is no id
+            (_SURVEY_LAYOUTS, "surveyId,lat,lon,speciesId\n1,+45.0,+5e+00,7\n2,4.5E+1,-5.0,9\n"),
+            (_SURVEY_LAYOUTS, "surveyId,lat,lon,speciesIds\n1, +4.5e+01,+0,7 9\n\n2,-1.0,+.5,\n"),
+            (_SURVEY_LAYOUTS, "surveyId,lat,lon,speciesIds\r\n1,+45.0,5.0,7\r\n2,45.0,+5.0,8"),
+            ([_SCORE_LAYOUT], "surveyId,speciesId,score\n1,7,+0.5\n1,9,5e+-1\n"),  # "5e+-1" is no number
+            ([_SCORE_LAYOUT], "surveyId,speciesId,score\n1,7,+0.5\n1,9,+5E-1 \n2,7,1e+0\n"),
+        ],
+    )
+    def test_a_plus_sign_in_a_float_column_reads_in_bulk(self, tmp_path, monkeypatch, layouts, text):
+        """The bulk pass reads what the row pass reads; a file numpy rejects goes to the row pass, and only such a file."""
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode())
+        expected = outcome(lambda: row_pass(path, layouts))
+        if isinstance(expected, tuple):
+            monkeypatch.setattr(ingest, "_row_pass", lambda *args: pytest.fail("a valid file reached the row pass"))
+        assert_same_arrays(outcome(lambda: read_table(str(path), layouts)), expected)
+
+    @pytest.mark.parametrize(
+        "layouts, rows",
+        [
+            (_SURVEY_LAYOUTS, ["surveyId,lat,lon,speciesId", "+1,45.0,5.0,7"]),
+            (_SURVEY_LAYOUTS, ["surveyId,lat,lon,speciesId", "1,+45.0,5.0,+7"]),
+            (_SURVEY_LAYOUTS, ["surveyId,lat,lon,speciesIds", "+1,45.0,5.0,7 9"]),
+            (_SURVEY_LAYOUTS, ["surveyId,lat,lon,speciesIds", "1,+45.0,+5.0,7 +9"]),
+            (_SURVEY_LAYOUTS, ["surveyId,lat,lon,speciesIds", "1,45.0,5.0,+7"]),
+            ([_SCORE_LAYOUT], ["surveyId,speciesId,score", "+1,7,0.5"]),
+            ([_SCORE_LAYOUT], ["surveyId,speciesId,score", "1,+7,+0.5"]),
+            ([_SUBMISSION_LAYOUT], ["surveyId,predictions", "+1,3 4"]),
+            ([_SUBMISSION_LAYOUT], ["surveyId,predictions", "1,3 +4"]),
+            ([_SUBMISSION_LAYOUT], ["surveyId,predictions", "1,+3"]),
+        ],
+    )
+    def test_a_plus_sign_in_an_id_is_malformed_at_its_line(self, tmp_path, layouts, rows):
+        """``int`` reads "+5", but an id is ASCII digits with an optional minus sign; numpy would read it, so the file
+        goes to the row pass."""
+        path = tmp_path / "a.csv"
+        row = rows[1].replace("+", "")
+        path.write_text("\n".join([rows[0], row, rows[1]]) + "\n")
+        with pytest.raises(ParseError, match=r"a\.csv:3: malformed row: ids must be ASCII digits with an optional minus sign$"):
+            read_table(str(path), layouts)
+        assert outcome(lambda: read_table(str(path), layouts)) == outcome(lambda: row_pass(path, layouts))
+
+    @pytest.mark.parametrize(
         "body, line",
         [
             ("1,0.5,0.5,7\n2,1e999,0.5,7\n", 3),  # parses to inf, caught after the read
@@ -650,6 +695,68 @@ class TestCatalog:
         assert SpeciesCatalog.union(catalogs).dense_to_raw.tolist() == expected
         assert SpeciesCatalog.union(catalogs[:1]) == catalogs[0]
         assert SpeciesCatalog.union([SpeciesCatalog([])]) == SpeciesCatalog([])
+
+
+def sort_path_only():
+    """Within this context no catalog is built with a table, and a file without a catalog gets one by the sort."""
+    return mock.patch.object(ingest, "_TABLE_IDS", 0)
+
+
+# species ids around the table's bound and at the int64 limits, and small ones that repeat
+TABLE_EDGES = [-1, 0, ingest._TABLE_IDS - 1, ingest._TABLE_IDS, -(2**63), 2**63 - 1]
+raw_species_ids = st.integers(0, 12) | st.sampled_from(TABLE_EDGES) | st.integers(-(2**63), 2**63 - 1)
+
+
+class TestCatalogTable:
+    """A catalog of ids in [0, ``_TABLE_IDS``) looks ids up through its table and a file parsed without a catalog
+    counts its ids; both give what the sort path gives."""
+
+    @given(st.lists(st.integers(0, 12) | st.sampled_from(TABLE_EDGES), max_size=8), st.lists(raw_species_ids, max_size=12))
+    @example([0, 5, ingest._TABLE_IDS - 1], [ingest._TABLE_IDS - 1, ingest._TABLE_IDS, -1, 0, 5, 5, 4, -(2**63), 2**63 - 1])
+    @example([0], [])
+    def test_lookup_equals_the_sort_path(self, catalog_ids, raw):
+        dense_to_raw = np.unique(np.array(catalog_ids, dtype=np.int64))
+        table = SpeciesCatalog(dense_to_raw)
+        with sort_path_only():
+            searched = SpeciesCatalog(dense_to_raw)
+        assert (table._table is not None) == bool(catalog_ids and min(catalog_ids) >= 0 and max(catalog_ids) < ingest._TABLE_IDS)
+        assert searched._table is None and table == searched
+        dense, known = table.lookup(raw)
+        expected_dense, expected_known = searched.lookup(raw)
+        assert known.tolist() == expected_known.tolist() == [r in catalog_ids for r in raw]
+        assert dense[known].tolist() == expected_dense[expected_known].tolist()
+        assert dense.dtype == expected_dense.dtype == np.int64
+
+    @given(st.data())
+    def test_parse_equals_the_sort_path(self, tmp_path_factory, data):
+        """The same dataset and catalog, or the same error: the first survey by id with a species missing from a given
+        catalog names its smallest such raw id."""
+        survey_ids = data.draw(st.lists(st.integers(-5, 5), max_size=5, unique=True))
+        rows = [f"{sid},0.0,0.0," + " ".join(map(str, data.draw(st.lists(raw_species_ids, max_size=4)))) for sid in survey_ids]
+        path = tmp_path_factory.mktemp("table") / "a.csv"
+        path.write_text("\n".join(["surveyId,lat,lon,speciesIds"] + rows) + "\n")
+        catalog_ids = data.draw(st.none() | st.lists(st.integers(0, 12) | st.sampled_from(TABLE_EDGES), max_size=6))
+
+        def parse():
+            catalog = None if catalog_ids is None else SpeciesCatalog(np.unique(np.array(catalog_ids, dtype=np.int64)))
+            return outcome(lambda: parse_occurrences(str(path), catalog=catalog))
+
+        got = parse()
+        with sort_path_only():
+            assert got == parse()
+
+    @pytest.mark.parametrize("sort_path", [False, True])
+    def test_missing_species_message_is_the_same_on_both_paths(self, tmp_path, sort_path):
+        rows = ["surveyId,lat,lon,speciesIds", "8,0.0,0.0,96", f"4,0.0,0.0,99 5 {ingest._TABLE_IDS} -3 98", "6,0.0,0.0,"]
+        path = write_lines(tmp_path, "a.csv", rows)
+        with mock.patch.object(ingest, "_TABLE_IDS", 0 if sort_path else ingest._TABLE_IDS):
+            catalog = SpeciesCatalog([5, 7])
+            assert (catalog._table is None) == sort_path
+            with pytest.raises(ParseError, match=r"a\.csv: survey 4 references species -3 not present in the catalog$"):
+                parse_occurrences(path, catalog=catalog)
+            ds, parsed = parse_occurrences(path)
+        assert parsed.dense_to_raw.tolist() == [-3, 5, 96, 98, 99, ingest._TABLE_IDS]
+        assert decode_species(ds, parsed)[4] == {99, 5, ingest._TABLE_IDS, -3, 98}
 
 
 class TestRoundTrip:

@@ -32,14 +32,21 @@ score_dicts = st.dictionaries(st.integers(0, 20), st.floats(0.0, 1.0), max_size=
 tied_scores = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
 
 
+# nine scores in ten below every one of low_thresholds, so most entries are ones Threshold Top-K cannot keep
+low_scores = st.tuples(st.integers(0, 9), st.sampled_from([0.0, 0.1, 0.2]) | st.floats(0.0, 0.3, exclude_max=True), tied_scores).map(
+    lambda t: t[2] if t[0] == 0 else t[1]
+)
+low_thresholds = st.sampled_from([0.3, 0.5, 0.75, 1.0]) | st.floats(0.3, 1.0)
+
+
 @st.composite
-def scored_surveys(draw):
+def scored_surveys(draw, scores=tied_scores):
     """A score matrix (empty rows allowed) and a truth set per row (empty allowed)."""
     num_species = draw(st.integers(1, 8))
     rows = draw(
         st.dictionaries(
             st.integers(0, 100),
-            st.dictionaries(st.integers(0, num_species - 1), tied_scores, max_size=num_species),
+            st.dictionaries(st.integers(0, num_species - 1), scores, max_size=num_species),
             min_size=1,
             max_size=24,
         )
@@ -59,9 +66,21 @@ def top_k_row(scores, cfg):
     return apply_top_k(score_matrix(32, {1: scores}), cfg)[0]
 
 
+def surveys_and(thresholds):
+    """``scored_surveys()`` with what ``thresholds(tied_scores)`` draws, or ``scored_surveys(low_scores)`` with what
+    ``thresholds(low_thresholds)`` draws, where most entries fall below every threshold."""
+    return st.tuples(scored_surveys(), thresholds(tied_scores)) | st.tuples(scored_surveys(low_scores), thresholds(low_thresholds))
+
+
 def truth_dataset(truth):
     """The truth mapping as the ``Dataset`` that ``grid_search_top_k`` reads; coordinates are unused."""
     return make_dataset([(sid, 0.0, 0.0, species) for sid, species in truth.items()])
+
+
+def assert_same_rows(got, expected):
+    """Two ``RowSets`` with the same arrays: the same rows, each in the same order."""
+    assert got.indptr.tolist() == expected.indptr.tolist() and got.indices.tolist() == expected.indices.tolist()
+    assert got.indptr.dtype == expected.indptr.dtype and got.indices.dtype == expected.indices.dtype
 
 
 def reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1):
@@ -107,9 +126,9 @@ class TestThresholdTopK:
         lo, hi = min(t1, t2), max(t1, t2)
         assert top_k_row(scores, TopKConfig(hi, k_cap)) <= top_k_row(scores, TopKConfig(lo, k_cap))
 
-    @given(scored_surveys(), tied_scores, st.integers(1, 6), st.booleans())
-    def test_apply_top_k_equals_the_oracle_per_row(self, surveys, threshold, k_cap, fallback_top1):
-        matrix, _ = surveys
+    @given(surveys_and(lambda scores: scores), st.integers(1, 6), st.booleans())
+    def test_apply_top_k_equals_the_oracle_per_row(self, drawn, k_cap, fallback_top1):
+        (matrix, _), threshold = drawn
         cfg = TopKConfig(threshold, k_cap, fallback_top1)
         assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k_oracle(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
 
@@ -124,6 +143,17 @@ class TestThresholdTopK:
             for threshold in (0.0, 0.5, 0.6, 1.0):
                 cfg = TopKConfig(threshold, int(rng.integers(1, 8)), fallback_top1)
                 assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k_oracle(matrix.row(sid), cfg) for sid in matrix.survey_ids()}
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.2])
+    def test_fallback_keeps_the_lowest_species_of_a_best_score_tied_below_the_threshold(self, threshold):
+        """Species 1 comes first but scores less; 3, 7 and 9 tie for the best score. At 0.2 they all clear the threshold."""
+        matrix = score_matrix(12, {1: {9: 0.2, 1: 0.1, 7: 0.2, 3: 0.2}, 2: {}, 3: {11: 0.05, 2: 0.0}, 4: {5: 0.9, 4: 0.2}})
+        cfg = TopKConfig(threshold, 2, fallback_top1=True)
+        expected = {1: {3}, 2: set(), 3: {11}, 4: {5}} if threshold == 0.5 else {1: {3, 7}, 2: set(), 3: {11}, 4: {5, 4}}
+        assert top_k_by_id(matrix, cfg) == {sid: threshold_top_k_oracle(matrix.row(sid), cfg) for sid in matrix.survey_ids()} == expected
+        truth = {1: frozenset({3}), 2: frozenset(), 3: frozenset({2}), 4: frozenset({5})}
+        got = grid_search_top_k(matrix, truth_dataset(truth), [threshold, 0.95], [1, 2], fallback_top1=True)
+        assert got == reference_grid_search(matrix, truth, [threshold, 0.95], [1, 2], True)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -267,13 +297,12 @@ class TestGridSearch:
         assert (cfg.threshold, cfg.k_cap) == (0.2, 2)  # first perfect combination in scan order
 
     @given(
-        scored_surveys(),
-        st.lists(tied_scores, min_size=1, max_size=5),
+        surveys_and(lambda scores: st.lists(scores, min_size=1, max_size=5)),
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
         st.booleans(),
     )
-    def test_matches_per_point_reference(self, surveys, thresholds, k_caps, fallback_top1):
-        matrix, truth = surveys
+    def test_matches_per_point_reference(self, drawn, k_caps, fallback_top1):
+        (matrix, truth), thresholds = drawn
         got = grid_search_top_k(matrix, truth_dataset(truth), thresholds, k_caps, fallback_top1=fallback_top1)
         assert got == reference_grid_search(matrix, truth, thresholds, k_caps, fallback_top1)  # F1 bit-equal
         for thr in thresholds[:2]:
